@@ -5,10 +5,8 @@ Usage::
     python -m repro list
     python -m repro run fig08 [--plot] [--logx]
     python -m repro run fig02 --trace fig02.trace.json   # Perfetto trace
-    python -m repro all [--out results/] [--jobs 4] [--force] [--no-cache]
+    python -m repro all [--out results/] [--force] [--no-cache]
     python -m repro all --profile profiles/              # + engine profiles
-    python -m repro campaign run --workers 4             # journaled, resumable
-    python -m repro campaign resume <id>                 # pick up after a crash
     python -m repro cache verify [--delete]              # result-store hygiene
     python -m repro cache gc --max-age-days 30
     python -m repro lint src/ tests/                     # simlint passthrough
@@ -159,35 +157,20 @@ def cmd_all(args: argparse.Namespace) -> int:
         tracer=tracer,
     )
     try:
-        outcomes = runner.run(ids, jobs=args.jobs)
+        outcomes = runner.run(ids)
     except KeyboardInterrupt:
-        # In-flight atomic cache writes were allowed to finish
-        # (defer_sigint in ResultCache.put), so the store is
-        # consistent: a re-run resumes from whatever completed.
+        # Every finished experiment was stored before the next one
+        # started, and the in-flight atomic write was allowed to finish
+        # (defer_sigint in ResultCache.put): a re-run resumes from there.
         print(
             "\ninterrupted: cache is consistent; re-run `repro all` to "
-            "resume from completed experiments "
-            "(or use `repro campaign` for journaled resume)"
+            "resume from completed experiments"
         )
         return 130
 
     failures = 0
     report_rows = []
     for o in outcomes:
-        if o.failed:
-            failures += 1
-            print(f"[FAIL] {o.exp_id:14s} {o.error}")
-            report_rows.append(
-                {
-                    "exp_id": o.exp_id,
-                    "cached": False,
-                    "wall_s": round(o.wall_s, 6),
-                    "status": "FAIL",
-                    "key": o.key,
-                    "error": o.error,
-                }
-            )
-            continue
         write_artifacts(o.result, out)
         check = _shape_check(get_experiment(o.exp_id), o.result)
         status = "PASS" if check.passed else "FAIL"
@@ -233,7 +216,6 @@ def cmd_all(args: argparse.Namespace) -> int:
                     "experiments": report_rows,
                     "hits": runner.hits,
                     "misses": runner.misses,
-                    "jobs": args.jobs,
                 },
                 indent=2,
                 sort_keys=True,
@@ -258,13 +240,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_trace_flag(p_run)
     add_faults_flag(p_run)
     p_all = sub.add_parser(
-        "all", help="run everything (parallel + cached), write CSV/txt"
+        "all", help="run everything (cached), write CSV/txt"
     )
     p_all.add_argument("--out", default="results", help="output directory")
-    p_all.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = in-process serial)",
-    )
     p_all.add_argument(
         "--only", metavar="IDS",
         help="comma-separated experiment ids to run (default: all)",
@@ -297,13 +275,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "execution: cached results carry no profile)",
     )
     add_faults_flag(p_all)
-    p_campaign = sub.add_parser(
-        "campaign",
-        help="crash-tolerant, journaled sweep runner "
-        "(see `repro campaign -- --help` for its options)",
-        add_help=False,
-    )
-    p_campaign.add_argument("campaign_args", nargs=argparse.REMAINDER)
     p_cache = sub.add_parser(
         "cache",
         help="result-store hygiene: verify | gc "
@@ -344,13 +315,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_list(args)
     if args.command == "run":
         return cmd_run(args)
-    if args.command == "campaign":
-        from repro.campaign.cli import main as campaign_main
-
-        campaign_args = args.campaign_args
-        if campaign_args and campaign_args[0] == "--":
-            campaign_args = campaign_args[1:]
-        return campaign_main(campaign_args)
     if args.command == "cache":
         from repro.runner.cache_cli import main as cache_main
 

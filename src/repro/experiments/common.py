@@ -104,7 +104,7 @@ def profiling_to(
     folded-stack and metrics artifacts into ``out_dir`` on exit.
 
     With ``out_dir=None`` the block runs unprofiled and ``None`` is
-    yielded, so callers (the runner's worker, driver ``main``\\ s) can
+    yielded, so callers (the runner, driver ``main``\\ s) can
     pass a ``--profile`` flag through unconditionally. Link-utilization
     gauges are derived from the tracer installed at exit time, if any —
     combine with :func:`tracing_to` and the metrics ride the same run.

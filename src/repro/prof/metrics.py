@@ -2,8 +2,8 @@
 
 Every value recorded here is a function of the *simulation* alone
 (simulated timestamps, queue depths, event counts), never of the host
-clock — so a metrics artifact is byte-identical across repeated runs,
-across ``--jobs N`` fan-outs, and across machines. Wall-clock cost lives
+clock — so a metrics artifact is byte-identical across repeated runs
+and across machines. Wall-clock cost lives
 in :mod:`repro.prof.profiler`; the two are exported side by side but
 never mixed in one file.
 

@@ -1,9 +1,9 @@
-"""Parallel, content-addressed experiment runner.
+"""Content-addressed experiment runner.
 
-``repro all`` used to replay all 26 drivers serially from scratch on
-every invocation. This package makes re-execution cheap and
-reproducible, the property the paper's artifact (and any large
-simulation sweep) lives on:
+``repro all`` used to replay all 26 drivers from scratch on every
+invocation. This package makes re-execution cheap and reproducible, the
+property the paper's artifact (and any large simulation sweep) lives
+on:
 
 * :mod:`repro.runner.fingerprint` — derives a SHA-256 cache key from
   the driver module source, the machine-config JSON, the shared sweep
@@ -11,23 +11,17 @@ simulation sweep) lives on:
 * :mod:`repro.runner.cache` — a content-addressed result store under
   ``.repro-cache/`` with atomic writes and corruption-as-miss reads;
 * :mod:`repro.runner.runner` — :class:`ExperimentRunner`, which checks
-  the cache, fans misses out across a process pool (surviving worker
-  deaths: a ``BrokenProcessPool`` casualty is retried inline once and
-  reported as a per-experiment failure, never an abort), merges
-  outcomes in registry order, and reports cache/wall-time counters
-  through :mod:`repro.obs`;
+  the cache, runs the misses in-process one after another, storing each
+  result before the next driver starts (so the cache is also the run's
+  journal: re-running an interrupted run resumes it), and reports
+  cache/wall-time counters through :mod:`repro.obs`;
 * :mod:`repro.runner.atomic` — SIGINT deferral around the atomic
   publish step, so Ctrl-C never tears an on-disk write;
 * :mod:`repro.runner.cache_cli` — ``repro cache verify|gc`` store
   hygiene.
 
-``repro all`` is the one-host, ephemeral special case of a *campaign*:
-:mod:`repro.campaign` layers a journaled, resumable, multi-worker
-work-queue over the same content-addressed store (the campaign cell
-fingerprint **is** the runner cache key, so the two share results).
-
 See docs/RUNNER.md for the cache layout and CLI semantics
-(``repro all --jobs N [--force] [--no-cache]``).
+(``repro all [--force] [--no-cache]``).
 """
 
 from repro.runner.atomic import defer_sigint

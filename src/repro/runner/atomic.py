@@ -1,12 +1,10 @@
 """Interrupt-safe critical sections for on-disk state.
 
-The result cache, the campaign journal and the campaign manifest all
-follow the same discipline: build the new bytes off to the side, then
-publish them with a single atomic step (``os.replace`` or one
-``O_APPEND`` write). The one hole left is the operator's Ctrl-C landing
-*inside* the critical section: CPython raises ``KeyboardInterrupt`` at
-an arbitrary bytecode boundary, which can abandon a temp file or tear
-the append between ``write`` and ``fsync``.
+The result cache builds each entry's bytes off to the side, then
+publishes them with a single atomic step (``os.replace``). The one hole
+left is the operator's Ctrl-C landing *inside* the critical section:
+CPython raises ``KeyboardInterrupt`` at an arbitrary bytecode boundary,
+which can abandon a temp file between the write and the replace.
 
 :func:`defer_sigint` closes that hole. Inside the block SIGINT is
 parked; on exit the previous handler is restored and, if a signal

@@ -26,7 +26,7 @@ import os
 import pathlib
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.core.experiment import ExperimentResult
 from repro.runner.atomic import defer_sigint
@@ -47,33 +47,24 @@ class CacheEntry:
     version: str
     wall_s: float
     result: ExperimentResult
-    #: ``(fast, total)`` network transfers of the original run, or
-    #: ``None`` for entries written before the field existed — old
-    #: entries stay readable, they just report no totals.
-    net: Optional[Tuple[int, int]] = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "key": self.key,
             "exp_id": self.exp_id,
             "version": self.version,
             "wall_s": self.wall_s,
             "result": self.result.to_dict(),
         }
-        if self.net is not None:
-            d["net"] = list(self.net)
-        return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "CacheEntry":
-        net = data.get("net")
         return cls(
             key=data["key"],
             exp_id=data["exp_id"],
             version=data["version"],
             wall_s=float(data["wall_s"]),
             result=ExperimentResult.from_dict(data["result"]),
-            net=tuple(net) if net is not None else None,
         )
 
 

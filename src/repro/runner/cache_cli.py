@@ -13,8 +13,7 @@ hygiene explicit::
     repro cache gc --max-age-days 0 --dry-run
 
 Both publish ``cache.verify.*`` / ``cache.gc.*`` counters through the
-installed obs tracer, so a campaign's trace shows cache hygiene next to
-its cell lifecycle. Deleting an entry is always safe: the store is a
+installed obs tracer. Deleting an entry is always safe: the store is a
 cache of deterministic computations — the runner recomputes on miss.
 """
 # Wall-clock/mtime reads are deliberate: cache hygiene is host-side.

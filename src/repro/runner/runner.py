@@ -1,17 +1,17 @@
-"""Parallel, cache-aware execution of experiment drivers.
+"""Cache-aware, serial execution of experiment drivers.
 
 :class:`ExperimentRunner` is the engine behind ``repro all``:
 
-* resolves the requested ids against the registry and always returns
-  outcomes in **registry (sorted) order**, whatever the completion
-  order of the workers — a ``--jobs 8`` run merges identically to a
-  serial one;
+* resolves the requested ids against the registry and returns outcomes
+  in **registry (sorted) order**;
 * consults the content-addressed :class:`~repro.runner.cache.ResultCache`
   first: a hit rehydrates the stored
   :class:`~repro.core.experiment.ExperimentResult` without executing a
   single driver;
-* dispatches the misses across a :class:`concurrent.futures.
-  ProcessPoolExecutor` (``jobs > 1``) or runs them inline (``jobs=1``);
+* runs each miss in-process and stores its result *before* starting the
+  next one, so the cache doubles as the run's journal: an interrupted
+  or killed run loses at most the driver in flight, and re-running
+  resumes warm from everything that completed;
 * surfaces per-experiment wall time and cache hit/miss totals through
   the :mod:`repro.obs` counter layer (``runner.cache.hits``,
   ``runner.cache.misses``, ``runner.exp[<id>].wall_s``) whenever a
@@ -25,10 +25,8 @@ nondeterminism rule is suppressed at those sites.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
 from repro.core.registry import get_experiment, resolve_ids
@@ -48,80 +46,29 @@ from repro.version import __version__
 class RunOutcome:
     """One experiment's result plus how it was obtained.
 
-    ``wall_s`` is the driver execution time measured in the process
-    that ran it; for cache hits it is the *stored* execution time of
-    the original run (the hit itself costs only a JSON load).
-
-    ``error`` is set (and ``result`` is ``None``) when the experiment
-    could not be executed at all — a pool worker died (OOM-killed,
-    segfaulted) and the one inline retry failed too. Failed outcomes
-    are never cached.
-
-    ``net`` is the ``(fast, total)`` network transfer count observed by
-    the executing process (:func:`repro.network.simnet.transfer_totals`)
-    — counted in the worker and shipped back through the pool, so
-    ``--jobs N`` fan-out reports the same totals as a serial run. For
-    cache hits it is the stored count of the original run; ``None`` only
-    for failed outcomes and entries predating the field.
+    ``wall_s`` is the driver execution time; for cache hits it is the
+    *stored* execution time of the original run (the hit itself costs
+    only a JSON load).
     """
 
     exp_id: str
-    result: Optional[ExperimentResult]
+    result: ExperimentResult
     from_cache: bool
     wall_s: float
     key: Optional[str] = None
-    error: Optional[str] = None
-    net: Optional[Tuple[int, int]] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
-def _execute(
-    exp_id: str,
-    faults_path: Optional[str] = None,
-    trace_path: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run one driver; returns a picklable payload.
-
-    Top-level so :class:`ProcessPoolExecutor` can ship it to workers.
-    Fault plans, tracers and profilers are installed *inside* the
-    executing process — process-global state does not cross the pool
-    boundary (which is also why profile artifacts are written here, in
-    the worker, rather than returned).
-    """
-    from repro.experiments.common import faults_from, profiling_to, tracing_to
-    from repro.network import simnet
-
-    with faults_from(faults_path), \
-            tracing_to(trace_path, exp_id=exp_id), \
-            profiling_to(profile_dir, exp_id):
-        simnet.reset_transfer_totals()
-        t0 = time.perf_counter()  # simlint: ignore[SL201]
-        result = get_experiment(exp_id)()
-        wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
-        net = simnet.reset_transfer_totals()
-    return {
-        "exp_id": exp_id,
-        "result": result.to_dict(),
-        "wall_s": wall_s,
-        "net": list(net),
-    }
 
 
 class ExperimentRunner:
-    """Run experiments with caching and optional process parallelism.
+    """Run experiments in-process, serving and filling a result cache.
 
     :param cache: result store; ``None`` disables caching entirely
         (every run executes, nothing is stored) — the ``--no-cache``
         path.
     :param force: execute even on a cache hit and overwrite the entry
         (``--force``).
-    :param faults_path: JSON fault plan installed in every executing
-        process; its hash is part of every cache key, so injected runs
-        never alias fault-free ones.
+    :param faults_path: JSON fault plan installed around every driver;
+        its hash is part of every cache key, so injected runs never
+        alias fault-free ones.
     :param trace_dir: when set, each *executed* experiment writes a
         Perfetto trace to ``<trace_dir>/<exp_id>.trace.json``. Tracing
         implies execution — a cache hit cannot regenerate a trace — so
@@ -167,140 +114,63 @@ class ExperimentRunner:
         )
 
     # -- execution --------------------------------------------------------
-    def run(self, exp_ids: Optional[List[str]] = None, jobs: int = 1
-            ) -> List[RunOutcome]:
-        """Run ``exp_ids`` (default: all), ``jobs`` processes wide.
+    def run(self, exp_ids: Optional[List[str]] = None) -> List[RunOutcome]:
+        """Run ``exp_ids`` (default: all), one after another.
 
-        Returns one :class:`RunOutcome` per id, in registry order.
+        Returns one :class:`RunOutcome` per id, in registry order. Each
+        executed result is in the cache before the next driver starts.
         """
-        ids = resolve_ids(exp_ids)
         caching = (
             self.cache is not None
             and self.trace_dir is None
             and self.profile_dir is None
         )
-        outcomes: Dict[str, RunOutcome] = {}
-        keys: Dict[str, str] = {}
-        to_run: List[str] = []
-
-        for exp_id in ids:
+        outcomes: List[RunOutcome] = []
+        for exp_id in resolve_ids(exp_ids):
             key = self.key_for(exp_id) if caching else None
-            if key is not None:
-                keys[exp_id] = key
             entry = (
                 self.cache.get(key)
                 if (caching and not self.force)
                 else None
             )
             if entry is not None:
-                outcomes[exp_id] = RunOutcome(
-                    exp_id=exp_id,
-                    result=entry.result,
-                    from_cache=True,
-                    wall_s=entry.wall_s,
-                    key=key,
-                    net=entry.net,
-                )
-            else:
-                to_run.append(exp_id)
-
-        for payload in self._execute_many(to_run, jobs):
-            exp_id = payload["exp_id"]
-            key = keys.get(exp_id)
-            if payload.get("error") is not None:
-                outcomes[exp_id] = RunOutcome(
-                    exp_id=exp_id,
-                    result=None,
-                    from_cache=False,
-                    wall_s=payload.get("wall_s", 0.0),
-                    key=key,
-                    error=payload["error"],
+                outcomes.append(
+                    RunOutcome(exp_id, entry.result, True, entry.wall_s, key)
                 )
                 continue
-            result = ExperimentResult.from_dict(payload["result"])
-            net = payload.get("net")
-            outcome = RunOutcome(
-                exp_id=exp_id,
-                result=result,
-                from_cache=False,
-                wall_s=payload["wall_s"],
-                key=key,
-                net=tuple(net) if net is not None else None,
-            )
-            if caching and key is not None:
+            result, wall_s = self._execute(exp_id)
+            if key is not None:
                 self.cache.put(
                     CacheEntry(
                         key=key,
                         exp_id=exp_id,
                         version=__version__,
-                        wall_s=outcome.wall_s,
+                        wall_s=wall_s,
                         result=result,
-                        net=outcome.net,
                     )
                 )
-            outcomes[exp_id] = outcome
+            outcomes.append(RunOutcome(exp_id, result, False, wall_s, key))
+        self._publish(outcomes)
+        return outcomes
 
-        ordered = [outcomes[exp_id] for exp_id in ids]
-        self._publish(ordered)
-        return ordered
+    def _execute(self, exp_id: str) -> Tuple[ExperimentResult, float]:
+        """Run one driver under the fault plan, tracer and profiler."""
+        from repro.experiments.common import (
+            faults_from,
+            profiling_to,
+            tracing_to,
+        )
 
-    def _execute_many(
-        self, exp_ids: List[str], jobs: int
-    ) -> List[Dict[str, Any]]:
-        if not exp_ids:
-            return []
-        trace_path = {
-            exp_id: (
-                f"{self.trace_dir}/{exp_id}.trace.json"
-                if self.trace_dir
-                else None
-            )
-            for exp_id in exp_ids
-        }
-        if jobs <= 1 or len(exp_ids) == 1:
-            return [
-                _execute(e, self.faults_path, trace_path[e], self.profile_dir)
-                for e in exp_ids
-            ]
-        payloads: List[Dict[str, Any]] = []
-        broken: List[str] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _execute, e, self.faults_path, trace_path[e],
-                    self.profile_dir,
-                )
-                for e in exp_ids
-            ]
-            for exp_id, future in zip(exp_ids, futures):
-                try:
-                    payloads.append(future.result())
-                except BrokenProcessPool:
-                    # A worker died under this experiment (OOM kill,
-                    # segfault, ...). The pool is unusable from here on
-                    # — every remaining future raises too — so collect
-                    # the casualties and retry them inline below rather
-                    # than aborting the whole run.
-                    broken.append(exp_id)
-        for exp_id in broken:
-            try:
-                payloads.append(
-                    _execute(
-                        exp_id, self.faults_path, trace_path[exp_id],
-                        self.profile_dir,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - surfaced per-exp
-                payloads.append(
-                    {
-                        "exp_id": exp_id,
-                        "error": (
-                            "worker process died and the inline retry "
-                            f"failed: {type(exc).__name__}: {exc}"
-                        ),
-                    }
-                )
-        return payloads
+        trace_path = (
+            f"{self.trace_dir}/{exp_id}.trace.json" if self.trace_dir else None
+        )
+        with faults_from(self.faults_path), \
+                tracing_to(trace_path, exp_id=exp_id), \
+                profiling_to(self.profile_dir, exp_id):
+            t0 = time.perf_counter()  # simlint: ignore[SL201]
+            result = get_experiment(exp_id)()
+            wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
+        return result, wall_s
 
     # -- telemetry --------------------------------------------------------
     def _publish(self, outcomes: List[RunOutcome]) -> None:
@@ -320,5 +190,3 @@ class ExperimentRunner:
             name = "runner.cache.hits" if o.from_cache else "runner.cache.misses"
             tracer.add(name, float(i), 1.0)
             tracer.record(f"runner.exp[{o.exp_id}].wall_s", float(i), o.wall_s)
-            if o.failed:
-                tracer.add("runner.exp.failures", float(i), 1.0)

@@ -1,4 +1,4 @@
-"""ExperimentRunner: caching, invalidation, parallel/serial equivalence."""
+"""ExperimentRunner: caching, invalidation, cached/uncached equivalence."""
 
 import pytest
 
@@ -122,13 +122,15 @@ def test_identical_inputs_hit_with_identical_bytes(cache):
     assert render_result(warm[0].result) == render_result(cold[0].result)
 
 
-def test_parallel_matches_serial(cache, tmp_path):
-    ids = ["fig02", "fig05", "table1"]
-    serial = ExperimentRunner(None).run(ids, jobs=1)
-    parallel = ExperimentRunner(ResultCache(tmp_path / "p")).run(ids, jobs=2)
-    assert [o.exp_id for o in parallel] == [o.exp_id for o in serial]
-    for a, b in zip(serial, parallel):
-        assert a.result.to_dict() == b.result.to_dict()
+def test_cached_run_matches_uncached_run(cache):
+    ids = ["table1", "fig02", "fig05"]
+    uncached = ExperimentRunner(None).run(ids)
+    cold = ExperimentRunner(cache).run(ids)
+    warm = ExperimentRunner(cache).run(ids)
+    assert [o.exp_id for o in uncached] == ["fig02", "fig05", "table1"]
+    for a, b, c in zip(uncached, cold, warm):
+        assert a.exp_id == b.exp_id == c.exp_id and c.from_cache
+        assert a.result.to_dict() == b.result.to_dict() == c.result.to_dict()
 
 
 def test_runner_counters_reach_tracer(cache):

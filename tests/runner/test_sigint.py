@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.experiment import ExperimentResult
 from repro.runner import CacheEntry, ResultCache, defer_sigint
-from repro.campaign.journal import Journal
 
 KEY = "cd" + "0" * 62
 
@@ -88,23 +87,6 @@ def test_cache_put_survives_sigint_mid_publish(tmp_path, monkeypatch):
     got = cache.get(KEY)
     assert got is not None and got.exp_id == "figX"
     assert not list((tmp_path / "c").rglob(".tmp-*"))
-
-
-def test_journal_append_survives_sigint_mid_write(tmp_path, monkeypatch):
-    journal = Journal(tmp_path)
-    real_fsync = os.fsync
-
-    def interrupted_fsync(fd):
-        _self_sigint()
-        return real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", interrupted_fsync)
-    with pytest.raises(KeyboardInterrupt):
-        journal.append({"cell": "a", "state": "leased", "attempt": 1})
-    monkeypatch.undo()
-    st = journal.replay(["a"])["a"]
-    assert st.state == "leased"  # the record landed intact
-    assert journal.skipped == 0
 
 
 def test_corrupt_cache_entry_reads_as_miss(tmp_path):

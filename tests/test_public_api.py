@@ -11,7 +11,6 @@ import repro
 PACKAGES = [
     "repro",
     "repro.apps",
-    "repro.campaign",
     "repro.core",
     "repro.hpcc",
     "repro.kernels",
@@ -21,6 +20,7 @@ PACKAGES = [
     "repro.network",
     "repro.obs",
     "repro.prof",
+    "repro.runner",
     "repro.simengine",
 ]
 
