@@ -57,9 +57,9 @@ def test_lint_warm(benchmark, lint_files, tmp_path):
 
 
 def test_warm_cache_serves_sl9_findings_without_parsing(tmp_path):
-    # the SL9xx perf family is interprocedural (process classification,
-    # installer aliases) — make sure enabling it kept the zero-parse
-    # warm-run invariant, findings cache round-trip included
+    # SL901 is interprocedural (process classification) — make sure it
+    # keeps the zero-parse warm-run invariant, findings cache round-trip
+    # included
     files = expand_paths(SCOPE) + ["tests/lint/fixtures/bad_perf.py"]
     cache = LintCache(tmp_path / "cache")
     cold = Program(files, cache=cache)

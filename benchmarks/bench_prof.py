@@ -1,8 +1,8 @@
 """Profiler overhead benchmarks: profiling must be pay-for-what-you-use.
 
-``Simulator(profile=None)`` — the default — must run the original,
-untouched event loop: the only cost the profiler PR added to unprofiled
-runs is a handful of ``is None`` checks at scheduling sites. The
+``Simulator(profile=None)`` — the default — must not pay for the
+profiler: its only cost to unprofiled runs is a handful of ``is None``
+checks, one per dispatched event and one per scheduling site. The
 benchmarks below track both sides of that contract:
 
 * the unprofiled event loop (regression-tracked by pytest-benchmark and

@@ -36,16 +36,8 @@ families that see through project-defined helpers:
   shared writes across process methods, RNG stream aliasing. The
   dynamic counterpart is ``repro race`` (:mod:`repro.simrace`), whose
   divergence findings surface as rule SL850;
-* ``perf`` (SL901–SL905, :mod:`repro.lint.check_perf`) — the PR-9
-  hot-path invariants: no per-event closures in process functions,
-  ``__slots__`` / flat-heap-tuple contracts, lazy wait descriptions
-  and trace labels, no import-time process-global installation, no
-  linear scans in process loops. ``repro-lint --profile DIR`` weights
-  these findings by measured phase hotness
-  (:mod:`repro.lint.profileguide`), and ``repro-lint --eligibility``
-  statically certifies each registered driver's network fast-path
-  eligibility and cross-checks it against runtime counters
-  (:mod:`repro.lint.eligibility`).
+* ``perf`` (SL901, :mod:`repro.lint.check_perf`) — no per-event
+  closures handed to the scheduler from process functions.
 
 Run it as ``python -m repro.lint [paths]``, ``repro-lint`` or
 ``repro lint``; suppress a deliberate violation with
@@ -80,7 +72,7 @@ from repro.lint import check_resource_safety  # noqa: F401
 from repro.lint import check_units  # noqa: F401
 from repro.lint import check_yieldfrom  # noqa: F401
 from repro.lint import program  # noqa: F401  (interprocedural checkers)
-from repro.lint import check_perf  # noqa: F401  (SL9xx hot-path rules)
+from repro.lint import check_perf  # noqa: F401  (SL901)
 from repro.simrace import rules as _simrace_rules  # noqa: F401  (SL8xx)
 
 from repro.lint.cache import LintCache

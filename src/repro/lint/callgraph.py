@@ -45,7 +45,7 @@ from repro.lint.check_collectives import _collective_name
 
 #: Bump whenever summary extraction changes shape or semantics: it salts
 #: the on-disk summary/findings cache keys.
-SUMMARY_SCHEMA = 4
+SUMMARY_SCHEMA = 5
 
 
 # -- call / return descriptors ---------------------------------------------
@@ -106,11 +106,6 @@ class FunctionInfo:
     returns: List[tuple] = field(default_factory=list)  # return evidence
     seq: List[tuple] = field(default_factory=list)  # ordered collectives/calls
     decorators: List[tuple] = field(default_factory=list)  # decorator specs
-    #: Local-name instance types: ``x = Cls(...)`` inside the body records
-    #: ``x`` → target spec of ``Cls`` — the evidence the eligibility
-    #: certifier uses to follow ``x.method(...)`` calls on constructed
-    #: objects (see :mod:`repro.lint.eligibility`).
-    instances: Dict[str, tuple] = field(default_factory=dict)
 
     @property
     def value_params(self) -> List[str]:
@@ -131,7 +126,6 @@ class FunctionInfo:
             "returns": [list(r) for r in self.returns],
             "seq": [list(s) for s in self.seq],
             "decorators": [list(d) for d in self.decorators],
-            "instances": {k: list(v) for k, v in self.instances.items()},
         }
 
     @classmethod
@@ -147,7 +141,6 @@ class FunctionInfo:
             returns=[tuple(r) for r in d["returns"]],
             seq=[tuple(s) for s in d["seq"]],
             decorators=[tuple(x) for x in d.get("decorators", [])],
-            instances={k: tuple(v) for k, v in d.get("instances", {}).items()},
         )
 
 
@@ -285,17 +278,6 @@ class _FunctionVisitor:
                 self.info.returns.append(_return_evidence(node.value, self.class_name))
             elif isinstance(node, ast.Call):
                 self._record_call(node, events)
-            elif (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-            ):
-                # ``x = Cls(...)``: remember what ``x`` was constructed
-                # from so ``x.method(...)`` can be chased interprocedurally.
-                spec = _call_spec(node.value, self.class_name)
-                if spec is not None:
-                    self.info.instances.setdefault(node.targets[0].id, spec)
             stack.extend(list(ast.iter_child_nodes(node))[::-1])
         events.sort(key=lambda e: (e[0], e[1]))
         self.info.seq = [item for _, _, _, item in events]  # type: ignore[misc]

@@ -9,8 +9,6 @@ Usage::
     repro-lint src/ --fix --write          # apply them
     repro-lint src/ --baseline lint-baseline.json --update-baseline
     repro-lint src/ --format sarif -o lint.sarif
-    repro-lint src/ --profile profiles/    # weight findings by phase hotness
-    repro-lint src/ --eligibility-check    # fast-path certificate vs runtime
     repro lint src/                        # via the main repro CLI
 
 Exit status: 0 when clean (or every finding was fixed/baselined),
@@ -97,27 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the rendered findings to FILE instead of stdout",
     )
     parser.add_argument(
-        "--profile", metavar="DIR", dest="profile_dir",
-        help="weight perf findings by phase hotness from repro-perf "
-        "artifacts in DIR (plus the checked-in BENCH_simulator.json) "
-        "and re-rank hottest-first",
-    )
-    parser.add_argument(
-        "--hot-only", action="store_true",
-        help="with --profile: report only hot-tier findings",
-    )
-    parser.add_argument(
-        "--eligibility", action="store_true",
-        help="print the static fast-path eligibility certificate for "
-        "every experiment driver in the linted paths, instead of findings",
-    )
-    parser.add_argument(
-        "--eligibility-check", action="store_true",
-        help="like --eligibility, but also run every driver and "
-        "cross-check the static verdict against runtime "
-        "net.fast_transfers (exit 1 on disagreement)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the lint result cache (no reads, no writes)",
     )
@@ -173,13 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("repro-lint: --update-baseline requires --baseline FILE",
               file=sys.stderr)
         return 2
-    if args.hot_only and not args.profile_dir:
-        print("repro-lint: --hot-only requires --profile DIR", file=sys.stderr)
-        return 2
-    if args.profile_dir and not Path(args.profile_dir).is_dir():
-        print(f"repro-lint: --profile: {args.profile_dir} is not a directory",
-              file=sys.stderr)
-        return 2
 
     excludes = tuple(args.exclude) if args.exclude else DEFAULT_EXCLUDES
     try:
@@ -190,38 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache = None if args.no_cache else LintCache(args.cache_dir)
     program = Program(files, cache=cache)
-
-    if args.eligibility or args.eligibility_check:
-        from repro.lint import eligibility as el
-
-        verdicts = el.certify_program(program)
-        if not verdicts:
-            print(
-                "repro-lint: no @register(...) experiment drivers found in "
-                "the linted paths (include src/repro for --eligibility)",
-                file=sys.stderr,
-            )
-            return 2
-        runtime = None
-        if args.eligibility_check:
-            runtime = el.runtime_fast_transfers([v.exp_id for v in verdicts])
-        report = el.render_report(verdicts, runtime)
-        if args.output:
-            Path(args.output).write_text(report, encoding="utf-8")
-            print(f"wrote eligibility report for {len(verdicts)} driver(s) "
-                  f"to {args.output}", file=sys.stderr)
-        else:
-            print(report, end="")
-        if runtime is not None:
-            mismatches = el.cross_check(verdicts, runtime)
-            if mismatches:
-                print(
-                    f"repro-lint: static/runtime eligibility mismatch for: "
-                    f"{', '.join(mismatches)}",
-                    file=sys.stderr,
-                )
-                return 1
-        return 0
 
     findings = program.lint_all()
 
@@ -250,21 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"(debt paid — ratchet with --update-baseline)"
                 )
             print(note, file=sys.stderr)
-
-    if args.profile_dir:
-        from repro.lint import profileguide
-
-        fractions = profileguide.load_phase_fractions(args.profile_dir)
-        if not fractions:
-            print(
-                f"repro-lint: --profile: no usable phase data under "
-                f"{args.profile_dir} (or {profileguide.DEFAULT_BENCH}); "
-                f"findings stay unweighted",
-                file=sys.stderr,
-            )
-        findings = profileguide.apply_profile(findings, fractions)
-        if args.hot_only:
-            findings = [f for f in findings if f.tier == "hot"]
 
     if args.stats:
         s = program.stats

@@ -120,18 +120,9 @@ class Finding:
     col: int
     message: str
     fix: Optional[Fix] = field(default=None, compare=False)
-    #: Profile-guided hotness weight in [0, 1] and the tier it maps to
-    #: ("hot" | "warm" | "note"). Attached by ``repro-lint --profile``
-    #: *after* the findings cache — carried in rendered output (JSON,
-    #: SARIF) but never written to the cache, never compared.
-    weight: Optional[float] = field(default=None, compare=False)
-    tier: Optional[str] = field(default=None, compare=False)
 
     def __str__(self) -> str:
-        base = f"{self.path}:{self.line}:{self.col}: {self.rule} [{self.family}] {self.message}"
-        if self.tier is not None:
-            base += f" [{self.tier} w={self.weight:.4f}]"
-        return base
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} [{self.family}] {self.message}"
 
     def to_dict(self) -> dict:
         d = {
@@ -144,9 +135,6 @@ class Finding:
         }
         if self.fix is not None:
             d["fix"] = self.fix.to_dict()
-        if self.weight is not None:
-            d["weight"] = self.weight
-            d["tier"] = self.tier
         return d
 
     @classmethod
@@ -159,8 +147,6 @@ class Finding:
             col=d["col"],
             message=d["message"],
             fix=Fix.from_dict(d["fix"]) if d.get("fix") else None,
-            weight=d.get("weight"),
-            tier=d.get("tier"),
         )
 
 

@@ -32,15 +32,10 @@ def render_json(findings: Iterable[Finding]) -> str:
     ) + "\n"
 
 
-#: Profile tier → SARIF severity. Unweighted findings (no profile
-#: supplied, or a non-perf rule) keep the historical "error" level.
-TIER_LEVELS = {"hot": "error", "warm": "warning", "note": "note"}
-
-
 def _sarif_result(f: Finding) -> dict:
-    result = {
+    return {
         "ruleId": f.rule,
-        "level": TIER_LEVELS.get(f.tier, "error") if f.tier else "error",
+        "level": "error",
         "message": {"text": f"[{f.family}] {f.message}"},
         "locations": [
             {
@@ -57,9 +52,6 @@ def _sarif_result(f: Finding) -> dict:
             }
         ],
     }
-    if f.weight is not None:
-        result["properties"] = {"weight": f.weight, "tier": f.tier}
-    return result
 
 
 def render_sarif(findings: Iterable[Finding]) -> str:

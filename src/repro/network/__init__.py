@@ -13,7 +13,7 @@ Two interchangeable fidelities:
 
 from repro.network.mapping import Placement
 from repro.network.model import NetworkModel
-from repro.network.simnet import SimNetwork, hybrid_mode, set_hybrid_default
+from repro.network.simnet import SimNetwork, hybrid_mode
 from repro.network.topology import Torus3D
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "SimNetwork",
     "Torus3D",
     "hybrid_mode",
-    "set_hybrid_default",
 ]

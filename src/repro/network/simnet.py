@@ -52,9 +52,9 @@ INTRA_NODE_LATENCY_US = 0.8
 _HYBRID_DEFAULT = True
 
 
-def set_hybrid_default(enabled: bool) -> bool:
-    """Set the default hybrid mode for new :class:`SimNetwork` instances;
-    returns the previous default. Prefer :func:`hybrid_mode`."""
+def _set_hybrid_default(enabled: bool) -> bool:
+    """Set the hybrid mode of new :class:`SimNetwork` instances; returns
+    the previous mode. Callers use :func:`hybrid_mode`."""
     global _HYBRID_DEFAULT
     previous = _HYBRID_DEFAULT
     _HYBRID_DEFAULT = bool(enabled)
@@ -63,8 +63,8 @@ def set_hybrid_default(enabled: bool) -> bool:
 
 #: Process-wide transfer totals summed over every :class:`SimNetwork`
 #: since the last reset. Networks are constructed deep inside driver
-#: sweeps (one per ``MPIJob``), so per-driver fast-path eligibility
-#: checks read these aggregates instead of chasing instances.
+#: sweeps (one per ``MPIJob``), so per-driver fast-path counts read
+#: these aggregates instead of chasing instances.
 _FAST_TRANSFERS = 0
 _TRANSFERS = 0
 
@@ -89,11 +89,11 @@ def hybrid_mode(enabled: bool):
     """Context manager: networks constructed inside use ``enabled`` as
     their hybrid fast-path default. Used by the equivalence tests to run
     the same experiment with the fast path forced on and forced off."""
-    previous = set_hybrid_default(enabled)
+    previous = _set_hybrid_default(enabled)
     try:
         yield
     finally:
-        set_hybrid_default(previous)
+        _set_hybrid_default(previous)
 
 
 class NetworkUnreachableError(RuntimeError):
@@ -153,21 +153,19 @@ def link_label(link: Link) -> str:
 class SimNetwork:
     """Message-granularity discrete-event network for a machine."""
 
-    def __init__(
-        self, sim: Simulator, machine: Machine, hybrid: Optional[bool] = None
-    ) -> None:
+    def __init__(self, sim: Simulator, machine: Machine) -> None:
         self.sim = sim
         self.machine = machine
         self.torus = Torus3D(machine.torus_dims)
         self._tracer = sim.tracer
         #: Hybrid analytic/DES mode: price *uncontended* transfers by the
         #: closed-form LogGP cost as a single scheduled completion instead
-        #: of the request/hold/release process chain (``None`` → module
-        #: default, see :func:`hybrid_mode`). Byte-identical to full DES:
+        #: of the request/hold/release process chain (see
+        #: :func:`hybrid_mode`). Byte-identical to full DES:
         #: the fast path claims the same slots and falls back the moment
         #: any shared resource is busy, a tracer or race tracker needs to
         #: observe the holds, or faults are enabled.
-        self.hybrid = _HYBRID_DEFAULT if hybrid is None else bool(hybrid)
+        self.hybrid = _HYBRID_DEFAULT
         #: Transfers completed via the hybrid fast path (diagnostics).
         self.fast_transfers = 0
         #: (src, dst) → (dimension-order route, resources in canonical

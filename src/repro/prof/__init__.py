@@ -10,8 +10,7 @@ against. Two coordinated halves:
   bookkeeping) and per engine subsystem (queue ops, wait/wake, resource
   arbitration, store traffic), attached via ``Simulator(profile=...)``
   or process-wide with :func:`install_profiler` / :func:`installed_profiler`.
-  Off by default: unprofiled runs keep the original run loop and pay
-  only ``is None`` checks.
+  Off by default: unprofiled runs pay only ``is None`` checks.
 * a sim-time :class:`~repro.prof.metrics.MetricsRegistry` — fixed-bucket
   histograms (event-queue depth, ready-set size), gauges (link
   utilization) and sampled series riding the obs counter plumbing; its

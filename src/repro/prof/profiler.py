@@ -13,7 +13,7 @@ fast without profiling the simulator itself.
 
 Attribution model (contiguous-mark self-time accounting):
 
-* The profiled run loop (``Simulator._run_profiled``) calls
+* The engine run loop (``Simulator.run``) calls
   :meth:`begin_event` / :meth:`end_event` around every dispatched queue
   entry. The gap between two events — heap pop, peek, loop bookkeeping —
   is attributed to the ``engine.queue`` phase, so **every nanosecond

@@ -124,8 +124,8 @@ class Simulator:
 
             profile = EngineProfiler()
         #: Attached :class:`~repro.prof.profiler.EngineProfiler`, or
-        #: ``None`` (the default — unprofiled runs use the original run
-        #: loop untouched and pay only ``is None`` checks elsewhere).
+        #: ``None`` (the default — unprofiled runs pay only ``is None``
+        #: checks).
         self.prof = profile
         self._queue = EventQueue()
         if profile is not None:
@@ -271,17 +271,20 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
-        if self.prof is not None:
-            return self._run_profiled(until, max_events)
         self._running = True
         processed = 0
         # Hot loop: the queue internals are inlined (single cancelled
         # scan per pop, native tuple comparisons, local bindings) — this
         # loop dominates every DES benchmark, see BENCH_simulator.json.
+        # An attached profiler brackets each dispatch; unprofiled runs pay
+        # one ``is None`` check per event for it.
         queue = self._queue
         heap = queue._heap
         pop = heappop
         race = self.race
+        prof = self.prof
+        if prof is not None:
+            prof.begin_run()
         try:
             while queue._live:
                 entry = heap[0][5]
@@ -306,7 +309,14 @@ class Simulator:
                     )
                 if race is not None:
                     race.begin_event(entry)
-                entry.callback()
+                if prof is None:
+                    entry.callback()
+                else:
+                    prof.begin_event(entry, queue._live)
+                    try:
+                        entry.callback()
+                    finally:
+                        prof.end_event()
                 processed += 1
                 if max_events and processed > max_events:
                     raise RuntimeError(f"exceeded max_events={max_events}")
@@ -320,53 +330,8 @@ class Simulator:
             return self.now
         finally:
             self._running = False
-
-    def _run_profiled(
-        self, until: Optional[float] = None, max_events: int = 0
-    ) -> float:
-        """:meth:`run`, with profiler hooks around every dispatch.
-
-        A separate loop keeps the unprofiled path byte-for-byte identical
-        to the pre-profiler engine (pay-for-what-you-use); the simulation
-        semantics here are the same statements in the same order, plus
-        ``begin_event``/``end_event`` brackets.
-        """
-        prof = self.prof
-        self._running = True
-        processed = 0
-        prof.begin_run()
-        try:
-            while self._queue:
-                t = self._queue.peek_time()
-                assert t is not None
-                if until is not None and t > until:
-                    self.now = until
-                    return self.now
-                entry = self._queue.pop_entry()
-                time = entry.time
-                if time < self.now - 1e-15:
-                    raise RuntimeError(
-                        f"time went backwards: {time} < {self.now}"
-                    )
-                self.now = max(self.now, time)
-                if self.race is not None:
-                    self.race.begin_event(entry)
-                prof.begin_event(entry, len(self._queue))
-                try:
-                    entry.callback()
-                finally:
-                    prof.end_event()
-                processed += 1
-                if max_events and processed > max_events:
-                    raise RuntimeError(f"exceeded max_events={max_events}")
-            if self.sanitize and until is None:
-                self._check_quiescence()
-            if until is not None:
-                self.now = max(self.now, until)
-            return self.now
-        finally:
-            self._running = False
-            prof.end_run()
+            if prof is not None:
+                prof.end_run()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Simulator t={self.now:.9g} pending={len(self._queue)}>"

@@ -1,39 +1,19 @@
-"""Deliberately hot-path-hostile module: every SL9xx rule fires here.
+"""Deliberately hot-path-hostile module: SL901 fires here.
 
-Seeded violations (one per rule, see tests/lint/test_perf_rules.py):
+Seeded violation (see tests/lint/test_perf_rules.py):
 
-* SL904 — ``install(Tracer())`` at module import time
-* SL902 — ``self.stats`` written outside ``__slots__``; a non-flat
-  ``heappush`` entry
 * SL901 — per-event lambda scheduled in a process function (fixable)
-* SL903 — eagerly formatted wait label in a process function
-* SL905 — membership scan against a list inside a process loop
 """
-
-import heapq
-
-from repro.obs.tracer import Tracer, install
-
-install(Tracer())  # import-time process-global installation (SL904)
 
 
 class Engine:
-    __slots__ = ("sim", "queue", "label")
-
     def __init__(self, sim):
         self.sim = sim
-        self.queue = []
-        self.stats = {}  # not declared in __slots__ (SL902)
 
     def _tick(self):
         return None
 
     def pump(self, entries):
-        pending = [2, 3, 5]
         for entry in entries:
             self.sim.schedule(0.0, lambda: self._tick())  # closure (SL901)
-            heapq.heappush(self.queue, [entry, 0])  # non-flat entry (SL902)
-            self.label = f"wait:{entry}"  # eager wait label (SL903)
-            if entry in pending:  # linear scan in a process loop (SL905)
-                continue
             yield entry

@@ -124,9 +124,7 @@ def test_matching_rules_expands_prefix():
     assert got == {"SL801", "SL802", "SL803", "SL804", "SL850"}
     assert matching_rules("SL80") == {"SL801", "SL802", "SL803", "SL804"}
     assert matching_rules("bogus") == set()
-    assert matching_rules("SL9") == {
-        "SL901", "SL902", "SL903", "SL904", "SL905",
-    }
+    assert matching_rules("SL9") == {"SL901"}
 
 
 def _run_cli(*args, cwd=None):

@@ -156,6 +156,8 @@ def test_cli_format_sarif_is_valid_with_one_result_per_finding():
     assert {"SL601", "SL701", "SL304"} <= rule_ids
     first = run["results"][0]
     assert first["locations"][0]["physicalLocation"]["region"]["startLine"]
+    assert {r["level"] for r in run["results"]} == {"error"}
+    assert not any("properties" in r for r in run["results"])
 
 
 def test_cli_output_file(tmp_path):
@@ -165,6 +167,10 @@ def test_cli_output_file(tmp_path):
     assert out.returncode == 1
     doc = json.loads(target.read_text())
     assert doc["runs"][0]["results"]
+    # the rendering is byte-stable: a second run writes the same bytes
+    again = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "sarif",
+                     "--no-cache")
+    assert again.stdout == target.read_text()
 
 
 def test_repro_lint_subcommand_delegates():

@@ -1,19 +1,23 @@
-"""Hybrid analytic/DES fast-path equivalence (ISSUE 9 tentpole).
+"""Hybrid analytic/DES fast-path equivalence.
 
 ``SimNetwork`` prices *uncontended* transfers by the closed-form LogGP
 cost as a single scheduled completion (SMPI practice) and falls back to
 full DES the moment any shared resource is busy, a tracer or race
 tracker needs to observe the holds, or faults are enabled. The contract
 is byte-identicality: experiment rows and counter totals must not change
-by a single bit between ``hybrid=True`` and ``hybrid=False``.
+by a single bit between ``hybrid_mode(True)`` and ``hybrid_mode(False)``.
 """
+
+import sys
 
 import pytest
 
+from repro.core.registry import driver_module, get_experiment
 from repro.faults import FaultEvent, FaultPlan
 from repro.machine.configs import xt4
 from repro.mpi.job import MPIJob
-from repro.network.simnet import hybrid_mode, set_hybrid_default
+from repro.network import simnet
+from repro.network.simnet import hybrid_mode
 from repro.obs import Tracer
 
 
@@ -55,7 +59,7 @@ def _snapshot(job, result):
 
 
 def test_hybrid_mode_context_manager_restores_default():
-    assert set_hybrid_default(True) is True  # repo default
+    assert simnet._set_hybrid_default(True) is True  # repo default
     with hybrid_mode(False):
         with hybrid_mode(True):
             pass
@@ -96,16 +100,34 @@ def test_fast_path_disables_itself_under_faults():
     assert _snapshot(job_fast, res_fast) == _snapshot(job_slow, res_slow)
 
 
-@pytest.mark.parametrize("exp_id", ["fig12_13", "fig22"])
-def test_driver_rows_bit_identical_across_hybrid_modes(exp_id):
-    from repro.core import get_experiment
-
+def _run_driver(exp_id, hybrid):
+    """Run one driver from cold memos; returns its rows and the number of
+    transfers that took the fast path."""
     driver = get_experiment(exp_id)
-    with hybrid_mode(True):
-        fast = driver().to_dict()
-    with hybrid_mode(False):
-        slow = driver().to_dict()
+    # Driver sweeps are memoised (``lru_cache``): clear them so the
+    # second run simulates again instead of serving the first run's rows.
+    module = sys.modules[driver_module(exp_id)]
+    for name in dir(module):
+        clear = getattr(getattr(module, name), "cache_clear", None)
+        if callable(clear):
+            clear()
+    simnet.reset_transfer_totals()
+    try:
+        with hybrid_mode(hybrid):
+            rows = driver().to_dict()
+        return rows, simnet.transfer_totals()[0]
+    finally:
+        simnet.reset_transfer_totals()
+
+
+@pytest.mark.parametrize("exp_id", ["fig12_13", "ext_resilience"])
+def test_driver_rows_bit_identical_across_hybrid_modes(exp_id):
+    fast, fast_transfers = _run_driver(exp_id, True)
+    slow, slow_transfers = _run_driver(exp_id, False)
     assert fast == slow
+    # The comparison is not vacuous: the fast path fired in hybrid mode.
+    assert fast_transfers > 0
+    assert slow_transfers == 0
 
 
 def test_fig22_des_companion_bit_identical_across_hybrid_modes():
