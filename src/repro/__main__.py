@@ -6,12 +6,11 @@ Usage::
     python -m repro run fig08 [--plot] [--logx]
     python -m repro run fig02 --trace fig02.trace.json   # Perfetto trace
     python -m repro all [--out results/] [--force] [--no-cache]
-    python -m repro all --profile profiles/              # + engine profiles
+    python -m repro all --profile profiles/              # + cProfile .pstats
     python -m repro cache verify [--delete]              # result-store hygiene
     python -m repro cache gc --max-age-days 30
     python -m repro lint src/ tests/                     # simlint passthrough
     python -m repro race fig08 -k 4                      # schedule-race certify
-    python -m repro perf record --exp fig22              # engine profiling
 """
 
 from __future__ import annotations
@@ -143,17 +142,17 @@ def cmd_all(args: argparse.Namespace) -> int:
         trace_dir = str(pathlib.Path(args.trace))
         pathlib.Path(trace_dir).mkdir(parents=True, exist_ok=True)
         tracer = Tracer(meta={"command": "all"})
-    profile_dir: Optional[str] = None
+    pstats_dir: Optional[str] = None
     if args.profile:
-        profile_dir = str(pathlib.Path(args.profile))
-        pathlib.Path(profile_dir).mkdir(parents=True, exist_ok=True)
+        pstats_dir = str(pathlib.Path(args.profile))
+        pathlib.Path(pstats_dir).mkdir(parents=True, exist_ok=True)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     runner = ExperimentRunner(
         cache,
         force=args.force,
         faults_path=args.faults,
         trace_dir=trace_dir,
-        profile_dir=profile_dir,
+        pstats_dir=pstats_dir,
         tracer=tracer,
     )
     try:
@@ -196,7 +195,7 @@ def cmd_all(args: argparse.Namespace) -> int:
             f"cache: {runner.hits} hits, {runner.misses} misses "
             f"({args.cache_dir})"
         )
-    elif trace_dir is not None or profile_dir is not None:
+    elif trace_dir is not None or pstats_dir is not None:
         print("cache: bypassed (tracing/profiling forces execution)")
     else:
         print("cache: disabled")
@@ -204,10 +203,10 @@ def cmd_all(args: argparse.Namespace) -> int:
         runner_trace = pathlib.Path(trace_dir) / "runner.trace.json"
         write_chrome_trace(tracer, str(runner_trace))
         print(f"wrote per-experiment traces and {runner_trace}")
-    if profile_dir is not None:
+    if pstats_dir is not None:
         print(
-            f"wrote engine profiles to {profile_dir}/ "
-            "(inspect with `repro perf summary`)"
+            f"wrote host-time profiles to {pstats_dir}/ "
+            "(inspect with `python -m pstats`)"
         )
     if args.report:
         pathlib.Path(args.report).write_text(
@@ -270,9 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_all.add_argument(
         "--profile", metavar="DIR", default=None,
-        help="run every experiment under the engine profiler and write "
-        "profile/flamegraph/metrics artifacts into DIR (forces "
-        "execution: cached results carry no profile)",
+        help="run every experiment under cProfile and write "
+        "DIR/<exp_id>.pstats (forces execution: cached results carry "
+        "no profile)",
     )
     add_faults_flag(p_all)
     p_cache = sub.add_parser(
@@ -295,13 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         add_help=False,
     )
     p_race.add_argument("race_args", nargs=argparse.REMAINDER)
-    p_perf = sub.add_parser(
-        "perf",
-        help="engine profiling: record/summary/flame/diff "
-        "(see `repro perf -- --help` for its options)",
-        add_help=False,
-    )
-    p_perf.add_argument("perf_args", nargs=argparse.REMAINDER)
     p_mach = sub.add_parser("machine", help="inspect or export a machine config")
     p_mach.add_argument("name", nargs="?", default="xt4",
                         help="xt3 | xt3-dc | xt4 | xt4-qc | xt3/4")
@@ -336,13 +328,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if race_args and race_args[0] == "--":
             race_args = race_args[1:]
         return race_main(race_args)
-    if args.command == "perf":
-        from repro.prof.cli import main as perf_main
-
-        perf_args = args.perf_args
-        if perf_args and perf_args[0] == "--":
-            perf_args = perf_args[1:]
-        return perf_main(perf_args)
     if args.command == "machine":
         return cmd_machine(args)
     return cmd_all(args)

@@ -100,26 +100,26 @@ def faults_from(path: Optional[str]) -> Iterator[Optional[Any]]:
 def profiling_to(
     out_dir: Optional[str], exp_id: str
 ) -> Iterator[Optional[Any]]:
-    """Install a fresh engine profiler for the block; write the profile,
-    folded-stack and metrics artifacts into ``out_dir`` on exit.
+    """Run the block under :class:`cProfile.Profile`; write the host-time
+    profile to ``<out_dir>/<exp_id>.pstats`` on exit.
 
+    The file loads with :class:`pstats.Stats` (or ``python -m pstats``).
     With ``out_dir=None`` the block runs unprofiled and ``None`` is
-    yielded, so callers (the runner, driver ``main``\\ s) can
-    pass a ``--profile`` flag through unconditionally. Link-utilization
-    gauges are derived from the tracer installed at exit time, if any —
-    combine with :func:`tracing_to` and the metrics ride the same run.
+    yielded, so callers can pass a ``--profile`` flag through
+    unconditionally.
     """
     if out_dir is None:
         yield None
         return
-    from repro.obs.tracer import current_tracer
-    from repro.prof import EngineProfiler, installed_profiler, write_artifacts
+    import cProfile
 
-    prof = EngineProfiler()
-    with installed_profiler(prof):
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
         yield prof
-    prof.finalize(current_tracer())
-    write_artifacts(prof, str(out_dir), exp_id, meta={"exp_id": exp_id})
+    finally:
+        prof.disable()
+    prof.dump_stats(f"{out_dir}/{exp_id}.pstats")
 
 
 @contextmanager

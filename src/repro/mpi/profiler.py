@@ -100,7 +100,7 @@ class ProfiledComm:
         trace: bool = False,
     ):
         self._comm = comm
-        self.profile = MPIProfile(comm.rank)
+        self._profile = MPIProfile(comm.rank)
         self._trace = trace
         #: When the job's simulator carries a tracer, every timed MPI
         #: operation is also emitted as an ``mpi.<op>`` span on this
@@ -108,7 +108,7 @@ class ProfiledComm:
         #: file as the engine/network/memory instrumentation.
         self._tracer = comm.job.sim.tracer
         if sink is not None:
-            sink[comm.rank] = self.profile
+            sink[comm.rank] = self._profile
 
     # -- passthrough attributes ------------------------------------------
     @property
@@ -131,9 +131,9 @@ class ProfiledComm:
         t0 = self._comm.wtime()
         result = yield from gen
         t1 = self._comm.wtime()
-        self.profile.ops[op].add(t1 - t0, nbytes)
+        self._profile.ops[op].add(t1 - t0, nbytes)
         if self._trace:
-            self.profile.events.append(
+            self._profile.events.append(
                 TraceEvent(self._comm.rank, op, t0, t1, nbytes)
             )
         if self._tracer is not None:
@@ -179,12 +179,22 @@ class ProfiledComm:
     def isend(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         # Nonblocking: count the call; time accrues when waited on.
         n = payload_nbytes(obj) if nbytes is None else nbytes
-        self.profile.ops["isend"].add(0.0, n)
+        self._profile.ops["isend"].add(0.0, n)
         return self._comm.isend(obj, dest, tag, nbytes)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self.profile.ops["irecv"].add(0.0, 0.0)
+        self._profile.ops["irecv"].add(0.0, 0.0)
         return self._comm.irecv(source, tag)
+
+    def split(self, color: Any, key: Optional[int] = None):
+        # Communicator management is not timed; the new communicator is
+        # returned unwrapped.
+        result = yield from self._comm.split(color, key)
+        return result
+
+    def dup(self):
+        result = yield from self._comm.dup()
+        return result
 
     def barrier(self):
         result = yield from self._timed("barrier", self._comm.barrier())
@@ -223,6 +233,26 @@ class ProfiledComm:
     def scatter(self, values: Optional[Sequence[Any]] = None, root: int = 0):
         result = yield from self._timed(
             "scatter", self._comm.scatter(values, root), payload_nbytes(values)
+        )
+        return result
+
+    def reduce_scatter(self, values: Sequence[Any], op: str = "sum"):
+        result = yield from self._timed(
+            "reduce_scatter",
+            self._comm.reduce_scatter(values, op),
+            payload_nbytes(list(values)),
+        )
+        return result
+
+    def scan(self, value: Any, op: str = "sum"):
+        result = yield from self._timed(
+            "scan", self._comm.scan(value, op), payload_nbytes(value)
+        )
+        return result
+
+    def exscan(self, value: Any, op: str = "sum"):
+        result = yield from self._timed(
+            "exscan", self._comm.exscan(value, op), payload_nbytes(value)
         )
         return result
 

@@ -74,10 +74,10 @@ class ExperimentRunner:
         implies execution — a cache hit cannot regenerate a trace — so
         the cache is bypassed (not read, not written) for the
         invocation.
-    :param profile_dir: when set, each experiment runs under the engine
-        profiler and writes its profile/folded/metrics artifacts into
-        the directory (``<exp_id>.profile.json`` etc.). Like tracing,
-        profiling implies execution and bypasses the cache.
+    :param pstats_dir: when set, each experiment runs under
+        :mod:`cProfile` and writes its host-time profile to
+        ``<pstats_dir>/<exp_id>.pstats``. Like tracing, profiling
+        implies execution and bypasses the cache.
     :param tracer: receives the runner's own counters; defaults to the
         process-wide installed tracer, if any.
     """
@@ -89,14 +89,14 @@ class ExperimentRunner:
         force: bool = False,
         faults_path: Optional[str] = None,
         trace_dir: Optional[str] = None,
-        profile_dir: Optional[str] = None,
+        pstats_dir: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.cache = cache
         self.force = bool(force)
         self.faults_path = faults_path
         self.trace_dir = trace_dir
-        self.profile_dir = profile_dir
+        self.pstats_dir = pstats_dir
         self.tracer = tracer
         self.hits = 0
         self.misses = 0
@@ -123,7 +123,7 @@ class ExperimentRunner:
         caching = (
             self.cache is not None
             and self.trace_dir is None
-            and self.profile_dir is None
+            and self.pstats_dir is None
         )
         outcomes: List[RunOutcome] = []
         for exp_id in resolve_ids(exp_ids):
@@ -166,7 +166,7 @@ class ExperimentRunner:
         )
         with faults_from(self.faults_path), \
                 tracing_to(trace_path, exp_id=exp_id), \
-                profiling_to(self.profile_dir, exp_id):
+                profiling_to(self.pstats_dir, exp_id):
             t0 = time.perf_counter()  # simlint: ignore[SL201]
             result = get_experiment(exp_id)()
             wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]

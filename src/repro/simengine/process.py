@@ -100,9 +100,7 @@ class Process:
             self.done.add_callback(self._end_life_span)
         # First step happens via the scheduler so that spawn() during a
         # callback cascade preserves deterministic ordering.
-        handle = sim._queue.push(sim.now, self._start, key=key)
-        if sim.prof is not None:
-            handle.label = ("proc.start", self.name)
+        sim._queue.push(sim.now, self._start, key=key)
         sim._register_process(self)
 
     # -- public ----------------------------------------------------------
@@ -122,11 +120,9 @@ class Process:
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.alive:
             return
-        handle = self.sim._queue.push(
+        self.sim._queue.push(
             self.sim.now, lambda: self._throw(Interrupt(cause)), key=self.key
         )
-        if self.sim.prof is not None:
-            handle.label = ("proc.interrupt", self.name)
 
     def kill(self) -> None:
         """Terminate the process; its ``done`` event fails with ProcessKilled."""
@@ -200,11 +196,9 @@ class Process:
             # diverts the process *cancels* the queue entry (see
             # ``_throw``), so a fired delay entry is never stale.
             self._waiting_cmd = command
-            self._wait_handle = handle = sim._queue.push(
+            self._wait_handle = sim._queue.push(
                 sim.now + command.dt, self._resume_wakeup, key=self.key
             )
-            if sim.prof is not None:
-                handle.label = ("proc.delay", self.name)
         elif isinstance(command, Event):
             # Staleness check by identity, not epoch: ``_waiting_event``
             # is cleared (and the wait abandoned) whenever the process
@@ -227,11 +221,9 @@ class Process:
             self._wait_any(command, self._epoch)
         elif command is None:
             # ``yield`` with no argument: cooperative reschedule "now".
-            self._wait_handle = handle = sim._queue.push(
+            self._wait_handle = sim._queue.push(
                 sim.now, self._resume_wakeup, key=self.key
             )
-            if sim.prof is not None:
-                handle.label = ("proc.yield", self.name)
         else:
             raise TypeError(
                 f"process {self.name!r} yielded unsupported command {command!r}"
@@ -279,11 +271,9 @@ class Process:
     def _wait_all(self, barrier: AllOf, epoch: int) -> None:
         events = [e.done if isinstance(e, Process) else e for e in barrier.events]
         if not events:
-            handle = self.sim._queue.push(
+            self.sim._queue.push(
                 self.sim.now, lambda: self._resume(epoch, []), key=self.key
             )
-            if self.sim.prof is not None:
-                handle.label = ("proc.resume", self.name)
             return
         remaining = {"n": len(events)}
 

@@ -32,8 +32,7 @@ tie-break *order* is exactly the three-level rule above:
 
 ``seq`` is unique, so the trailing :class:`_Entry` slot is never
 compared. :class:`_Entry` remains the cancellable handle carrying the
-callback and the race/profiler bookkeeping (``seq``, ``parent``,
-``label``).
+callback and the race-tracker bookkeeping (``seq``, ``parent``).
 """
 
 from __future__ import annotations
@@ -83,10 +82,10 @@ class _Entry:
 
     Ordering lives in the heap tuples (see module docstring); the entry
     itself carries the callback plus the scheduling provenance used by
-    the race tracker and the profiler.
+    the race tracker.
     """
 
-    __slots__ = ("time", "seq", "parent", "callback", "cancelled", "label")
+    __slots__ = ("time", "seq", "parent", "callback", "cancelled")
 
     def __init__(
         self,
@@ -100,10 +99,6 @@ class _Entry:
         self.parent = parent
         self.callback = callback
         self.cancelled = False
-        # (kind, owner) attribution label, set by the scheduling site only
-        # when a profiler is attached (see repro.prof.profiler); None is
-        # the universal fast path.
-        self.label: Optional[Tuple[str, str]] = None
 
 
 #: One heap item: ``(time, group, key, rank1, rank2, entry)``.
@@ -124,9 +119,6 @@ class EventQueue:
         # seq of the most recently popped entry: the scheduling parent of
         # every push made while its callback runs (-1 before the first pop).
         self._current_seq = -1
-        # Attached EngineProfiler, or None (the default — unprofiled
-        # queues pay exactly one `is None` check per push).
-        self.prof = None
 
     def __len__(self) -> int:
         return self._live
@@ -159,8 +151,6 @@ class EventQueue:
             item = (time, 1, "", _mix(_PERM_SEED, self._current_seq), seq, entry)
         heappush(self._heap, item)
         self._live += 1
-        if self.prof is not None:
-            self.prof.note_push(self._live)
         return entry
 
     def cancel(self, entry: _Entry) -> None:
@@ -168,8 +158,6 @@ class EventQueue:
         if not entry.cancelled:
             entry.cancelled = True
             self._live -= 1
-            if self.prof is not None:
-                self.prof.note_cancel()
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live entry, or ``None`` if empty."""

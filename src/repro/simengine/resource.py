@@ -80,31 +80,24 @@ class Resource:
         race = self.sim.race
         if race is not None:
             race.touch(self, "resource", self.name, "request")
-        prof = self.sim.prof
-        if prof is not None:
-            prof.push_phase("resource.request")
-        try:
-            evt = self.sim.event(name=self._grant_name)
-            evt.on_abandon(self._abandon_waiter)
-            tracer = self._tracer
-            if self._in_use < self.capacity:
-                self._in_use += 1
-                self._grants += 1
-                if tracer is not None:
-                    self._trace_grant(waited_from=None)
-                evt.succeed(self)
-            else:
-                self._waiters.append(evt)
-                if tracer is not None:
-                    now = self.sim.now
-                    self._acquire_spans[evt] = tracer.begin(
-                        self._track, "res.acquire", now
-                    )
-                    self._ctr_queue.record(now, len(self._waiters))
-            return evt
-        finally:
-            if prof is not None:
-                prof.pop_phase()
+        evt = self.sim.event(name=self._grant_name)
+        evt.on_abandon(self._abandon_waiter)
+        tracer = self._tracer
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self._grants += 1
+            if tracer is not None:
+                self._trace_grant(waited_from=None)
+            evt.succeed(self)
+        else:
+            self._waiters.append(evt)
+            if tracer is not None:
+                now = self.sim.now
+                self._acquire_spans[evt] = tracer.begin(
+                    self._track, "res.acquire", now
+                )
+                self._ctr_queue.record(now, len(self._waiters))
+        return evt
 
     def _abandon_waiter(self, evt: Event) -> None:
         """Drop a queued requester whose process was interrupted."""
@@ -152,29 +145,22 @@ class Resource:
                 f"resource {self.name!r} over-committed: "
                 f"{self._in_use}/{self.capacity}"
             )
-        prof = self.sim.prof
-        if prof is not None:
-            prof.push_phase("resource.release")
-        try:
-            self._releases += 1
-            tracer = self._tracer
-            if tracer is not None and self._hold_spans:
-                # Slots are identical, so holds retire oldest-first.
-                tracer.end(self._hold_spans.popleft(), self.sim.now)
-            if self._waiters:
-                # Hand the slot directly to the next waiter: in_use stays put.
-                self._grants += 1
-                waiter = self._waiters.popleft()
-                if tracer is not None:
-                    self._trace_grant(waited_from=waiter)
-                waiter.succeed(self)
-            else:
-                self._in_use -= 1
-                if tracer is not None:
-                    self._ctr_in_use.record(self.sim.now, self._in_use)
-        finally:
-            if prof is not None:
-                prof.pop_phase()
+        self._releases += 1
+        tracer = self._tracer
+        if tracer is not None and self._hold_spans:
+            # Slots are identical, so holds retire oldest-first.
+            tracer.end(self._hold_spans.popleft(), self.sim.now)
+        if self._waiters:
+            # Hand the slot directly to the next waiter: in_use stays put.
+            self._grants += 1
+            waiter = self._waiters.popleft()
+            if tracer is not None:
+                self._trace_grant(waited_from=waiter)
+            waiter.succeed(self)
+        else:
+            self._in_use -= 1
+            if tracer is not None:
+                self._ctr_in_use.record(self.sim.now, self._in_use)
 
     @property
     def outstanding(self) -> int:
@@ -230,19 +216,12 @@ class Store:
         race = self.sim.race
         if race is not None:
             race.touch(self, "store", self.name, "put")
-        prof = self.sim.prof
-        if prof is not None:
-            prof.push_phase("store.put")
-        try:
-            for idx, (evt, match) in enumerate(self._getters):
-                if match is None or match(item):
-                    del self._getters[idx]
-                    evt.succeed(item)
-                    return
-            self._items.append(item)
-        finally:
-            if prof is not None:
-                prof.pop_phase()
+        for idx, (evt, match) in enumerate(self._getters):
+            if match is None or match(item):
+                del self._getters[idx]
+                evt.succeed(item)
+                return
+        self._items.append(item)
 
     def get(self, match: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event yielding the first matching item.
@@ -254,22 +233,15 @@ class Store:
         race = self.sim.race
         if race is not None:
             race.touch(self, "store", self.name, "get")
-        prof = self.sim.prof
-        if prof is not None:
-            prof.push_phase("store.get")
-        try:
-            evt = self.sim.event(name=self._get_name)
-            evt.on_abandon(self._abandon_getter)
-            for idx, item in enumerate(self._items):
-                if match is None or match(item):
-                    del self._items[idx]
-                    evt.succeed(item)
-                    return evt
-            self._getters.append((evt, match))
-            return evt
-        finally:
-            if prof is not None:
-                prof.pop_phase()
+        evt = self.sim.event(name=self._get_name)
+        evt.on_abandon(self._abandon_getter)
+        for idx, item in enumerate(self._items):
+            if match is None or match(item):
+                del self._items[idx]
+                evt.succeed(item)
+                return evt
+        self._getters.append((evt, match))
+        return evt
 
     def _abandon_getter(self, evt: Event) -> None:
         """Drop a waiting getter whose process was interrupted."""

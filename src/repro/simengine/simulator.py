@@ -101,7 +101,6 @@ class Simulator:
         self,
         sanitize: "bool | str" = False,
         tracer: "Optional[Tracer]" = None,
-        profile: Any = None,
     ) -> None:
         self.now: float = 0.0
         self.sanitize = bool(sanitize)
@@ -114,23 +113,7 @@ class Simulator:
         #: Attached :class:`~repro.obs.tracer.Tracer`, or ``None`` (the
         #: default — untraced runs pay only ``is None`` checks).
         self.tracer = tracer
-        if profile is None:
-            # Deferred import: repro.prof is a higher layer.
-            from repro.prof.profiler import current_profiler
-
-            profile = current_profiler()
-        elif profile is True:
-            from repro.prof.profiler import EngineProfiler
-
-            profile = EngineProfiler()
-        #: Attached :class:`~repro.prof.profiler.EngineProfiler`, or
-        #: ``None`` (the default — unprofiled runs pay only ``is None``
-        #: checks).
-        self.prof = profile
         self._queue = EventQueue()
-        if profile is not None:
-            self._queue.prof = profile
-            profile.attach_sim()
         #: Attached :class:`~repro.simrace.hb.RaceTracker`, or ``None``
         #: (the default — race-free runs pay only ``is None`` checks).
         self.race = None
@@ -184,13 +167,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        handle = self._queue.push(self.now + delay, callback, key=key)
-        if self.prof is not None:
-            name = key or getattr(
-                callback, "__qualname__", type(callback).__name__
-            ).replace("<locals>.", "")
-            handle.label = ("engine.callback", name)
-        return handle
+        return self._queue.push(self.now + delay, callback, key=key)
 
     def timeout_event(
         self,
@@ -276,15 +253,10 @@ class Simulator:
         # Hot loop: the queue internals are inlined (single cancelled
         # scan per pop, native tuple comparisons, local bindings) — this
         # loop dominates every DES benchmark, see BENCH_simulator.json.
-        # An attached profiler brackets each dispatch; unprofiled runs pay
-        # one ``is None`` check per event for it.
         queue = self._queue
         heap = queue._heap
         pop = heappop
         race = self.race
-        prof = self.prof
-        if prof is not None:
-            prof.begin_run()
         try:
             while queue._live:
                 entry = heap[0][5]
@@ -309,14 +281,7 @@ class Simulator:
                     )
                 if race is not None:
                     race.begin_event(entry)
-                if prof is None:
-                    entry.callback()
-                else:
-                    prof.begin_event(entry, queue._live)
-                    try:
-                        entry.callback()
-                    finally:
-                        prof.end_event()
+                entry.callback()
                 processed += 1
                 if max_events and processed > max_events:
                     raise RuntimeError(f"exceeded max_events={max_events}")
@@ -330,8 +295,6 @@ class Simulator:
             return self.now
         finally:
             self._running = False
-            if prof is not None:
-                prof.end_run()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Simulator t={self.now:.9g} pending={len(self._queue)}>"

@@ -121,3 +121,32 @@ def test_empty_profile_fraction_zero():
     p = MPIProfile(rank=0)
     assert p.fraction("send") == 0.0
     assert p.total_time_s == 0.0
+
+
+def test_profiled_comm_wraps_every_public_comm_method():
+    from repro.mpi.comm import Comm
+    from repro.mpi.profiler import ProfiledComm
+
+    public = {name for name in dir(Comm) if not name.startswith("_")}
+    missing = sorted(name for name in public if not hasattr(ProfiledComm, name))
+    assert not missing
+
+
+def test_scans_and_reduce_scatter_match_unwrapped_and_are_timed():
+    def main(comm):
+        rs = yield from comm.reduce_scatter([comm.rank + s for s in range(comm.size)])
+        sc = yield from comm.scan(comm.rank + 1)
+        ex = yield from comm.exscan(comm.rank + 1, op="max")
+        sub = yield from comm.split(comm.rank % 2)
+        dup = yield from comm.dup()
+        return (rs, sc, ex, sub.size, dup.size)
+
+    plain = MPIJob(xt4("SN"), 4).run(main)
+    profiled, profiles = run_profiled(xt4("SN"), 4, main)
+    assert profiled.returns == plain.returns
+    assert profiled.elapsed_s == plain.elapsed_s
+    assert plain.returns[3] == (6 + 4 * 3, 10, 3, 2, 4)
+    for profile in profiles.values():
+        assert set(profile.ops) == {"reduce_scatter", "scan", "exscan"}
+        for stats in profile.ops.values():
+            assert stats.calls == 1 and stats.time_s > 0

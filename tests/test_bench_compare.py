@@ -18,18 +18,15 @@ def _load_module():
 
 
 def _records(values):
-    """name → schema-2 record with the given best_s values, no phases."""
-    return {name: {"best_s": v, "phases": {}} for name, v in values.items()}
+    """name → baseline record with the given best_s values."""
+    return {name: {"best_s": v} for name, v in values.items()}
 
 
 def test_checked_in_baseline_is_loadable_and_complete():
     mod = _load_module()
     baseline = mod.load_baseline(REPO / "BENCH_simulator.json")
     assert set(baseline) == set(mod.BENCHMARKS)
-    assert all(rec["best_s"] > 0 for rec in baseline.values())
-    # Schema 2: at least the DES microbenchmarks carry phase breakdowns.
-    assert baseline["event_loop_100k"]["phases"]
-    assert baseline["des_pingpong_1000"]["phases"]
+    assert all(baseline[name]["best_s"] > 0 for name in mod.BENCHMARKS)
 
 
 def test_schema1_baseline_still_loads(tmp_path):
@@ -40,7 +37,7 @@ def test_schema1_baseline_still_loads(tmp_path):
         "benchmarks": {"event_loop_100k": {"best_s": 0.25}},
     }))
     baseline = mod.load_baseline(legacy)
-    assert baseline == {"event_loop_100k": {"best_s": 0.25, "phases": {}}}
+    assert baseline == {"event_loop_100k": {"best_s": 0.25}}
 
 
 def test_compare_verdicts():
@@ -58,74 +55,6 @@ def test_compare_verdicts():
     assert all(ln.startswith("NEW") for ln in missing)
 
 
-def test_compare_per_phase_gate():
-    mod = _load_module()
-    name = sorted(mod.BENCHMARKS)[0]
-    baseline = {name: {"best_s": 1.0,
-                       "phases": {"proc.delay": 0.5, "store.put": 0.001}}}
-    # Total within tolerance, but one gated phase doubled.
-    current = {name: {"best_s": 1.0,
-                      "phases": {"proc.delay": 1.0, "store.put": 0.002}}}
-    lines = mod.compare(baseline, current, 0.20, phase_tolerance=0.50)
-    phase_lines = [ln for ln in lines if "phase" in ln]
-    assert phase_lines and all(ln.startswith("REGRESSION") for ln in phase_lines)
-    assert any("proc.delay" in ln for ln in phase_lines)
-    # store.put is below PHASE_FLOOR_S: exempt despite doubling.
-    assert not any("store.put" in ln for ln in phase_lines)
-    # Within phase tolerance: no phase lines at all.
-    ok = mod.compare(
-        baseline,
-        {name: {"best_s": 1.0, "phases": {"proc.delay": 0.6}}},
-        0.20, phase_tolerance=0.50,
-    )
-    assert not [ln for ln in ok if "phase" in ln]
-
-
-def test_phase_report_rows():
-    mod = _load_module()
-    name = sorted(mod.BENCHMARKS)[0]
-    rows = mod.phase_report_rows(
-        {name: {"best_s": 1.0, "phases": {"proc.delay": 0.5}}},
-        {name: {"best_s": 1.0, "phases": {"proc.delay": 0.75}}},
-    )
-    assert rows == [{
-        "benchmark": name, "phase": "proc.delay",
-        "base_ms": 500.0, "cur_ms": 750.0, "delta_%": 50.0,
-        "status": "present",
-    }]
-
-
-def test_phase_report_rows_mark_eliminated_and_new_phases():
-    mod = _load_module()
-    name = sorted(mod.BENCHMARKS)[0]
-    rows = mod.phase_report_rows(
-        {name: {"best_s": 1.0, "phases": {"resource.request": 0.1}}},
-        {name: {"best_s": 1.0, "phases": {"bench.host": 0.2}}},
-    )
-    by_phase = {r["phase"]: r["status"] for r in rows}
-    assert by_phase == {"resource.request": "eliminated", "bench.host": "new"}
-
-
-def test_compare_reports_eliminated_phases_without_failing():
-    """A baseline phase absent from the new run (the hybrid fast path
-    removed the resource holds) used to be a silent pass — it must be an
-    explicit, non-failing ELIMINATED line."""
-    mod = _load_module()
-    name = sorted(mod.BENCHMARKS)[0]
-    baseline = {name: {"best_s": 1.0, "phases": {"resource.request": 0.1}}}
-    current = {name: {"best_s": 1.0, "phases": {}}}
-    lines = mod.compare(baseline, current, 0.20, phase_tolerance=0.50)
-    elim = [ln for ln in lines if ln.startswith("ELIMINATED")]
-    assert len(elim) == 1 and "resource.request" in elim[0]
-    assert not [ln for ln in lines if ln.startswith("REGRESSION")]
-    # Sub-floor phases disappear silently (noise, not a subsystem).
-    tiny = mod.compare(
-        {name: {"best_s": 1.0, "phases": {"store.put": 0.001}}},
-        current, 0.20, phase_tolerance=0.50,
-    )
-    assert not [ln for ln in tiny if ln.startswith("ELIMINATED")]
-
-
 def test_fail_over_gates_looser_than_tolerance(tmp_path):
     """--fail-over reports at the normal tolerance but only fails the
     exit code beyond the (larger) fail-over fraction."""
@@ -139,7 +68,7 @@ def test_fail_over_gates_looser_than_tolerance(tmp_path):
     doc = {
         "schema": 2,
         "benchmarks": {
-            name: {"best_s": rec["best_s"] / 50, "phases": {}}
+            name: {"best_s": rec["best_s"] / 50}
             for name, rec in real.items()
         },
     }
@@ -171,17 +100,12 @@ def test_update_then_compare_round_trip(tmp_path):
     assert update.returncode == 0, update.stderr
     doc = json.loads(baseline.read_text())
     assert doc["schema"] == 2
-    assert all("phases" in rec for rec in doc["benchmarks"].values())
-    # Driver benches are no longer phase-blind: every benchmark records
-    # at least the host-side remainder.
-    assert all(
-        "bench.host" in rec["phases"] for rec in doc["benchmarks"].values()
-    )
+    assert set(doc["benchmarks"]) == set(_load_module().BENCHMARKS)
     # A generous tolerance makes the immediate re-compare deterministic
     # even on a noisy box.
     compare = subprocess.run(
         [sys.executable, str(SCRIPT), "--repeats", "1", "--tolerance", "10",
-         "--phase-tolerance", "20", "--baseline", str(baseline)],
+         "--baseline", str(baseline)],
         capture_output=True, text=True, cwd=REPO,
     )
     assert compare.returncode == 0, compare.stdout + compare.stderr

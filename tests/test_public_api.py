@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.mpi",
     "repro.network",
     "repro.obs",
-    "repro.prof",
     "repro.runner",
     "repro.simengine",
 ]
