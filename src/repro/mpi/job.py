@@ -86,7 +86,10 @@ class MPIJob:
         run. Defaults to the process-wide installed plan (``--faults``
         CLI), i.e. off; pass an empty plan to force a fault-free run even
         when one is installed. With no plan the job takes exactly the
-        pre-fault-subsystem code paths (bit-identical results).
+        pre-fault-subsystem code paths (bit-identical results). The
+        network turns fault-aware only once a link or NIC fault fires;
+        node crashes, memory throttles and OS noise act through the job
+        and leave its transfers on the fault-free (and fast) path.
     :param fault_policy: a :class:`~repro.faults.FaultPolicy` enabling
         coordinated checkpoint/restart recovery (see docs/RESILIENCE.md).
         Without one, any node crash aborts the job with
@@ -128,7 +131,6 @@ class MPIJob:
         self.fault_policy = fault_policy
         self._injector: Optional[FaultInjector] = None
         if faults is not None and len(faults):
-            self.network.enable_faults()
             self._injector = FaultInjector(
                 self.sim, self.network, faults,
                 on_node_crash=self._on_node_crash,

@@ -29,7 +29,7 @@ tracer, the original in-memory byte accounting is used.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.machine.specs import GIGA, MICRO, Machine
 from repro.network.topology import Link, Torus3D
@@ -101,11 +101,14 @@ class NetworkUnreachableError(RuntimeError):
 
 
 class NetworkFaultState:
-    """Mutable fault state of a :class:`SimNetwork` (off unless enabled).
+    """Mutable fault state of a :class:`SimNetwork`, attached when the
+    first link or NIC fault fires.
 
-    Tracks which directed links are down and until when each node's NIC
-    is stalled, plus the retransmission discipline transfers fall back to
-    when their dimension-order route crosses a failed link:
+    Tracks which directed links are down (counting overlapping outages
+    of one link, so it comes back only when the last one ends) and until
+    when each node's NIC is stalled, plus the retransmission discipline
+    transfers fall back to when their dimension-order route crosses a
+    failed link:
 
     * wait ``retry_timeout_s`` (doubling each retransmission) and try
       again — the link may have been restored meanwhile;
@@ -131,7 +134,8 @@ class NetworkFaultState:
         self.backoff_factor = float(backoff_factor)
         self.max_retries = int(max_retries)
         self.detour = bool(detour)
-        self.failed_links: Set[Link] = set()
+        #: Down link → number of outages currently holding it down.
+        self.failed_links: Dict[Link, int] = {}
         #: Node → simulated time until which its NIC accepts no traffic.
         self.nic_stalled_until: Dict[int, float] = {}
         self.retransmits = 0
@@ -164,7 +168,7 @@ class SimNetwork:
         #: :func:`hybrid_mode`). Byte-identical to full DES:
         #: the fast path claims the same slots and falls back the moment
         #: any shared resource is busy, a tracer or race tracker needs to
-        #: observe the holds, or faults are enabled.
+        #: observe the holds, or a link or NIC fault has fired.
         self.hybrid = _HYBRID_DEFAULT
         #: Transfers completed via the hybrid fast path (diagnostics).
         self.fast_transfers = 0
@@ -191,9 +195,10 @@ class SimNetwork:
         self.link_bytes: Dict[Link, float] = {}
         #: Accumulated busy seconds per directed link (fallback, as above).
         self.link_busy_s: Dict[Link, float] = {}
-        #: Fault state; ``None`` (the default) keeps every fault check off
-        #: the transfer fast path, so fault-free runs are bit-identical to
-        #: builds without this subsystem.
+        #: Fault state; ``None`` until the first link or NIC fault fires
+        #: (:meth:`fail_link`, :meth:`stall_nic`). Until then transfers
+        #: keep the cached route and the fast path: node crashes, memory
+        #: throttles and OS noise act through the job, never the network.
         self.faults: Optional[NetworkFaultState] = None
 
     # -- faults ---------------------------------------------------------------
@@ -204,16 +209,23 @@ class SimNetwork:
         return self.faults
 
     def fail_link(self, link: Link) -> None:
-        """Mark a directed link down; in-flight holds finish, new routes
-        retransmit/detour around it."""
-        self.enable_faults().failed_links.add(link)
-        if self._tracer is not None:
+        """Start one outage of a directed link; in-flight holds finish,
+        new routes retransmit/detour around it."""
+        failed = self.enable_faults().failed_links
+        outages = failed.get(link, 0)
+        failed[link] = outages + 1
+        if outages == 0 and self._tracer is not None:
             self._tracer.add("net.links_down", self.sim.now, 1)
 
     def restore_link(self, link: Link) -> None:
-        """Bring a failed link back into service."""
-        if self.faults is not None:
-            self.faults.failed_links.discard(link)
+        """End one outage of a failed link; it is back in service once no
+        overlapping outage still holds it down."""
+        if self.faults is None or link not in self.faults.failed_links:
+            return
+        failed = self.faults.failed_links
+        failed[link] -= 1
+        if failed[link] == 0:
+            del failed[link]
             if self._tracer is not None:
                 self._tracer.add("net.links_down", self.sim.now, -1)
 

@@ -9,6 +9,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.machine import xt4
 from repro.network import NetworkModel, SimNetwork
 from repro.network.simnet import NetworkUnreachableError
+from repro.obs import Tracer
 from repro.simengine import Simulator
 
 #: The +x link out of node 0: the only link on the 0 -> 1 dimension-order route.
@@ -146,6 +147,42 @@ def test_injector_link_down_with_duration_schedules_restore():
     sim.run()
     assert sim.now == pytest.approx(3e-4)  # injection + restoration fired
     assert LINK_0_PX not in net.faults.failed_links
+
+
+def test_overlapping_outages_of_one_link_keep_it_down_until_the_last_ends():
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
+    net = SimNetwork(sim, xt4("SN"))
+    plan = FaultPlan([
+        FaultEvent(t_s=0.0, kind="link_down", link=LINK_0_PX,
+                   duration_s=100e-6),
+        FaultEvent(t_s=50e-6, kind="link_down", link=LINK_0_PX,
+                   duration_s=100e-6),
+    ])
+    FaultInjector(sim, net, plan).arm()
+    down = []
+    for t_s in (25e-6, 75e-6, 125e-6, 175e-6):
+        sim.schedule(t_s, lambda: down.append(
+            LINK_0_PX in net.faults.failed_links))
+    sim.run()
+    assert down == [True, True, True, False]
+    # The counter is the number of links down: one link, never two.
+    series = tracer.counters["net.links_down"].series()
+    assert [v for _t, v in series] == [1.0, 0.0]
+    assert [t for t, _v in series] == pytest.approx([0.0, 150e-6])
+
+
+def test_permanent_outage_outlives_an_overlapping_finite_one():
+    sim, net, _ = _net()
+    plan = FaultPlan([
+        FaultEvent(t_s=0.0, kind="link_down", link=LINK_0_PX),  # permanent
+        FaultEvent(t_s=50e-6, kind="link_down", link=LINK_0_PX,
+                   duration_s=100e-6),
+    ])
+    FaultInjector(sim, net, plan).arm()
+    sim.run()
+    assert sim.now == pytest.approx(150e-6)
+    assert LINK_0_PX in net.faults.failed_links
 
 
 def test_standalone_node_crash_fails_all_outgoing_links():

@@ -3,9 +3,11 @@
 ``SimNetwork`` prices *uncontended* transfers by the closed-form LogGP
 cost as a single scheduled completion (SMPI practice) and falls back to
 full DES the moment any shared resource is busy, a tracer or race
-tracker needs to observe the holds, or faults are enabled. The contract
-is byte-identicality: experiment rows and counter totals must not change
-by a single bit between ``hybrid_mode(True)`` and ``hybrid_mode(False)``.
+tracker needs to observe the holds, or a link or NIC fault has fired
+(node crashes, memory throttles and OS noise leave the network on the
+fast path). The contract is byte-identicality: experiment rows and
+counter totals must not change by a single bit between
+``hybrid_mode(True)`` and ``hybrid_mode(False)``.
 """
 
 import sys
@@ -13,7 +15,7 @@ import sys
 import pytest
 
 from repro.core.registry import driver_module, get_experiment
-from repro.faults import FaultEvent, FaultPlan
+from repro.faults import FaultEvent, FaultPlan, FaultPolicy
 from repro.machine.configs import xt4
 from repro.mpi.job import MPIJob
 from repro.network import simnet
@@ -88,21 +90,73 @@ STALL_AT_S = 1e-5
 STALL_FOR_S = 2e-4
 
 
-def test_fast_path_disables_itself_under_faults():
+def test_fast_path_stops_once_a_network_fault_fires():
     plan = FaultPlan(
         [FaultEvent(t_s=STALL_AT_S, kind="nic_stall", node=2,
                     duration_s=STALL_FOR_S)]
     )
     job_fast, res_fast = _run(hybrid=True, plan=plan)
     job_slow, res_slow = _run(hybrid=False, plan=plan)
-    assert job_fast.network.fast_transfers == 0
-    assert job_fast.network.transfers_completed > 0
+    # Transfers before the stall take the fast path; from the stall on,
+    # the network routes through its fault state.
+    net = job_fast.network
+    assert 0 < net.fast_transfers < net.transfers_completed
+    assert net.faults is not None
     assert _snapshot(job_fast, res_fast) == _snapshot(job_slow, res_slow)
 
 
+def _crash_main(comm):
+    """Compute + 8 MB exchange: each exchange holds its links ~4 ms."""
+    peer = comm.rank ^ 1
+    for i in range(3):
+        yield from comm.compute(flops=2.0e6, profile="fft")
+        yield from comm.sendrecv(i, dest=peer, source=peer, nbytes=8 << 20)
+    return comm.wtime()
+
+
+CKPT_EVERY_S = 3e-3
+CKPT_COST_S = 1e-4
+RESTART_COST_S = 5e-4
+CRASH_POLICY = FaultPolicy(
+    checkpoint_interval_s=CKPT_EVERY_S,
+    checkpoint_cost_s=CKPT_COST_S,
+    restart_cost_s=RESTART_COST_S,
+)
+
+
+# The first exchange holds its links from ~3.2 ms to ~7.3 ms fault-free:
+# crashes at 4 and 6 ms land mid-hold, the others between holds.
+@pytest.mark.parametrize("crash_at_s", [1e-3, 2.5e-3, 4e-3, 6e-3, 9e-3])
+def test_node_crash_keeps_the_fast_path_bit_identical(crash_at_s):
+    plan = FaultPlan(
+        [FaultEvent(t_s=crash_at_s, kind="node_crash", node=1)]
+    )
+    snapshots = []
+    for hybrid in (True, False):
+        with hybrid_mode(hybrid):
+            job = MPIJob(xt4("SN"), 2, faults=plan, fault_policy=CRASH_POLICY)
+            result = job.run(_crash_main)
+        net = job.network
+        # A crash never touches the network: no fault state is attached.
+        assert net.faults is None
+        if hybrid:
+            assert net.fast_transfers == net.transfers_completed
+        snapshots.append((
+            result.elapsed_s,
+            result.rank_times,
+            result.returns,
+            result.restarts,
+            result.checkpoints,
+            net.transfers_completed,
+            dict(net.link_busy_s),
+        ))
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0][3] == 1  # the crash fired and the job restarted
+
+
 def _run_driver(exp_id, hybrid):
-    """Run one driver from cold memos; returns its rows and the number of
-    transfers that took the fast path."""
+    """Run one driver from cold memos; returns its rows and the
+    ``(fast_transfers, transfers_completed)`` totals."""
     driver = get_experiment(exp_id)
     # Driver sweeps are memoised (``lru_cache``): clear them so the
     # second run simulates again instead of serving the first run's rows.
@@ -115,19 +169,23 @@ def _run_driver(exp_id, hybrid):
     try:
         with hybrid_mode(hybrid):
             rows = driver().to_dict()
-        return rows, simnet.transfer_totals()[0]
+        return rows, simnet.transfer_totals()
     finally:
         simnet.reset_transfer_totals()
 
 
 @pytest.mark.parametrize("exp_id", ["fig12_13", "ext_resilience"])
 def test_driver_rows_bit_identical_across_hybrid_modes(exp_id):
-    fast, fast_transfers = _run_driver(exp_id, True)
-    slow, slow_transfers = _run_driver(exp_id, False)
+    fast, (fast_transfers, transfers) = _run_driver(exp_id, True)
+    slow, (slow_transfers, _) = _run_driver(exp_id, False)
     assert fast == slow
     # The comparison is not vacuous: the fast path fired in hybrid mode.
     assert fast_transfers > 0
     assert slow_transfers == 0
+    if exp_id == "ext_resilience":
+        # Node-crash plans leave the network fault-free: every transfer,
+        # in every faulted run, takes the fast path.
+        assert fast_transfers == transfers
 
 
 def test_fig22_des_companion_bit_identical_across_hybrid_modes():
