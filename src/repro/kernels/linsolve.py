@@ -12,7 +12,28 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import linalg as sla
+
+
+def solve_triangular(
+    t: np.ndarray, b: np.ndarray, lower: bool, unit_diagonal: bool = False
+) -> np.ndarray:
+    """Solve ``T·x = b`` by forward (``lower``) or back substitution.
+
+    Reads only ``t``'s lower or upper triangle, so the packed output of
+    :func:`lu_factor` can be passed as is; with ``unit_diagonal`` the
+    diagonal is not read either. ``b`` may be 1-D or 2-D (one column per
+    right-hand side); real and complex inputs both work.
+    """
+    n = t.shape[0]
+    x = np.array(b, dtype=np.result_type(t, b, np.float64), copy=True)
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        if lower:
+            x[i] -= t[i, :i] @ x[:i]
+        else:
+            x[i] -= t[i, i + 1 :] @ x[i + 1 :]
+        if not unit_diagonal:
+            x[i] /= t[i, i]
+    return x
 
 
 def lu_factor(a: np.ndarray, block: int = 64) -> Tuple[np.ndarray, np.ndarray]:
@@ -42,11 +63,8 @@ def lu_factor(a: np.ndarray, block: int = 64) -> Tuple[np.ndarray, np.ndarray]:
                 a[k + 1 :, k + 1 : k1] -= np.outer(a[k + 1 :, k], a[k, k + 1 : k1])
         if k1 < n:
             # -- triangular solve on the panel's row block -----------------
-            unit_l = np.tril(a[k0:k1, k0:k1], -1) + np.eye(
-                k1 - k0, dtype=a.dtype
-            )
-            a[k0:k1, k1:] = sla.solve_triangular(
-                unit_l, a[k0:k1, k1:], lower=True, unit_diagonal=True
+            a[k0:k1, k1:] = solve_triangular(
+                a[k0:k1, k0:k1], a[k0:k1, k1:], lower=True, unit_diagonal=True
             )
             # -- trailing rank-nb update -------------------------------------
             a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
@@ -64,8 +82,8 @@ def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[0] != n:
         raise ValueError("rhs size mismatch")
     x = x[np.asarray(piv, dtype=np.intp)]
-    x = sla.solve_triangular(lu, x, lower=True, unit_diagonal=True)
-    x = sla.solve_triangular(lu, x, lower=False)
+    x = solve_triangular(lu, x, lower=True, unit_diagonal=True)
+    x = solve_triangular(lu, x, lower=False)
     return x
 
 
