@@ -17,37 +17,22 @@ the conventions the simulator's correctness rests on:
   conditionals (:mod:`repro.lint.check_collectives`);
 * ``resource-safety`` — resource grants are released in a ``finally`` so
   an interrupted process cannot leak slots
-  (:mod:`repro.lint.check_resource_safety`).
-
-Those five families stop at function boundaries. The *whole-program*
-pass (:mod:`repro.lint.program`, built on the symbol table and call
-graph in :mod:`repro.lint.callgraph`) adds three interprocedural
-families that see through project-defined helpers:
-
-* ``helper-flow`` (SL601–SL603) — ``yield from`` discipline for
-  transitively-process helper functions;
-* ``collective-flow`` (SL701–SL702) — collective matching across helper
-  calls under rank-dependent control flow;
-* ``units`` (SL304–SL305) — unit dataflow into resolved callee
-  parameters and out of inferred return units;
-* ``schedule-race`` (SL801–SL804, :mod:`repro.simrace.rules`) — static
-  order-dependence patterns: unkeyed same-timestamp scheduling,
-  unordered-container iteration feeding the schedule, unsynchronized
-  shared writes across process methods, RNG stream aliasing. The
-  dynamic counterpart is ``repro race`` (:mod:`repro.simrace`), whose
-  divergence findings surface as rule SL850;
+  (:mod:`repro.lint.check_resource_safety`);
 * ``perf`` (SL901, :mod:`repro.lint.check_perf`) — no per-event
   closures handed to the scheduler from process functions.
+
+Every rule is per-file: a checker sees one module at a time, and
+``repro-lint`` parses and checks each file once, with no cross-module
+index and no result cache. The rule set is what a mutation audit kept
+(``docs/LINT.md``, "Audit"); schedule-order bugs are the job of the
+runtime certifier ``repro race`` (:mod:`repro.simrace`).
 
 Run it as ``python -m repro.lint [paths]``, ``repro-lint`` or
 ``repro lint``; suppress a deliberate violation with
 ``# simlint: ignore[RULE]`` on the offending statement (any line of it)
 or ``# simlint: ignore-file[RULE]`` for a whole module. Mechanical
 violations are repairable with ``--fix`` / ``--fix --write``
-(:mod:`repro.lint.fixes`); adopt new rules over legacy debt with
-``--baseline`` (:mod:`repro.lint.baseline`). Results are cached under
-``.repro-cache/lint/`` (:mod:`repro.lint.cache`). Each rule is
-documented in ``docs/LINT.md``.
+(:mod:`repro.lint.fixes`). Each rule is documented in ``docs/LINT.md``.
 """
 
 from repro.lint.core import (
@@ -62,7 +47,6 @@ from repro.lint.core import (
     lint_paths,
     lint_source,
     register,
-    register_program,
 )
 
 # Importing the checker modules registers them with the framework.
@@ -71,21 +55,15 @@ from repro.lint import check_determinism  # noqa: F401
 from repro.lint import check_resource_safety  # noqa: F401
 from repro.lint import check_units  # noqa: F401
 from repro.lint import check_yieldfrom  # noqa: F401
-from repro.lint import program  # noqa: F401  (interprocedural checkers)
 from repro.lint import check_perf  # noqa: F401  (SL901)
-from repro.simrace import rules as _simrace_rules  # noqa: F401  (SL8xx)
 
-from repro.lint.cache import LintCache
 from repro.lint.fixes import apply_fixes, fix_files
-from repro.lint.program import Program
 
 __all__ = [
     "Checker",
     "Edit",
     "Finding",
     "Fix",
-    "LintCache",
-    "Program",
     "all_checkers",
     "all_rules",
     "apply_fixes",
@@ -95,5 +73,4 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register",
-    "register_program",
 ]

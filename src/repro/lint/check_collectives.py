@@ -25,9 +25,10 @@ on a sub-communicator whose membership genuinely is rank-dependent (a
 ``comm.split`` product) are legal MPI; suppress those sites with
 ``# simlint: ignore[SL401]`` and a comment naming the subcomm.
 
-Both rules stop at function boundaries; their interprocedural
-complements SL701/SL702 (:mod:`repro.lint.program`) reuse this module's
-collective tables and rank heuristics to see *through* helper calls.
+Both rules stop at function boundaries: a collective issued inside a
+helper that is called under a rank-dependent branch is invisible to
+them. Such a mismatch deadlocks at run time, where the runtime
+sanitizer and the tier-1 DES tests catch it (``docs/LINT.md``, "Audit").
 """
 
 from __future__ import annotations
@@ -100,13 +101,6 @@ def _collectives_in(stmts: List[ast.stmt]) -> List[Tuple[str, ast.Call]]:
 
 def _returns(stmts: List[ast.stmt]) -> bool:
     return any(isinstance(n, ast.Return) for n in _subtree_nodes(stmts))
-
-
-# Public aliases for the interprocedural layer (repro.lint.program /
-# repro.lint.callgraph build on the same heuristics).
-collective_name = _collective_name
-mentions_rank = _mentions_rank
-has_returns = _returns
 
 
 @register

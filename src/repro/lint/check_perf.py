@@ -2,14 +2,11 @@
 
 The engine's speed rests on scheduling bound methods, never closures: a
 lambda handed to a deferring sink (``schedule``/``push``/``call_later``/
-``timeout_event``/...) inside a *process-classified* function is
+``timeout_event``/...) inside a process function (a generator) is
 re-allocated on every resumption of that process and defeats the
 engine's bound-method fast paths. Benchmarks catch such regressions
 after the fact; SL901 catches them at lint time. Autofix (where
 mechanical): ``lambda: self.meth()`` → ``self.meth``.
-
-SL901 is a *program* rule: it needs the interprocedural process
-classification of :mod:`repro.lint.program`.
 """
 
 from __future__ import annotations
@@ -17,11 +14,19 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.core import Edit, Finding, Fix, call_name, register_program
-from repro.lint.program import Program, _body_nodes, _class_map, _finding
+from repro.lint.core import (
+    Edit,
+    Finding,
+    Fix,
+    call_name,
+    is_generator,
+    iter_function_defs,
+    own_nodes,
+    register,
+)
 
 
-@register_program
+@register
 class PerfChecker:
     """SL901: keep per-event closures out of process functions."""
 
@@ -31,13 +36,9 @@ class PerfChecker:
         "function (hoist to a bound method)",
     }
 
-    def check(
-        self, tree: ast.Module, filename: str, program: Program
-    ) -> Iterator[Finding]:
-        module = program.module_of(filename)
-        for func, class_name in _class_map(tree).items():
-            qual = f"{class_name}.{func.name}" if class_name else func.name
-            if program.classifier.is_process(f"{module}:{qual}"):
+    def check(self, tree: ast.Module, filename: str) -> Iterator[Finding]:
+        for func in iter_function_defs(tree):
+            if is_generator(func):
                 yield from self._check_closures(func, filename)
 
     # -- SL901: closure allocation in process functions ----------------------
@@ -54,7 +55,7 @@ class PerfChecker:
     def _check_closures(
         self, func: ast.FunctionDef, filename: str
     ) -> Iterator[Finding]:
-        for node in _body_nodes(func.body):
+        for node in own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
             if call_name(node) not in self.CALLBACK_SINKS:
@@ -62,9 +63,13 @@ class PerfChecker:
             values = list(node.args) + [kw.value for kw in node.keywords]
             for arg in values:
                 if isinstance(arg, ast.Lambda):
-                    yield _finding(
-                        self, "SL901", arg, filename,
-                        f"lambda allocated per event inside process "
+                    yield Finding(
+                        rule="SL901",
+                        family=self.family,
+                        path=filename,
+                        line=arg.lineno,
+                        col=arg.col_offset,
+                        message=f"lambda allocated per event inside process "
                         f"function '{func.name}' — every resumption "
                         f"re-allocates the closure; hoist to a bound "
                         f"method or module function",

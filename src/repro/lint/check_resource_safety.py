@@ -23,10 +23,11 @@ released in a ``finally``::
         res.release()
 
 SL501 flags any directly-yielded ``.request()`` call in a generator that
-is not inside the body of a ``try`` whose ``finally`` performs a
-``.release(...)`` call. The rule matches *any* receiver (unlike the
-hinted SL1xx rules) because a missed cleanup is far costlier than an
-occasional false positive; a deliberate exception takes
+is neither inside the body of a ``try`` whose ``finally`` performs a
+``.release(...)`` call nor directly followed by such a ``try`` (the form
+above, which the autofix writes). The rule matches *any* receiver
+(unlike the hinted SL1xx rules) because a missed cleanup is far costlier
+than an occasional false positive; a deliberate exception takes
 ``# simlint: ignore[SL501]``. The two-step form
 (``grant = res.request()`` … ``yield grant``) is out of scope — the
 interrupt-safe pattern for it is :meth:`Resource.use`-style ``finally:
@@ -120,7 +121,15 @@ class ResourceSafetyChecker:
     def _guarded(
         node: ast.AST, func: ast.FunctionDef, parents: Dict[ast.AST, ast.AST]
     ) -> bool:
-        """True if an ancestor try (via its *body*) releases in finally."""
+        """True if an ancestor try (via its *body*) releases in finally, or
+        the request's statement is directly followed by such a try."""
+        stmt = _statement_of(node, parents)
+        block = _block_containing(parents.get(stmt, func), stmt) if stmt else None
+        if block is not None:
+            following = block[block.index(stmt) + 1:]
+            if following and isinstance(following[0], ast.Try) \
+                    and _releases_in_finally(following[0]):
+                return True
         child = node
         cur = parents.get(node)
         while cur is not None and cur is not func:
@@ -152,9 +161,7 @@ def _try_finally_fix(
     of the block) move into a ``try:`` body, and the release lands in the
     ``finally:``. Returns None when there is nothing to wrap.
     """
-    stmt: Optional[ast.AST] = yield_node
-    while stmt is not None and not isinstance(stmt, ast.stmt):
-        stmt = parents.get(stmt)
+    stmt = _statement_of(yield_node, parents)
     if stmt is None:
         return None
     owner = parents.get(stmt, func)
@@ -185,6 +192,15 @@ def _try_finally_fix(
             insert(body_end + 1, 0, f"{indent}finally:\n{indent}    {recv}.release()\n")
         )
     return Fix(tuple(edits), "wrap hold in try/finally with release")
+
+
+def _statement_of(
+    node: ast.AST, parents: Dict[ast.AST, ast.AST]
+) -> Optional[ast.stmt]:
+    """The innermost statement holding ``node``."""
+    while node is not None and not isinstance(node, ast.stmt):
+        node = parents.get(node)
+    return node
 
 
 def _block_containing(owner: ast.AST, stmt: ast.AST) -> Optional[List[ast.stmt]]:

@@ -26,12 +26,8 @@ names (``bcast_s(...)`` is seconds); compound expressions are
 conservatively treated as unit-less, so conversions like
 ``x_us * 1e-6`` silence the checker by construction.
 
-These rules are purely local. Their interprocedural complements SL304
-(argument units checked against the *resolved* callee's parameter units,
-propagated through intermediate calls) and SL305 (assignment targets vs
-inferred return units) live in :mod:`repro.lint.program` and share this
-module's :data:`UNIT_SUFFIXES` table, :func:`suffix_of` and
-:func:`unit_of`.
+These rules are purely local: a unit that flows into a callee's
+positional parameter, or out of its return value, is not checked.
 """
 
 from __future__ import annotations

@@ -4,20 +4,15 @@ Usage::
 
     python -m repro.lint [paths ...]       # default: src/ if it exists, else .
     python -m repro.lint --list-rules
-    repro-lint src/ tests/ --select yield-from,SL701
+    repro-lint src/ tests/ --select yield-from,SL201
     repro-lint src/ --fix                  # preview autofixes as a diff
     repro-lint src/ --fix --write          # apply them
-    repro-lint src/ --baseline lint-baseline.json --update-baseline
     repro-lint src/ --format sarif -o lint.sarif
     repro lint src/                        # via the main repro CLI
 
-Exit status: 0 when clean (or every finding was fixed/baselined),
-1 when findings remain, 2 on usage errors, 3 when ``--fix`` refused a
-file that changed on disk after it was parsed (concurrent edit).
-
-Results are cached under ``.repro-cache/lint/`` keyed on file content
-plus the project import closure; a warm run re-parses nothing
-(``--stats`` shows the counters, ``--no-cache`` bypasses the store).
+Exit status: 0 when clean (or every finding was fixed), 1 when findings
+remain, 2 on usage errors, 3 when ``--fix`` refused a file that changed
+on disk after it was read (concurrent edit).
 """
 
 from __future__ import annotations
@@ -27,19 +22,17 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint import baseline as baseline_mod
-from repro.lint.cache import DEFAULT_LINT_CACHE_DIR, LintCache
 from repro.lint.core import (
     DEFAULT_EXCLUDES,
     NotAPythonFileError,
     all_checkers,
     expand_paths,
     known_selectors,
+    lint_source,
     matching_rules,
 )
 from repro.lint.fixes import fix_files
 from repro.lint.formats import FORMATS, render
-from repro.lint.program import Program
 
 
 def _default_paths() -> List[str]:
@@ -61,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="RULES",
         help="comma-separated rule ids, families, or rule-id prefixes "
-        "like SL8 to report (default: all)",
+        "like SL2 to report (default: all)",
     )
     parser.add_argument(
         "--exclude",
@@ -79,32 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --fix: apply the autofixes to the files",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="suppress findings recorded in this baseline snapshot",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline FILE from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--format", choices=FORMATS, default="text", dest="fmt",
         help="output format (default: text)",
     )
     parser.add_argument(
         "-o", "--output", metavar="FILE",
         help="write the rendered findings to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the lint result cache (no reads, no writes)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_LINT_CACHE_DIR, metavar="DIR",
-        help=f"cache location (default {DEFAULT_LINT_CACHE_DIR}/)",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print parse / cache counters to stderr",
     )
     return parser
 
@@ -130,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if tok in known:
                 wanted.add(tok)
                 continue
-            expanded = matching_rules(tok)  # prefix selector, e.g. SL8
+            expanded = matching_rules(tok)  # prefix selector, e.g. SL2
             if expanded:
                 wanted |= expanded
             else:
@@ -146,10 +119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.write and not args.fix:
         print("repro-lint: --write requires --fix", file=sys.stderr)
         return 2
-    if args.update_baseline and not args.baseline:
-        print("repro-lint: --update-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return 2
 
     excludes = tuple(args.exclude) if args.exclude else DEFAULT_EXCLUDES
     try:
@@ -158,54 +127,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else LintCache(args.cache_dir)
-    program = Program(files, cache=cache)
-
-    findings = program.lint_all()
+    sources = {str(f): f.read_text(encoding="utf-8") for f in files}
+    findings = [
+        finding
+        for path, source in sources.items()
+        for finding in lint_source(source, path)
+    ]
 
     if wanted:
         findings = [f for f in findings if f.rule in wanted or f.family in wanted]
 
-    if args.update_baseline:
-        n = baseline_mod.write_baseline(args.baseline, findings)
-        print(f"wrote baseline with {n} finding(s) to {args.baseline}",
-              file=sys.stderr)
-        return 0
-    if args.baseline:
-        try:
-            snapshot = baseline_mod.load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro-lint: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed, stale = baseline_mod.filter_with_baseline(
-            findings, snapshot
-        )
-        if suppressed or stale:
-            note = f"baseline: {suppressed} finding(s) suppressed"
-            if stale:
-                note += (
-                    f", {stale} entr{'ies' if stale != 1 else 'y'} stale "
-                    f"(debt paid — ratchet with --update-baseline)"
-                )
-            print(note, file=sys.stderr)
-
-    if args.stats:
-        s = program.stats
-        print(
-            f"simlint cache: {s['files']} files, {s['parsed']} parsed, "
-            f"{s['summary_hits']} summary hits, "
-            f"{s['findings_hits']} findings hits",
-            file=sys.stderr,
-        )
-
     if args.fix:
-        expected = {
-            p: src
-            for p in program.paths
-            if (src := program.source_of(p)) is not None
-        }
         diffs, applied, refused = fix_files(
-            findings, write=args.write, expected_sources=expected
+            findings, write=args.write, expected_sources=sources
         )
         for path in sorted(diffs):
             print(diffs[path], end="")
@@ -220,7 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for path in refused:
                 print(
                     f"repro-lint: {path} changed on disk after it was "
-                    f"parsed — refusing to clobber the concurrent edit; "
+                    f"read — refusing to clobber the concurrent edit; "
                     f"re-run repro-lint to fix it",
                     file=sys.stderr,
                 )

@@ -1,13 +1,9 @@
 """simlint framework: findings, fixes, the checker registries, pragmas.
 
-A *file checker* is a class with a ``family`` name, a ``rules`` table
+A *checker* is a class with a ``family`` name, a ``rules`` table
 (rule id → one-line description) and a ``check(tree, filename)`` method
 yielding :class:`Finding` objects; it sees one module at a time and
-registers with :func:`register`. A *program checker* additionally
-receives the whole-program index (:class:`repro.lint.program.Program`)
-as a third argument — ``check(tree, filename, program)`` — and registers
-with :func:`register_program`; that is how the interprocedural SL6xx /
-SL7xx / SL304–SL305 rules see through helper calls.
+registers with :func:`register`.
 
 Findings may carry a :class:`Fix`: a list of source edits that
 mechanically repair the violation. ``repro-lint --fix`` previews the
@@ -79,10 +75,6 @@ class Edit:
             "text": self.text,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Edit":
-        return cls(d["line"], d["col"], d["end_line"], d["end_col"], d["text"])
-
 
 @dataclass(frozen=True)
 class Fix:
@@ -96,10 +88,6 @@ class Fix:
             "edits": [e.to_dict() for e in self.edits],
             "description": self.description,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Fix":
-        return cls(tuple(Edit.from_dict(e) for e in d["edits"]), d.get("description", ""))
 
 
 def insert(line: int, col: int, text: str) -> Edit:
@@ -137,21 +125,9 @@ class Finding:
             d["fix"] = self.fix.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        return cls(
-            rule=d["rule"],
-            family=d["family"],
-            path=d["path"],
-            line=d["line"],
-            col=d["col"],
-            message=d["message"],
-            fix=Fix.from_dict(d["fix"]) if d.get("fix") else None,
-        )
-
 
 class Checker(Protocol):
-    """Interface every registered file checker class implements."""
+    """Interface every registered checker class implements."""
 
     family: str
     rules: Dict[str, str]
@@ -160,39 +136,20 @@ class Checker(Protocol):
 
 
 _REGISTRY: List[Type] = []
-_PROGRAM_REGISTRY: List[Type] = []
-
-
-def _validated(cls: Type) -> Type:
-    for attr in ("family", "rules", "check"):
-        if not hasattr(cls, attr):
-            raise TypeError(f"checker {cls.__name__} lacks {attr!r}")
-    return cls
 
 
 def register(cls: Type) -> Type:
-    """Class decorator adding a per-file checker to the global registry."""
-    _REGISTRY.append(_validated(cls))
-    return cls
-
-
-def register_program(cls: Type) -> Type:
-    """Class decorator adding a whole-program (interprocedural) checker."""
-    _PROGRAM_REGISTRY.append(_validated(cls))
+    """Class decorator adding a checker to the global registry."""
+    for attr in ("family", "rules", "check"):
+        if not hasattr(cls, attr):
+            raise TypeError(f"checker {cls.__name__} lacks {attr!r}")
+    _REGISTRY.append(cls)
     return cls
 
 
 def all_checkers() -> List[Type]:
-    """Every registered checker class: file checkers, then program checkers."""
-    return list(_REGISTRY) + list(_PROGRAM_REGISTRY)
-
-
-def file_checkers() -> List[Type]:
+    """Every registered checker class, in registration order."""
     return list(_REGISTRY)
-
-
-def program_checkers() -> List[Type]:
-    return list(_PROGRAM_REGISTRY)
 
 
 #: Rules implemented by the framework itself rather than a checker class.
@@ -225,8 +182,8 @@ _RULE_PREFIX_RE = re.compile(r"^SL\d{1,2}$")
 def matching_rules(token: str) -> Set[str]:
     """Rule ids selected by a rule-id *prefix* token.
 
-    ``--select SL8`` selects every registered ``SL8xx`` rule (``SL80``
-    would select only ``SL80x``). Returns the empty set when ``token``
+    ``--select SL2`` selects every registered ``SL2xx`` rule (``SL20``
+    would select only ``SL20x``). Returns the empty set when ``token``
     is not a rule prefix or matches nothing — exact ids and family
     names are handled by :func:`known_selectors`.
     """
@@ -320,63 +277,29 @@ def _suppressed(finding: Finding, supp: Dict[int, set], file_wide: set) -> bool:
 
 # -- drivers ---------------------------------------------------------------
 
-def parse_failure(filename: str, exc: SyntaxError) -> Finding:
-    """The SL001 finding for an unparseable file."""
-    return Finding(
-        rule="SL001",
-        family="parse",
-        path=filename,
-        line=exc.lineno or 1,
-        col=exc.offset or 0,
-        message=f"syntax error: {exc.msg}",
-    )
-
-
-def run_checkers(
-    tree: ast.Module, source: str, filename: str, program=None
-) -> List[Finding]:
-    """Run every registered checker over one parsed module.
-
-    ``program`` is the whole-program index; when None the program
-    checkers are skipped (pure single-file mode).
-    """
+def lint_source(source: str, filename: str = "<string>") -> List[Finding]:
+    """Run every checker over one module's ``source``; returns kept findings."""
+    try:
+        tree = ast.parse(source, filename=filename)
+    except SyntaxError as exc:
+        return [
+            Finding(
+                rule="SL001",
+                family="parse",
+                path=filename,
+                line=exc.lineno or 1,
+                col=exc.offset or 0,
+                message=f"syntax error: {exc.msg}",
+            )
+        ]
     supp, file_wide = _suppressions(source)
     supp = _expand_pragma_lines(supp, _statement_spans(tree))
     findings: List[Finding] = []
     for cls in _REGISTRY:
         findings.extend(cls().check(tree, filename))
-    if program is not None:
-        disproved: List[Tuple[str, int, int]] = []
-        for cls in _PROGRAM_REGISTRY:
-            checker = cls()
-            findings.extend(checker.check(tree, filename, program))
-            # A program checker may *disprove* per-file findings: e.g.
-            # branches whose collective sequences equalize once helper
-            # calls are expanded are not SL401 violations after all.
-            refute = getattr(checker, "refuted_spans", None)
-            if refute is not None:
-                disproved.extend(refute(tree, filename, program))
-        if disproved:
-            findings = [
-                f
-                for f in findings
-                if not any(
-                    f.rule == rule and lo <= f.line <= hi
-                    for rule, lo, hi in disproved
-                )
-            ]
     findings = [f for f in findings if not _suppressed(f, supp, file_wide)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def lint_source(source: str, filename: str = "<string>") -> List[Finding]:
-    """Run every checker (including interprocedural ones, scoped to this
-    single module) over ``source``; returns kept findings."""
-    from repro.lint.program import Program  # local: avoids import cycle
-
-    program = Program.from_sources({filename: source})
-    return program.lint_all()
 
 
 def lint_file(path: "str | Path") -> List[Finding]:
@@ -385,18 +308,18 @@ def lint_file(path: "str | Path") -> List[Finding]:
     return lint_source(p.read_text(encoding="utf-8"), filename=str(p))
 
 
-def lint_paths(paths: Sequence["str | Path"], cache=None) -> List[Finding]:
-    """Lint files and directory trees (``*.py``, recursively) as one
-    program: helper calls resolve across every module in ``paths``.
+def lint_paths(paths: Sequence["str | Path"]) -> List[Finding]:
+    """Lint files and directory trees (``*.py``, recursively), one file at
+    a time.
 
     Directory expansion skips paths containing a ``fixtures`` component
     (deliberately-bad lint fixtures); explicitly named files are always
     linted.
     """
-    from repro.lint.program import Program  # local: avoids import cycle
-
-    program = Program(expand_paths(paths), cache=cache)
-    return program.lint_all()
+    findings: List[Finding] = []
+    for path in expand_paths(paths):
+        findings.extend(lint_file(path))
+    return findings
 
 
 class NotAPythonFileError(ValueError):

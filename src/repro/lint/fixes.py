@@ -28,8 +28,7 @@ from repro.lint.core import Edit, Finding
 #: Rules whose fixes are safe to apply mechanically. Findings outside
 #: this set never carry fixes; the table is the documented contract.
 FIXABLE_RULES = frozenset(
-    {"SL101", "SL102", "SL103", "SL104", "SL203", "SL501",
-     "SL601", "SL602", "SL603", "SL801", "SL802", "SL901"}
+    {"SL101", "SL102", "SL103", "SL104", "SL203", "SL501", "SL901"}
 )
 
 
@@ -112,9 +111,8 @@ def fix_files(
     whose fixes all got skipped produce no diff entry.
 
     ``expected_sources`` maps each path to the source text the findings
-    were computed against (:meth:`repro.lint.program.Program.source_of`).
-    A file whose on-disk content no longer matches was edited after the
-    lint pass parsed it — its fix spans point at stale coordinates, so
+    were computed against. A file whose on-disk content no longer
+    matches was edited after the lint pass read it — its fix spans point at stale coordinates, so
     the file is *refused* (reported in the third element, never written)
     instead of silently clobbering the concurrent edit. Re-run the lint
     to fix it. Without ``expected_sources`` no guard applies (the

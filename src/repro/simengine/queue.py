@@ -4,7 +4,7 @@ Entries at the same timestamp are ordered by a three-level rule:
 
 1. **keyed** entries (``push(..., key="...")``) fire before unkeyed ones,
    in lexicographic key order — an *explicit* tie-break that stays fixed
-   under any permutation seed (the SL801 autofix inserts these);
+   under any permutation seed;
 2. **unkeyed** entries fire in insertion order (the monotone sequence
    number) — the historical FIFO behaviour;
 3. under an installed **permutation seed** (:func:`set_tie_break_seed`),

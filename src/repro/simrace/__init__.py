@@ -1,26 +1,20 @@
 """simrace: schedule-race detection for the DES core.
 
-Two halves, one contract:
-
-* **Dynamic** — :class:`~repro.simrace.hb.RaceTracker` (attach with
+* :class:`~repro.simrace.hb.RaceTracker` (attach with
   ``Simulator(sanitize="race")``) tracks the happens-before forest over
   queue entries and raises
   :class:`~repro.simengine.simulator.ScheduleRaceError` when two
   same-time events touch the same resource/store state with no ordering
-  path; and ``repro race`` (:mod:`repro.simrace.cli`) re-executes
-  drivers under seeded permutations of the event queue's tie-breaking
+  path.
+* ``repro race`` (:mod:`repro.simrace.cli`) re-executes drivers under
+  seeded permutations of the event queue's tie-breaking
   (:mod:`repro.simrace.permute`) and certifies their published results
-  schedule-invariant (:mod:`repro.simrace.certify`).
+  schedule-invariant (:mod:`repro.simrace.certify`). ``--format sarif``
+  reports each divergent driver under rule ``SL850``
+  (:mod:`repro.simrace.formats`).
 
-* **Static** — the SL8xx simlint rule family
-  (:mod:`repro.simrace.rules`) flags order-dependence patterns in model
-  source before they ever run: unkeyed same-time scheduling, iteration
-  over unordered containers on scheduling paths, shared mutable state
-  across process functions, and RNG stream aliasing.
-
-This module deliberately imports only the light pieces; the lint rules
-are registered by :mod:`repro.lint` and the engine imports
-:mod:`repro.simrace.hb` lazily, so neither pulls in the other's stack.
+This module deliberately imports only the light pieces; the engine
+imports :mod:`repro.simrace.hb` lazily.
 
 See ``docs/DETERMINISM.md`` for the model and the certificate format.
 """

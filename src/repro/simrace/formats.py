@@ -2,10 +2,9 @@
 
 SARIF output goes through the simlint renderer
 (:mod:`repro.lint.formats`): each schedule-variant driver becomes a
-finding under the *dynamic* rule ``SL850`` (declared in the SL8xx rule
-table so SARIF consumers see its description), anchored at the driver
-module's file. CI uploads the result next to the static lint SARIF, so
-one code-scanning view covers both halves of the race subsystem.
+finding under rule ``SL850``, anchored at the driver module's file. The
+rule is declared here, in the only code that emits it, and the SARIF
+rules table carries its description.
 """
 
 from __future__ import annotations
@@ -19,7 +18,13 @@ from repro.simrace.certify import RACE_SCHEMA, Certificate
 
 FORMATS = ("text", "json", "sarif")
 
-__all__ = ["FORMATS", "render_certificates"]
+#: The one rule ``repro race --format sarif`` reports under.
+SL850 = (
+    "driver results diverge under event-queue tie-break permutation "
+    "(emitted by 'repro race')"
+)
+
+__all__ = ["FORMATS", "SL850", "render_certificates"]
 
 
 def _driver_path(exp_id: str) -> str:
@@ -70,7 +75,7 @@ def _render_json(certs: List[Certificate]) -> str:
 
 def _render_sarif(certs: List[Certificate]) -> str:
     from repro.lint.core import Finding
-    from repro.lint.formats import render
+    from repro.lint.formats import render_sarif
 
     findings = []
     for cert in certs:
@@ -93,7 +98,7 @@ def _render_sarif(certs: List[Certificate]) -> str:
                 ),
             )
         )
-    return render(findings, "sarif")
+    return render_sarif(findings, rules={"SL850": SL850})
 
 
 def render_certificates(certs: List[Certificate], fmt: str) -> str:

@@ -50,17 +50,6 @@ def test_fix_sl501_wraps_hold_in_try_finally():
     assert "        res.release()" in fixed
 
 
-def test_fix_sl601_and_sl603_on_helper_flow_fixture():
-    src = (FIXTURES / "bad_helper_flow.py").read_text()
-    findings = lint_file(FIXTURES / "bad_helper_flow.py")
-    fixed, applied = apply_fixes(src, findings)
-    assert {f.rule for f in applied} == {"SL601", "SL602", "SL603"}
-    assert "    yield from transfer(comm, 1024)" in fixed
-    assert "    got = yield from transfer(comm, 2048)" in fixed
-    assert "    yield from transfer(comm, 4096)" in fixed
-    assert "    return (yield from transfer(comm, 64))" in fixed
-
-
 def test_unfixable_rules_carry_no_fix():
     findings = lint_file(FIXTURES / "bad_units.py")
     assert findings and all(f.fix is None for f in findings)
@@ -69,18 +58,31 @@ def test_unfixable_rules_carry_no_fix():
 
 # -- convergence --------------------------------------------------------------
 
+#: One fixture per fixable rule family, together seeding every rule in
+#: FIXABLE_RULES with a finding that carries a fix.
+CONVERGENCE_FIXTURES = (
+    "bad_yieldfrom.py", "bad_nondet.py", "bad_resource.py", "bad_perf.py",
+)
+
+
 def test_fixture_autofixes_converge():
-    for name in ("bad_yieldfrom.py", "bad_helper_flow.py"):
+    fixed_rules = set()
+    for name in CONVERGENCE_FIXTURES:
         src = (FIXTURES / name).read_text()
         findings = lint_file(FIXTURES / name)
         fixed, applied = apply_fixes(src, findings)
         assert applied, name
-        # the fixed source no longer produces any fixable finding
-        refindings = lint_source(fixed, f"src/{name}")
+        fixed_rules |= {f.rule for f in applied}
+        # Overlapping fixes land one round at a time; iterate to the
+        # fixed point, which must leave no fixable finding behind.
+        for _ in range(5):
+            refindings = lint_source(fixed, f"src/{name}")
+            fixed, reapplied = apply_fixes(fixed, refindings)
+            fixed_rules |= {f.rule for f in reapplied}
+            if not reapplied:
+                break
         assert not [f for f in refindings if f.fix is not None], name
-        # and a second round is a no-op
-        refixed, reapplied = apply_fixes(fixed, refindings)
-        assert refixed == fixed and reapplied == [], name
+    assert fixed_rules == FIXABLE_RULES
 
 
 def test_overlapping_fixes_apply_one_round_at_a_time():
@@ -97,20 +99,17 @@ def test_overlapping_fixes_apply_one_round_at_a_time():
 
 def test_fix_files_refuses_file_changed_since_parse(tmp_path):
     from repro.lint.fixes import fix_files
-    from repro.lint.program import Program
 
     target = tmp_path / "bad_yieldfrom.py"
     shutil.copy(FIXTURES / "bad_yieldfrom.py", target)
-    program = Program([str(target)])
-    findings = program.lint_all()
+    source = target.read_text()
+    findings = lint_source(source, str(target))
     assert any(f.fix is not None for f in findings)
     # somebody edits the file between the lint parse and --write
-    concurrent = program.source_of(str(target)) + "\n# concurrent edit\n"
+    concurrent = source + "\n# concurrent edit\n"
     target.write_text(concurrent)
     diffs, applied, refused = fix_files(
-        findings,
-        write=True,
-        expected_sources={str(target): program.source_of(str(target))},
+        findings, write=True, expected_sources={str(target): source}
     )
     assert refused == [str(target)]
     assert applied == [] and diffs == {}
@@ -120,11 +119,10 @@ def test_fix_files_refuses_file_changed_since_parse(tmp_path):
 
 def test_fix_files_without_expected_sources_keeps_writing(tmp_path):
     from repro.lint.fixes import fix_files
-    from repro.lint.program import Program
 
     target = tmp_path / "bad_yieldfrom.py"
     shutil.copy(FIXTURES / "bad_yieldfrom.py", target)
-    findings = Program([str(target)]).lint_all()
+    findings = lint_file(target)
     diffs, applied, refused = fix_files(findings, write=True)
     assert applied and refused == []
     assert "yield from" in target.read_text()
@@ -132,20 +130,23 @@ def test_fix_files_without_expected_sources_keeps_writing(tmp_path):
 
 def test_cli_fix_write_exits_3_on_concurrent_edit(tmp_path, monkeypatch, capsys):
     from repro.lint import cli
-    from repro.lint.program import Program
 
     target = tmp_path / "bad_yieldfrom.py"
     shutil.copy(FIXTURES / "bad_yieldfrom.py", target)
-    before = target.read_text()
-    # make every parsed source look stale against the on-disk bytes
-    monkeypatch.setattr(
-        Program, "source_of", lambda self, path: before + "# stale\n"
-    )
-    rc = cli.main([str(target), "--fix", "--write", "--no-cache"])
+    real_lint_source = cli.lint_source
+
+    def lint_then_edit(source, path):
+        # somebody edits the file right after the lint pass read it
+        findings = real_lint_source(source, path)
+        target.write_text(source + "# concurrent edit\n")
+        return findings
+
+    monkeypatch.setattr(cli, "lint_source", lint_then_edit)
+    rc = cli.main([str(target), "--fix", "--write"])
     captured = capsys.readouterr()
     assert rc == 3
     assert "changed on disk" in captured.err
-    assert target.read_text() == before
+    assert target.read_text().endswith("# concurrent edit\n")
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -167,7 +168,7 @@ def test_cli_fix_previews_diff_without_writing(tmp_path):
     target = tmp_path / "bad_yieldfrom.py"
     shutil.copy(FIXTURES / "bad_yieldfrom.py", target)
     before = target.read_text()
-    out = _run_cli(str(target), "--fix", "--no-cache")
+    out = _run_cli(str(target), "--fix")
     assert out.returncode == 1
     assert out.stdout.startswith("---")
     assert "+    yield from" in out.stdout
@@ -176,13 +177,13 @@ def test_cli_fix_previews_diff_without_writing(tmp_path):
 
 
 def test_cli_fix_write_applies_and_second_run_is_empty(tmp_path):
-    target = tmp_path / "bad_helper_flow.py"
-    shutil.copy(FIXTURES / "bad_helper_flow.py", target)
-    first = _run_cli(str(target), "--fix", "--write", "--no-cache")
-    assert "fixed 4 of 4" in first.stderr
+    target = tmp_path / "bad_perf.py"
+    shutil.copy(FIXTURES / "bad_perf.py", target)
+    first = _run_cli(str(target), "--fix", "--write")
+    assert "fixed 1 of 1" in first.stderr
     assert first.returncode == 0
     # idempotence: nothing left to fix, empty diff
-    second = _run_cli(str(target), "--fix", "--no-cache")
+    second = _run_cli(str(target), "--fix")
     assert second.returncode == 0
     assert "would fix 0 of 0" in second.stderr
     assert "---" not in second.stdout

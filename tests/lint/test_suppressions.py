@@ -1,4 +1,4 @@
-"""Suppression edge cases and CLI behaviours added with simlint v2."""
+"""Suppression edge cases and CLI behaviours."""
 
 import json
 import os
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_source
+from repro.lint.core import expand_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -90,6 +91,16 @@ def test_bare_ignore_file_pragma_suppresses_everything():
     assert lint_source(src) == []
 
 
+# -- path expansion -----------------------------------------------------------
+
+def test_expand_paths_excludes_fixture_dirs_by_default():
+    files = expand_paths([Path(__file__).parent])
+    assert not any("fixtures" in Path(f).parts for f in files)
+    # explicit fixture files always lint
+    explicit = expand_paths([FIXTURES / "bad_units.py"])
+    assert len(explicit) == 1
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def _run_cli(*args, module="repro.lint"):
@@ -108,15 +119,14 @@ def _run_cli(*args, module="repro.lint"):
 def test_cli_select_parse_family_is_known():
     # regression: `--select parse` used to exit 2 because the framework
     # family was missing from the known-selector set
-    out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--select", "parse",
-                   "--no-cache")
+    out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--select", "parse")
     assert out.returncode == 0, out.stderr
     assert "unknown rule/family" not in out.stderr
 
 
 def test_cli_select_mixes_family_and_foreign_rule_id():
     out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--select",
-                   "yield-from,SL203", "--no-cache")
+                   "yield-from,SL203")
     assert out.returncode == 1
     lines = [l for l in out.stdout.splitlines() if l.strip()]
     assert lines and all("SL203" in l for l in lines)
@@ -125,19 +135,18 @@ def test_cli_select_mixes_family_and_foreign_rule_id():
 def test_cli_explicit_non_python_file_is_usage_error(tmp_path):
     target = tmp_path / "notes.txt"
     target.write_text("not python\n")
-    out = _run_cli(str(target), "--no-cache")
+    out = _run_cli(str(target))
     assert out.returncode == 2
     assert "notes.txt" in out.stderr
 
 
 def test_cli_missing_path_is_usage_error():
-    out = _run_cli("no/such/dir", "--no-cache")
+    out = _run_cli("no/such/dir")
     assert out.returncode == 2
 
 
 def test_cli_format_json_is_parseable():
-    out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "json",
-                   "--no-cache")
+    out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "json")
     assert out.returncode == 1
     doc = json.loads(out.stdout)
     assert len(doc) == 6
@@ -145,15 +154,14 @@ def test_cli_format_json_is_parseable():
 
 
 def test_cli_format_sarif_is_valid_with_one_result_per_finding():
-    out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "sarif",
-                   "--no-cache")
+    out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "sarif")
     assert out.returncode == 1
     doc = json.loads(out.stdout)
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     assert len(run["results"]) == 6
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"SL601", "SL701", "SL304"} <= rule_ids
+    assert {"SL101", "SL303", "SL901"} <= rule_ids
     first = run["results"][0]
     assert first["locations"][0]["physicalLocation"]["region"]["startLine"]
     assert {r["level"] for r in run["results"]} == {"error"}
@@ -163,42 +171,18 @@ def test_cli_format_sarif_is_valid_with_one_result_per_finding():
 def test_cli_output_file(tmp_path):
     target = tmp_path / "lint.sarif"
     out = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "sarif",
-                   "-o", str(target), "--no-cache")
+                   "-o", str(target))
     assert out.returncode == 1
     doc = json.loads(target.read_text())
     assert doc["runs"][0]["results"]
     # the rendering is byte-stable: a second run writes the same bytes
-    again = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "sarif",
-                     "--no-cache")
+    again = _run_cli(str(FIXTURES / "bad_nondet.py"), "--format", "sarif")
     assert again.stdout == target.read_text()
 
 
 def test_repro_lint_subcommand_delegates():
-    out = _run_cli("lint", str(FIXTURES / "bad_nondet.py"), "--no-cache",
-                   module="repro")
+    out = _run_cli("lint", str(FIXTURES / "bad_nondet.py"), module="repro")
     assert out.returncode == 1
     assert "SL201" in out.stdout
-    clean = _run_cli("lint", "src/repro/lint", "--no-cache", module="repro")
+    clean = _run_cli("lint", "src/repro/lint", module="repro")
     assert clean.returncode == 0, clean.stdout + clean.stderr
-
-
-def test_cli_update_baseline_then_clean(tmp_path):
-    snap = tmp_path / "baseline.json"
-    first = _run_cli(str(FIXTURES / "bad_units.py"), "--baseline", str(snap),
-                     "--update-baseline", "--no-cache")
-    assert first.returncode == 0
-    assert "wrote baseline" in first.stderr
-    second = _run_cli(str(FIXTURES / "bad_units.py"), "--baseline", str(snap),
-                      "--no-cache")
-    assert second.returncode == 0
-    assert "suppressed" in second.stderr
-
-
-def test_cli_stats_reports_zero_parsed_on_warm_run(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("VALUE = 3\n")
-    cache_dir = tmp_path / "cache"
-    cold = _run_cli(str(target), "--cache-dir", str(cache_dir), "--stats")
-    assert "1 parsed" in cold.stderr
-    warm = _run_cli(str(target), "--cache-dir", str(cache_dir), "--stats")
-    assert "0 parsed" in warm.stderr

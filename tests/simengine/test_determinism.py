@@ -1,6 +1,4 @@
 """Determinism guarantees: rng.fork streams and bit-identical replays."""
-# simlint: ignore-file[SL804] — these tests deliberately fork the same
-# stream name across functions to assert fork() reproducibility.
 
 import numpy as np
 

@@ -208,7 +208,7 @@ def test_stale_event_wakeup_is_dropped_by_epoch_guard():
         # The event fires anyway, *after* the interrupt diverts the
         # worker (FIFO at the same timestamp): the stale callback must be
         # swallowed, not resume the worker a second time.
-        sim.schedule(0.0, lambda: evt.succeed("late"))
+        sim.schedule(0.0, lambda: evt.succeed("late"))  # simlint: ignore[SL901] — one-shot test callback
 
     sim.spawn(interrupter(), name="interrupter")
     end = sim.run()

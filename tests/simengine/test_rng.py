@@ -1,6 +1,4 @@
 """Tests for deterministic RNG streams."""
-# simlint: ignore-file[SL804] — seeded_rng determinism tests deliberately
-# reuse one stream name across functions to compare its sequences.
 
 import numpy as np
 

@@ -101,6 +101,21 @@ def test_sarif_reports_divergent_drivers_as_sl850():
     assert "SL850" in rules
 
 
+def test_sarif_declares_sl850_with_its_description():
+    from repro.simrace.formats import SL850
+
+    cert = Certificate(
+        exp_id="fig08", title="t", schedule_invariant=True,
+        k=4, base_seed=1, seeds=[1, 2, 3, 4],
+    )
+    for certs in ([cert], [_divergent_cert()]):
+        doc = json.loads(render_certificates(certs, "sarif"))
+        rules = doc["runs"][0]["tool"]["driver"]["rules"]
+        assert [r["id"] for r in rules] == ["SL850"]
+        assert rules[0]["shortDescription"]["text"] == SL850
+        assert "tie-break permutation" in SL850
+
+
 def test_sarif_is_empty_for_invariant_certs():
     cert = Certificate(
         exp_id="fig08", title="t", schedule_invariant=True,
