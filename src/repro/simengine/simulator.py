@@ -252,7 +252,8 @@ class Simulator:
         processed = 0
         # Hot loop: the queue internals are inlined (single cancelled
         # scan per pop, native tuple comparisons, local bindings) — this
-        # loop dominates every DES benchmark, see BENCH_simulator.json.
+        # loop dominates every DES workload (des_fault_free in
+        # BENCHMARK.json).
         queue = self._queue
         heap = queue._heap
         pop = heappop

@@ -83,7 +83,7 @@ def test_hpcc_stream_recurrence():
 def test_random_access_serial_batch_is_exact():
     table = np.arange(1024, dtype=np.uint64)
     stream = hpcc_random_stream(4096)
-    random_access_update(table, stream, batch=1)
+    assert random_access_update(table, stream, batch=1) == 4096
     assert verify_random_access(table, stream) == 0.0
 
 

@@ -1,5 +1,7 @@
 """Tests for the shared memory-controller model — the engine behind Figs 4-7."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +62,21 @@ def test_active_core_bounds(xt4_mem):
         xt4_mem.stream_triad_GBs(0)
     with pytest.raises(ValueError):
         xt4_mem.stream_triad_GBs(3)
+
+
+def test_private_controller_counterfactual_keeps_per_core_bandwidth():
+    # Fig. 22's S3D VN penalty is the shared controller's: give each core
+    # a private DDR2-667 and the second core costs the first nothing.
+    private = replace(
+        DDR2_667,
+        name="private-controller counterfactual",
+        peak_bw_GBs=2 * DDR2_667.peak_bw_GBs,
+        single_core_bw_fraction=0.5,
+    )
+    mem = MemoryModel(private, cores=2)
+    assert mem.per_core_bandwidth_GBs(2) == pytest.approx(
+        mem.per_core_bandwidth_GBs(1), rel=0.01
+    )
 
 
 def test_dgemm_profile_insensitive_to_sharing(xt4_mem):
