@@ -4,8 +4,8 @@
 Reproduces the *method* behind the paper's Figure-16 analysis ("70% of
 the difference in the physics ... is due to ... the MPI_Alltoallv
 calls"): run a CAM-physics-shaped step on the simulated MPI in SN and VN
-modes with the mpiP-style profiler, and attribute the mode difference to
-operations.
+modes under a tracer, fold its ``mpi.*`` spans into mpiP-style profiles,
+and attribute the mode difference to operations.
 
 Also writes a Perfetto trace of the VN run (mpi_profile_study.trace.json
 by default — open it at https://ui.perfetto.dev): the same attribution,
@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.core.report import render_table
 from repro.machine import xt4
-from repro.mpi import MPIJob, profiled_job_run
+from repro.mpi import MPIJob, mpi_profiles
 from repro.mpi.profiler import render_timeline
 from repro.obs import Tracer, write_chrome_trace
 
@@ -40,20 +40,16 @@ def main(trace_out: Optional[str] = "mpi_profile_study.trace.json") -> None:
     ntasks = 16
     profiles = {}
     for mode in ("SN", "VN"):
-        tracer = None
-        if mode == "VN" and trace_out:
-            tracer = Tracer(
-                meta={"example": "mpi_profile_study", "mode": mode}
-            )
-        job = MPIJob(xt4(mode), ntasks, tracer=tracer)
-        result, prof = profiled_job_run(job, physics_step, trace=True)
+        tracer = Tracer(meta={"example": "mpi_profile_study", "mode": mode})
+        result = MPIJob(xt4(mode), ntasks, tracer=tracer).run(physics_step)
+        prof = mpi_profiles(tracer)
         profiles[mode] = (result, prof[0])
         if mode == "VN":
             print(f"\n{mode} execution timeline (first 8 ranks):")
             subset = {r: prof[r] for r in range(min(8, ntasks))}
             print(render_timeline(subset, result.elapsed_s, width=64))
             print()
-            if tracer is not None:
+            if trace_out:
                 write_chrome_trace(tracer, trace_out)
                 print(
                     f"wrote {trace_out} "

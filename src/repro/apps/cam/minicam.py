@@ -11,7 +11,7 @@ once during each model simulation timestep"):
 3. **physics** — column work with day/night imbalance, load-balanced via
    Alltoallv (:mod:`~repro.apps.cam.physics` weights).
 
-Run under the profiler, the step yields the paper's Figure-16-style
+Run under a tracer, the step yields the paper's Figure-16-style
 phase/operation breakdown from an actual execution.
 """
 
@@ -26,7 +26,8 @@ from repro.apps.cam.dycore import MiniDycore
 from repro.apps.cam.physics import balance_columns, column_weights
 from repro.machine.specs import Machine
 from repro.mpi.job import JobResult, MPIJob
-from repro.mpi.profiler import MPIProfile, profiled_job_run
+from repro.mpi.profiler import MPIProfile, mpi_profiles
+from repro.obs.tracer import Tracer
 
 #: CAL (mini scale): flops charged per column per physics step.
 MINI_PHYS_FLOPS_PER_COLUMN = 2.0e5
@@ -108,9 +109,9 @@ class MiniCAM:
             gathered = yield from comm.gather(block, root=0)
             return np.vstack(gathered) if comm.rank == 0 else None
 
-        job = MPIJob(self.machine, self.ntasks)
-        result, profiles = profiled_job_run(job, main)
-        return result.returns[0], result, profiles
+        tracer = Tracer()
+        result = MPIJob(self.machine, self.ntasks, tracer=tracer).run(main)
+        return result.returns[0], result, mpi_profiles(tracer)
 
     def mpi_breakdown(self, q0: np.ndarray, nsteps: int = 2) -> Dict[str, float]:
         """Aggregate MPI seconds by operation across ranks (Fig. 16 style)."""

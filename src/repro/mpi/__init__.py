@@ -29,7 +29,7 @@ from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm
 from repro.mpi.costmodels import CollectiveCostModel
 from repro.mpi.datatypes import payload_nbytes, reduce_values
 from repro.mpi.job import JobFailedError, JobResult, MPIJob
-from repro.mpi.profiler import MPIProfile, ProfiledComm, profiled_job_run
+from repro.mpi.profiler import MPIProfile, mpi_profiles
 from repro.mpi.request import Request
 from repro.mpi.subcomm import SubComm
 
@@ -42,10 +42,9 @@ __all__ = [
     "JobResult",
     "MPIJob",
     "MPIProfile",
-    "ProfiledComm",
     "Request",
     "SubComm",
+    "mpi_profiles",
     "payload_nbytes",
-    "profiled_job_run",
     "reduce_values",
 ]

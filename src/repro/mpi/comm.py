@@ -44,6 +44,11 @@ class Comm:
         self._send_names: dict = {}
         # (source, tag) → receive-match predicate, built once per pair.
         self._matchers: dict = {}
+        # The job's tracer, looked up once: an untraced operation pays one
+        # ``is None`` test. Every operation records on the world rank's
+        # track, sub-communicator calls included.
+        self._tracer = job.sim.tracer
+        self._track = f"rank{rank}"
 
     # -- group plumbing (overridden by SubComm) -------------------------------
     def _costs(self):
@@ -60,21 +65,30 @@ class Comm:
         """Current simulated time (MPI_Wtime)."""
         return self.job.sim.now
 
+    # -- tracing ----------------------------------------------------------------
+    def _span(self, op: str, t0: float, nbytes: float) -> None:
+        """Record ``mpi.<op>`` from ``t0`` to now, tagged with its bytes."""
+        self._tracer.complete(
+            self._track, f"mpi.{op}", t0, self.job.sim.now, bytes=nbytes
+        )
+
     # -- local compute ----------------------------------------------------------
     def compute(self, flops: float, profile: str = "dgemm"):
         """Charge local computation time for ``flops`` of the given kernel,
         under this rank's static memory-sharing environment."""
-        dt = self.job.compute_time_s(self.rank, flops, profile)
-        if self.job.sim.tracer is not None:
-            self.job.trace_local_phase(self.rank, dt, profile=profile)
+        rank = self._world_rank_of(self.rank)
+        dt = self.job.compute_time_s(rank, flops, profile)
+        if self._tracer is not None:
+            self.job.trace_local_phase(rank, dt, profile=profile)
         yield Delay(dt)
         return dt
 
     def stream(self, nbytes: float):
         """Charge local streaming-memory time for ``nbytes`` of traffic."""
-        dt = self.job.stream_time_s(self.rank, nbytes)
-        if self.job.sim.tracer is not None:
-            self.job.trace_local_phase(self.rank, dt)
+        rank = self._world_rank_of(self.rank)
+        dt = self.job.stream_time_s(rank, nbytes)
+        if self._tracer is not None:
+            self.job.trace_local_phase(rank, dt)
         yield Delay(dt)
         return dt
 
@@ -87,8 +101,15 @@ class Comm:
         self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
     ) -> Request:
         """Start a nonblocking send; returns a :class:`Request`."""
-        self._check_peer(dest)
         n = payload_nbytes(obj) if nbytes is None else int(nbytes)
+        req = self._isend(obj, dest, tag, n)
+        if self._tracer is not None:
+            self._tracer.instant(self._track, "mpi.isend", self.job.sim.now, bytes=n)
+        return req
+
+    def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> Request:
+        """Untraced isend of ``n`` bytes (overridden by SubComm)."""
+        self._check_peer(dest)
         names = self._send_names.get(dest)
         if names is None:
             # The tie-break key makes same-time transfer wakeups — and
@@ -122,8 +143,11 @@ class Comm:
     def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         """Blocking send: returns once the message is fully injected and
         delivered (conservative synchronous semantics)."""
-        req = self.isend(obj, dest, tag, nbytes)
-        yield req.event
+        t0 = self.job.sim.now
+        n = payload_nbytes(obj) if nbytes is None else int(nbytes)
+        yield self._isend(obj, dest, tag, n).event
+        if self._tracer is not None:
+            self._span("send", t0, n)
 
     def _match(self, source: int, tag: int) -> Callable[[_Msg], bool]:
         matcher = self._matchers.get((source, tag))
@@ -133,27 +157,36 @@ class Comm:
             ) and (tag == ANY_TAG or m.tag == tag)
         return matcher
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Start a nonblocking receive; the request's value is the payload."""
+    def _get(self, source: int, tag: Any):
+        """The inbox event for the next matching message (overridden by
+        SubComm)."""
         if source != ANY_SOURCE:
             self._check_peer(source)
-        inner = self._inbox.get(self._match(source, tag))
+        return self._inbox.get(self._match(source, tag))
+
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
+        """Start a nonblocking receive; the request's value is the payload."""
+        inner = self._get(source, tag)
         outer = self.job.sim.event(name=f"irecv @{self.rank}")
         inner.add_callback(lambda e: outer.succeed(e.value.obj))
+        if self._tracer is not None:
+            self._tracer.instant(self._track, "mpi.irecv", self.job.sim.now, bytes=0)
         return Request(outer)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload object."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        msg = yield self._inbox.get(self._match(source, tag))
+        t0 = self.job.sim.now
+        msg = yield self._get(source, tag)
+        if self._tracer is not None:
+            self._span("recv", t0, 0)
         return msg.obj
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns ``(payload, source, tag)``."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        msg = yield self._inbox.get(self._match(source, tag))
+        t0 = self.job.sim.now
+        msg = yield self._get(source, tag)
+        if self._tracer is not None:
+            self._span("recv", t0, 0)
         return msg.obj, msg.source, msg.tag
 
     def sendrecv(
@@ -165,10 +198,14 @@ class Comm:
         nbytes: Optional[int] = None,
     ):
         """Simultaneous exchange; returns the received payload."""
-        req = self.isend(obj, dest, tag, nbytes)
-        data = yield from self.recv(dest if source is None else source, tag)
+        t0 = self.job.sim.now
+        n = payload_nbytes(obj) if nbytes is None else int(nbytes)
+        req = self._isend(obj, dest, tag, n)
+        msg = yield self._get(dest if source is None else source, tag)
         yield req.event
-        return data
+        if self._tracer is not None:
+            self._span("sendrecv", t0, n)
+        return msg.obj
 
     # -- collectives ----------------------------------------------------------------
     def _collective(
@@ -178,6 +215,10 @@ class Comm:
         combine: Callable[[Dict[int, Any]], Any],
         cost_fn: Callable[[Dict[int, Any]], float],
     ):
+        """Rendezvous the group on collective ``kind``; every collective
+        (but the untimed ``split``) records its ``mpi.<kind>`` span here,
+        tagged with the bytes of this rank's ``value``."""
+        t0 = self.job.sim.now
         seq = self._coll_seq
         self._coll_seq += 1
         ctx = self.job.collective_ctx(self._group_key, seq, kind, self.size)
@@ -188,6 +229,8 @@ class Comm:
             cost = cost_fn(ctx.values)
             self.job.sim.schedule(cost, ctx.fire)
         result = yield ctx.event
+        if self._tracer is not None and kind != "split":
+            self._span(kind, t0, payload_nbytes(value))
         return result
 
     def dup(self):
@@ -236,7 +279,7 @@ class Comm:
         self._check_peer(root)
         result = yield from self._collective(
             "bcast",
-            obj if self.rank == root else None,
+            obj,
             lambda v: v[root],
             lambda v: self._costs().bcast_s(payload_nbytes(v[root])),
         )
@@ -296,7 +339,7 @@ class Comm:
                 raise ValueError("root must supply exactly one value per rank")
         result = yield from self._collective(
             "scatter",
-            list(values) if self.rank == root else None,
+            list(values) if self.rank == root else values,
             lambda v: v[root],
             lambda v: self._costs().scatter_s(
                 max(payload_nbytes(x) for x in v[root])

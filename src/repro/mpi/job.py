@@ -79,8 +79,10 @@ class MPIJob:
         blocked rank and the store/collective it waits on (instead of the
         generic "job deadlocked" error).
     :param tracer: attach a :class:`~repro.obs.tracer.Tracer` — every
-        rank's compute/stream phases, transfers and resource contention
-        are recorded for Perfetto export (see docs/OBSERVABILITY.md).
+        rank's MPI operations (``mpi.<op>`` spans, folded into per-rank
+        profiles by :func:`~repro.mpi.profiler.mpi_profiles`),
+        compute/stream phases, transfers and resource contention are
+        recorded for Perfetto export (see docs/OBSERVABILITY.md).
         Defaults to the process-wide installed tracer, i.e. off.
     :param faults: a :class:`~repro.faults.FaultPlan` to inject during the
         run. Defaults to the process-wide installed plan (``--faults``

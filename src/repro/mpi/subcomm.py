@@ -32,6 +32,8 @@ class SubComm(Comm):
         self.size = len(self._ranks)
         self._coll_seq = 0
         self._group_key = group_key
+        self._tracer = world_comm._tracer
+        self._track = world_comm._track
         self._costs_model = CollectiveCostModel.for_machine(
             self.job.model, self.size
         )
@@ -55,13 +57,9 @@ class SubComm(Comm):
     def _scoped(self, tag: int) -> tuple:
         return ("subcomm", self._group_key, tag)
 
-    def isend(
-        self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
-    ) -> Request:
+    def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> Request:
         self._check_peer(dest)
-        return self._world_comm.isend(
-            obj, self._ranks[dest], tag=self._scoped(tag), nbytes=nbytes
-        )
+        return self._world_comm._isend(obj, self._ranks[dest], self._scoped(tag), n)
 
     def _group_match(self, wsource: Optional[int], tag: int):
         key = ("subcomm", self._group_key)
@@ -75,29 +73,18 @@ class SubComm(Comm):
 
         return match
 
+    def _get(self, source: int, tag: Any):
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+            wsource: Optional[int] = self._ranks[source]
+        else:
+            wsource = None
+        return self._world_comm._inbox.get(self._group_match(wsource, tag))
+
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-            wsource: Optional[int] = self._ranks[source]
-        else:
-            wsource = None
-        msg = yield self._world_comm._inbox.get(self._group_match(wsource, tag))
-        return msg.obj, self._ranks.index(msg.source), msg.tag[2]
+        obj, wsource, scoped = yield from super().recv_with_status(source, tag)
+        return obj, self._ranks.index(wsource), scoped[2]
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        obj, _, _ = yield from self.recv_with_status(source, tag)
-        return obj
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-            wsource: Optional[int] = self._ranks[source]
-        else:
-            wsource = None
-        inner = self._world_comm._inbox.get(self._group_match(wsource, tag))
-        outer = self.job.sim.event(name=f"irecv @group{self.rank}")
-        inner.add_callback(lambda e: outer.succeed(e.value.obj))
-        return Request(outer)
-
-    # send / sendrecv / all collectives / split are inherited: they are
-    # written against isend/recv/_collective and the group plumbing above.
+    # The public point-to-point calls and all collectives are inherited:
+    # they are written against _isend/_get/_collective and the group
+    # plumbing above, and record their spans on the caller's world track.

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.machine import xt4
-from repro.mpi import MPIJob, profiled_job_run
+from repro.mpi import MPIJob, mpi_profiles
 from repro.mpi.profiler import MPIProfile
+from repro.obs import Tracer
 
 
 def run_profiled(machine, ntasks, fn, *args):
-    job = MPIJob(machine, ntasks)
-    return profiled_job_run(job, fn, *args)
+    tracer = Tracer()
+    result = MPIJob(machine, ntasks, tracer=tracer).run(fn, *args)
+    return result, mpi_profiles(tracer)
 
 
 def test_counts_and_ops_recorded():
@@ -121,15 +123,6 @@ def test_empty_profile_fraction_zero():
     p = MPIProfile(rank=0)
     assert p.fraction("send") == 0.0
     assert p.total_time_s == 0.0
-
-
-def test_profiled_comm_wraps_every_public_comm_method():
-    from repro.mpi.comm import Comm
-    from repro.mpi.profiler import ProfiledComm
-
-    public = {name for name in dir(Comm) if not name.startswith("_")}
-    missing = sorted(name for name in public if not hasattr(ProfiledComm, name))
-    assert not missing
 
 
 def test_scans_and_reduce_scatter_match_unwrapped_and_are_timed():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.machine import xt4
 from repro.mpi import MPIJob
+from repro.obs import Tracer
 
 
 def run(fn, ntasks=8, mode="SN"):
@@ -165,3 +166,29 @@ def test_distributed_fft_style_row_col_split():
         ("row1", 0 + 2),
         ("row1", 1 + 3),
     ]
+
+
+def test_subcomm_compute_and_stream_charge_the_world_rank():
+    """VN with 3 tasks: world rank 2 is alone on node 1 but is rank 0 of
+    its sub-communicator. Its local work must be priced, and traced, as
+    world rank 2's, not as the group rank's (which shares node 0)."""
+
+    def main(comm):
+        sub = yield from comm.split(0 if comm.rank == 2 else 1)
+        if comm.rank != 2:
+            return None
+        world = yield from comm.compute(1e8, "fft")
+        group = yield from sub.compute(1e8, "fft")
+        world_bytes = yield from comm.stream(1e8)
+        group_bytes = yield from sub.stream(1e8)
+        return world, group, world_bytes, group_bytes
+
+    tracer = Tracer()
+    res = MPIJob(xt4("VN"), 3, tracer=tracer).run(main)
+    world, group, world_bytes, group_bytes = res.returns[2]
+    assert group == world
+    assert group_bytes == world_bytes
+    local = [
+        s.track for s in tracer.spans if s.name in ("compute.fft", "stream")
+    ]
+    assert local == ["rank2"] * 4

@@ -1,18 +1,14 @@
-"""Cross-layer integration: tracer data agrees with the other profilers.
+"""Cross-layer integration: tracer data agrees with the job's own clocks.
 
-The acceptance bar for the observability work: a traced run's per-op MPI
-span totals must match the mpiP-style :class:`ProfiledComm` aggregates,
-and the engine/memory instrumentation must carry physically sensible
-values.
+The acceptance bar for the observability work: a traced run's spans on
+each rank track tile that rank's timeline exactly, and the
+engine/memory instrumentation carries physically sensible values.
 """
-
-import math
 
 import pytest
 
 from repro.machine.configs import PROFILES, xt4
 from repro.mpi.job import MPIJob
-from repro.mpi.profiler import profiled_job_run
 from repro.obs import Tracer
 from repro.simengine import Resource, Simulator
 
@@ -33,32 +29,27 @@ def _physics_main(comm):
 def traced_run():
     tracer = Tracer()
     job = MPIJob(xt4("VN"), 8, tracer=tracer)
-    result, profiles = profiled_job_run(job, _physics_main)
-    return tracer, job, result, profiles
+    result = job.run(_physics_main)
+    return tracer, job, result
 
 
-def test_mpi_span_totals_match_profiledcomm(traced_run):
-    tracer, _job, _result, profiles = traced_run
-    # Tracer side: per-(rank, op) span totals.
-    totals = {}
+@pytest.mark.parametrize("mode", ["SN", "VN"])
+def test_rank_track_spans_tile_rank_times(mode):
+    """Each rank is always in exactly one of MPI, compute or stream, so
+    the spans on its track sum to its completion time."""
+    tracer = Tracer()
+    result = MPIJob(xt4(mode), 8, tracer=tracer).run(_physics_main)
+    totals = [0.0] * 8
     for span in tracer.spans:
-        if span.name.startswith("mpi.") and span.track.startswith("rank"):
-            key = (int(span.track[4:]), span.name[4:])
-            totals[key] = totals.get(key, 0.0) + span.duration_s
-    assert totals, "no mpi.* spans recorded"
-    # Profiler side: OpStats (isend/irecv are counted but not timed).
-    for rank, prof in profiles.items():
-        for op, stats in prof.ops.items():
-            if op in ("isend", "irecv"):
-                continue
-            assert math.isclose(
-                totals.get((rank, op), 0.0), stats.time_s, rel_tol=1e-12,
-                abs_tol=1e-18,
-            ), f"rank {rank} op {op}"
+        if span.track.startswith("rank"):
+            assert span.name.startswith(("mpi.", "compute.", "stream"))
+            totals[int(span.track[4:])] += span.duration_s
+    for rank, finish in enumerate(result.rank_times):
+        assert totals[rank] == pytest.approx(finish, rel=1e-12), f"rank {rank}"
 
 
 def test_compute_and_stream_spans_on_rank_tracks(traced_run):
-    tracer, job, _result, _profiles = traced_run
+    tracer, job, _result = traced_run
     names = {s.name for s in tracer.spans if s.track == "rank0"}
     assert "compute.dgemm" in names
     assert "stream" in names
@@ -69,7 +60,7 @@ def test_compute_and_stream_spans_on_rank_tracks(traced_run):
 
 
 def test_memory_counters_are_physical(traced_run):
-    tracer, job, result, _profiles = traced_run
+    tracer, job, result = traced_run
     stall = tracer.counters.get("machine.core[rank0].stall_s")
     assert stall is not None
     # Cumulative stall time is positive and bounded by the run length.

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.machine import xt4
-from repro.mpi import MPIJob, profiled_job_run
+from repro.mpi import MPIJob, mpi_profiles
+from repro.obs import Tracer
 from repro.simengine.rng import DEFAULT_SEED, fork, seeded_rng
 
 import pytest
@@ -58,10 +59,12 @@ def _pingpong_trace(seed):
         yield from comm.barrier()
         return comm.wtime()
 
-    job = MPIJob(xt4("VN"), 8, placement="random", seed=seed)
-    result, profiles = profiled_job_run(job, main, trace=True)
+    tracer = Tracer()
+    job = MPIJob(xt4("VN"), 8, placement="random", seed=seed, tracer=tracer)
+    result = job.run(main)
+    profiles = mpi_profiles(tracer)
     trace = [
-        (rank, ev.op, ev.t0, ev.t1, ev.nbytes)
+        (rank, ev.name, ev.t0, ev.t1, ev.args["bytes"])
         for rank in sorted(profiles)
         for ev in profiles[rank].events
     ]
