@@ -22,29 +22,56 @@ import pathlib
 import sys
 from typing import List, Optional
 
-from repro.core import get_experiment
-from repro.core.registry import UnknownExperimentError, experiment_titles
+# Only numpy-free modules at top level: `repro list` and a fully cached
+# `repro all` must not import a driver or a model.
+from repro.core.registry import (
+    UnknownExperimentError,
+    check_shape,
+    experiment_titles,
+    get_experiment,
+)
 from repro.core.report import (
     render_ascii_plot,
     render_result,
     write_artifacts,
 )
-from repro.experiments.common import (
-    add_faults_flag,
-    add_trace_flag,
-    faults_from,
-    tracing_to,
-)
 
 
-def _shape_check(driver, result):
-    module = importlib.import_module(driver.__module__)
-    return module.shape_checks(result)
+def add_trace_flag(parser: argparse.ArgumentParser) -> None:
+    """Attach the standard ``--trace PATH`` option to a parser.
+
+    ``cmd_run`` passes ``args.trace`` to ``tracing_to``; the installed
+    tracer then reaches every :class:`~repro.simengine.Simulator` the
+    experiment (or its ``des_companion``) creates.
+    """
+    parser.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help="write a Perfetto (Chrome trace-event JSON) trace of the "
+        "experiment's discrete-event companion runs to PATH",
+    )
+
+
+def add_faults_flag(parser: argparse.ArgumentParser) -> None:
+    """Attach the standard ``--faults PLAN.json`` option to a parser.
+
+    The installed :class:`~repro.faults.FaultPlan` reaches every
+    :class:`~repro.mpi.job.MPIJob` the experiment (or its
+    ``des_companion``) creates that does not name its own plan.
+    """
+    parser.add_argument(
+        "--faults",
+        metavar="PLAN",
+        default=None,
+        help="inject faults from a JSON fault plan (see docs/RESILIENCE.md; "
+        "author one with `python -m repro.faults sample`)",
+    )
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
-    # Titles come from the registry metadata: listing 26 experiments
-    # must not replay 26 simulated benchmark sweeps.
+    # Titles come from the static manifest: listing 26 experiments
+    # imports no driver, let alone replays a simulated sweep.
     for exp_id, title in experiment_titles().items():
         print(f"{exp_id:14s} {title}")
     return 0
@@ -56,6 +83,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except UnknownExperimentError as exc:
         print(exc)
         return 2
+    from repro.experiments.common import faults_from, tracing_to
+
     companion_report = None
     with faults_from(args.faults), \
             tracing_to(args.trace, exp_id=args.exp_id) as tracer:
@@ -77,7 +106,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "the trace carries metadata only"
             )
         print(f"wrote {args.trace} (open at https://ui.perfetto.dev)")
-    check = _shape_check(driver, result)
+    check = check_shape(args.exp_id, result)
     print(check.summary())
     return 0 if check.passed else 1
 
@@ -171,9 +200,8 @@ def cmd_all(args: argparse.Namespace) -> int:
     report_rows = []
     for o in outcomes:
         write_artifacts(o.result, out)
-        check = _shape_check(get_experiment(o.exp_id), o.result)
-        status = "PASS" if check.passed else "FAIL"
-        if not check.passed:
+        status = "PASS" if o.passed else "FAIL"
+        if not o.passed:
             failures += 1
         origin = "cached" if o.from_cache else f"{o.wall_s:6.2f}s"
         print(f"[{status}] {o.exp_id:14s} {origin}")

@@ -1,39 +1,12 @@
 """Per-figure/table experiment drivers.
 
-Importing this package registers every driver with
-:mod:`repro.core.registry`. Each ``figNN_*.py`` module regenerates one
-paper artifact as an :class:`~repro.core.experiment.ExperimentResult` and
-exposes a ``shape_checks(result)`` function encoding the paper's
-qualitative claims about it.
-"""
+Each ``figNN_*.py`` module regenerates one paper artifact as an
+:class:`~repro.core.experiment.ExperimentResult` and exposes a
+``shape_checks(result)`` function encoding the paper's qualitative
+claims about it.
 
-# Driver modules are imported at the bottom of this file once they exist;
-# each uses @register("<exp id>") at import time.
-from repro.experiments import (  # noqa: F401
-    table1,
-    fig02_latency,
-    fig03_bandwidth,
-    fig04_fft,
-    fig05_dgemm,
-    fig06_ra,
-    fig07_stream,
-    fig08_hpl,
-    fig09_mpifft,
-    fig10_ptrans,
-    fig11_mpira,
-    fig12_13_bidirectional,
-    fig14_cam_xt,
-    fig15_cam_platforms,
-    fig16_cam_phases,
-    fig17_pop_xt,
-    fig18_pop_platforms,
-    fig19_pop_phases,
-    fig20_namd_xt,
-    fig21_namd_modes,
-    fig22_s3d,
-    fig23_aorsa,
-    fig01_lustre,
-    ext_multicore,
-    ext_balance,
-    ext_resilience,
-)
+Importing this package imports no driver. The static manifest in
+:mod:`repro.core.registry` names every driver module, and
+:func:`~repro.core.registry.get_experiment` imports one on first use,
+where its ``@register("<exp id>")`` decorator records it.
+"""

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import argparse
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
 from repro.machine.configs import xt3, xt3_dc, xt4, xt3_xt4_combined
@@ -27,56 +26,6 @@ NAMD_SWEEP: Tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 12000)
 
 #: S3D weak-scaling core counts (paper Fig. 22, log axis 1..10000).
 S3D_SWEEP: Tuple[int, ...] = (1, 8, 64, 512, 4096, 12000)
-
-
-def sweep_constants() -> Dict[str, List[int]]:
-    """Every shared sweep as a JSON-safe dict.
-
-    This is a cache-key ingredient for the experiment runner: editing
-    any sweep (more points, a wider axis) must invalidate every cached
-    result computed from it.
-    """
-    return {
-        "GLOBAL_SWEEP": list(GLOBAL_SWEEP),
-        "CAM_SWEEP": list(CAM_SWEEP),
-        "POP_SWEEP": list(POP_SWEEP),
-        "POP_COMBINED_SWEEP": list(POP_COMBINED_SWEEP),
-        "NAMD_SWEEP": list(NAMD_SWEEP),
-        "S3D_SWEEP": list(S3D_SWEEP),
-    }
-
-
-def add_trace_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the standard ``--trace PATH`` option to a driver's parser.
-
-    Drivers pass ``args.trace`` to :func:`tracing_to`; the installed
-    tracer then reaches every :class:`~repro.simengine.Simulator` the
-    experiment (or its ``des_companion``) creates.
-    """
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a Perfetto (Chrome trace-event JSON) trace of the "
-        "experiment's discrete-event companion runs to PATH",
-    )
-
-
-def add_faults_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the standard ``--faults PLAN.json`` option to a parser.
-
-    Drivers pass ``args.faults`` to :func:`faults_from`; the installed
-    :class:`~repro.faults.FaultPlan` then reaches every
-    :class:`~repro.mpi.job.MPIJob` the experiment (or its
-    ``des_companion``) creates that does not name its own plan.
-    """
-    parser.add_argument(
-        "--faults",
-        metavar="PLAN",
-        default=None,
-        help="inject faults from a JSON fault plan (see docs/RESILIENCE.md; "
-        "author one with `python -m repro.faults sample`)",
-    )
 
 
 @contextmanager

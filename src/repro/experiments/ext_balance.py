@@ -27,10 +27,7 @@ def _machines():
     }
 
 
-@register(
-    "ext_balance",
-    title="Extension: system balance across XT generations",
-)
+@register("ext_balance")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="ext_balance",

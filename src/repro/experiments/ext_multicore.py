@@ -25,10 +25,7 @@ from repro.machine.memorymodel import MemoryModel
 CORE_COUNTS = (1, 2, 4)
 
 
-@register(
-    "ext_multicore",
-    title="Extension: socket speedup vs active cores (quad-core projection)",
-)
+@register("ext_multicore")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="ext_multicore",

@@ -89,10 +89,7 @@ def _sweep() -> Tuple[float, float, float, Tuple[Tuple[float, List[float]], ...]
     return t_solve, ckpt_cost, restart_cost, tuple(curves)
 
 
-@register(
-    "ext_resilience",
-    title="Extension: checkpoint interval vs Daly optimum under node crashes",
-)
+@register("ext_resilience")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="ext_resilience",

@@ -16,7 +16,7 @@ from repro.lustre import IORBenchmark, LustreConfig
 CLIENT_SWEEP = (4, 16, 64, 256)
 
 
-@register("fig01", title="Lustre filesystem architecture (simulated)")
+@register("fig01")
 def run() -> ExperimentResult:
     config = LustreConfig(num_oss=8, osts_per_oss=4)
     result = ExperimentResult(

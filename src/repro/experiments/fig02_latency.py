@@ -23,7 +23,7 @@ def _series(machine) -> list:
     ]
 
 
-@register("fig02", title="Network latency")
+@register("fig02")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig02",

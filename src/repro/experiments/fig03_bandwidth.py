@@ -28,7 +28,7 @@ def _series(machine) -> list:
     ]
 
 
-@register("fig03", title="Network bandwidth")
+@register("fig03")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig03",

@@ -15,7 +15,7 @@ def _machines():
     return {"XT3": xt3(), "XT4-SN": xt4("SN"), "XT4-VN": xt4("VN")}
 
 
-@register("fig04", title="SP/EP Fast Fourier Transform (FFT)")
+@register("fig04")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig04",

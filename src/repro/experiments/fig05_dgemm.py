@@ -11,7 +11,7 @@ from repro.machine.configs import xt3, xt4
 SYSTEMS = ("XT3", "XT4-SN", "XT4-VN")
 
 
-@register("fig05", title="SP/EP Matrix Multiply (DGEMM)")
+@register("fig05")
 def run() -> ExperimentResult:
     machines = {"XT3": xt3(), "XT4-SN": xt4("SN"), "XT4-VN": xt4("VN")}
     result = ExperimentResult(

@@ -9,7 +9,7 @@ from repro.experiments.common import GLOBAL_SWEEP, global_hpcc_series
 from repro.hpcc import HPLModel
 
 
-@register("fig08", title="Global High Performance LINPACK (HPL)")
+@register("fig08")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig08",

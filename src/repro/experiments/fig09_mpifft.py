@@ -9,7 +9,7 @@ from repro.experiments.common import GLOBAL_SWEEP, global_hpcc_series
 from repro.hpcc import MPIFFTModel
 
 
-@register("fig09", title="Global Fast Fourier Transform (MPI-FFT)")
+@register("fig09")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig09",

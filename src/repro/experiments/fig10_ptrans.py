@@ -9,7 +9,7 @@ from repro.experiments.common import GLOBAL_SWEEP, global_hpcc_series
 from repro.hpcc import PTRANSModel
 
 
-@register("fig10", title="Global Matrix Transpose (PTRANS)")
+@register("fig10")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig10",

@@ -9,7 +9,7 @@ from repro.experiments.common import GLOBAL_SWEEP, global_hpcc_series
 from repro.hpcc import MPIRandomAccessModel
 
 
-@register("fig11", title="Global Random Access (MPI-RA)")
+@register("fig11")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig11",

@@ -17,7 +17,7 @@ from repro.machine.configs import xt3, xt3_dc, xt4
 SIZES = (8, 512, 4096, 32_768, 100_000, 262_144, 1_048_576, 4_194_304)
 
 
-@register("fig12_13", title="Bidirectional MPI bandwidth")
+@register("fig12_13")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig12_13",

@@ -10,7 +10,7 @@ from repro.experiments.common import CAM_SWEEP
 from repro.machine.configs import xt3, xt3_dc, xt4
 
 
-@register("fig14", title="CAM throughput on XT4 vs XT3 (D-grid benchmark)")
+@register("fig14")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig14",

@@ -12,7 +12,7 @@ from repro.machine.platforms import PLATFORMS
 PROC_SWEEP = (128, 256, 512, 960)
 
 
-@register("fig15", title="CAM throughput on XT4 relative to previous results")
+@register("fig15")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig15",

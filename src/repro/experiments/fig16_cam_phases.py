@@ -12,7 +12,7 @@ from repro.machine.platforms import PLATFORMS
 TASK_SWEEP = (128, 256, 504, 960)
 
 
-@register("fig16", title="CAM performance by computational phase")
+@register("fig16")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig16",

@@ -10,7 +10,7 @@ from repro.experiments.common import POP_SWEEP
 from repro.machine.configs import xt3, xt3_dc, xt4
 
 
-@register("fig17", title="POP throughput on XT4 vs XT3 (0.1-degree benchmark)")
+@register("fig17")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig17",

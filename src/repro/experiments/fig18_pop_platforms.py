@@ -13,7 +13,7 @@ from repro.machine.platforms import PLATFORMS
 PLATFORM_SWEEP = (250, 500, 864)  # bounded by the smallest platform (p690)
 
 
-@register("fig18", title="POP throughput on XT4 relative to previous results")
+@register("fig18")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig18",

@@ -11,7 +11,7 @@ from repro.machine.configs import xt3_xt4_combined, xt4
 TASKS = (2500, 5000, 10000, 16000, 22000)
 
 
-@register("fig19", title="POP performance by computational phase")
+@register("fig19")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig19",

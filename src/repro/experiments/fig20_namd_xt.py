@@ -10,7 +10,7 @@ from repro.experiments.common import NAMD_SWEEP
 from repro.machine.configs import xt3_dc, xt4
 
 
-@register("fig20", title="NAMD performance on XT4 vs XT3")
+@register("fig20")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig20",

@@ -11,7 +11,7 @@ from repro.machine.configs import xt4
 SWEEP = (64, 256, 1024, 4096, 6000)
 
 
-@register("fig21", title="NAMD performance impact of SN vs VN")
+@register("fig21")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig21",

@@ -13,10 +13,7 @@ from repro.experiments.common import S3D_SWEEP
 from repro.machine.configs import xt3_dc, xt4
 
 
-@register(
-    "fig22",
-    title="S3D parallel performance (weak scaling, 50^3 points/task)",
-)
+@register("fig22")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig22",

@@ -25,7 +25,7 @@ def _model(label: str, cores: int) -> AORSAModel:
     return AORSAModel(xt4("VN"), cores)
 
 
-@register("fig23", title="AORSA parallel performance")
+@register("fig23")
 def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="fig23",

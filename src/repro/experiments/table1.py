@@ -8,10 +8,7 @@ from repro.core.validate import ShapeCheck
 from repro.machine.configs import table1_rows
 
 
-@register(
-    "table1",
-    title="Comparison of XT3, XT3 dual-core, and XT4 systems at ORNL",
-)
+@register("table1")
 def run() -> ExperimentResult:
     return ExperimentResult(
         exp_id="table1",

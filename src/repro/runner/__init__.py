@@ -6,15 +6,17 @@ property the paper's artifact (and any large simulation sweep) lives
 on:
 
 * :mod:`repro.runner.fingerprint` — derives a SHA-256 cache key from
-  the driver module source, the machine-config JSON, the shared sweep
-  constants, the package version and the fault-plan hash;
-* :mod:`repro.runner.cache` — a content-addressed result store under
-  ``.repro-cache/`` with atomic writes and corruption-as-miss reads;
+  the experiment id, one digest of the whole ``repro`` source tree and
+  the fault-plan hash;
+* :mod:`repro.runner.cache` — a content-addressed store of results and
+  their shape-check verdicts under ``.repro-cache/``, with atomic
+  writes and corruption-as-miss reads;
 * :mod:`repro.runner.runner` — :class:`ExperimentRunner`, which checks
-  the cache, runs the misses in-process one after another, storing each
-  result before the next driver starts (so the cache is also the run's
-  journal: re-running an interrupted run resumes it), and reports
-  cache/wall-time counters through :mod:`repro.obs`;
+  the cache, runs the misses in-process one after another, shape-checks
+  and stores each result before the next driver starts (so the cache is
+  also the run's journal: re-running an interrupted run resumes it),
+  and reports cache/wall-time counters through :mod:`repro.obs`. A run
+  served wholly from the cache imports no driver and no numpy;
 * :mod:`repro.runner.atomic` — SIGINT deferral around the atomic
   publish step, so Ctrl-C never tears an on-disk write;
 * :mod:`repro.runner.cache_cli` — ``repro cache verify|gc`` store
@@ -34,10 +36,8 @@ from repro.runner.fingerprint import (
     NO_FAULTS,
     cache_key,
     cache_key_for,
-    driver_source,
     fault_plan_hash,
-    machine_blob,
-    sweep_blob,
+    source_digest,
 )
 from repro.runner.runner import ExperimentRunner, RunOutcome
 
@@ -51,8 +51,6 @@ __all__ = [
     "cache_key",
     "cache_key_for",
     "defer_sigint",
-    "driver_source",
     "fault_plan_hash",
-    "machine_blob",
-    "sweep_blob",
+    "source_digest",
 ]

@@ -3,20 +3,22 @@
 Layout (under the cache root, default ``.repro-cache/``)::
 
     .repro-cache/
-        v1/
+        v2/
             ab/
                 ab3f...e2.json     # one entry per cache key
 
 Each entry is a self-describing JSON document: the key, the experiment
-id, the package version, the measured execution wall time, and the
-serialized :class:`~repro.core.experiment.ExperimentResult`. Entries are
-written atomically (temp file + ``os.replace``) so a crashed or
-concurrent run never leaves a truncated entry; unreadable entries are
-treated as misses and overwritten.
+id, the measured execution wall time, the shape-check verdict
+(``passed``) and the serialized
+:class:`~repro.core.experiment.ExperimentResult`. Entries are written
+atomically (temp file + ``os.replace``) so a crashed or concurrent run
+never leaves a truncated entry; unreadable entries are treated as misses
+and overwritten.
 
 The key (see :mod:`repro.runner.fingerprint`) addresses *content*: two
-trees with identical driver source, machine configs, sweeps, version and
-fault plan share results; any divergence misses.
+trees with identical ``repro`` source and fault plan share results; any
+divergence misses. The key fixes the shape checks' source too, so the
+stored verdict is the verdict a re-check would give.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.runner.atomic import defer_sigint
 
 #: Bump when the entry schema changes; lives in the directory layout so
 #: old and new schemas never collide.
-SCHEMA = "v1"
+SCHEMA = "v2"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -44,16 +46,16 @@ class CacheEntry:
 
     key: str
     exp_id: str
-    version: str
     wall_s: float
+    passed: bool
     result: ExperimentResult
 
     def to_dict(self) -> dict:
         return {
             "key": self.key,
             "exp_id": self.exp_id,
-            "version": self.version,
             "wall_s": self.wall_s,
+            "passed": self.passed,
             "result": self.result.to_dict(),
         }
 
@@ -62,8 +64,8 @@ class CacheEntry:
         return cls(
             key=data["key"],
             exp_id=data["exp_id"],
-            version=data["version"],
             wall_s=float(data["wall_s"]),
+            passed=bool(data["passed"]),
             result=ExperimentResult.from_dict(data["result"]),
         )
 

@@ -1,36 +1,35 @@
 """Cache-key derivation for the experiment runner.
 
 A cached result may be reused only when *every* input that shaped it is
-unchanged. The key is the SHA-256 of a canonical JSON document over five
-ingredients:
+unchanged. The key is the SHA-256 of a canonical JSON document over
+three things:
 
-* the **driver module source** — edit the experiment, recompute;
-* the **machine-config JSON** — the serialized form of every standard
-  machine factory (:func:`repro.machine.io.machine_to_dict`), so a
-  recalibrated processor/memory/NIC spec invalidates everything;
-* the **sweep constants** from :mod:`repro.experiments.common` — a wider
-  x-axis is a different figure;
-* the **package version** (``repro.__version__``) — a release bump is a
-  global flush, the coarse guard for model changes the finer
-  ingredients miss;
+* the **experiment id**;
+* the **source digest** (:func:`source_digest`) — one SHA-256 over the
+  relative path and bytes of every ``*.py`` file in the installed
+  ``repro`` package. Drivers, app and machine models, machine configs,
+  sweeps, shape checks and the version all live in that source, so any
+  edit to any of them misses. The key is coarse on purpose: an edit
+  anywhere re-runs every driver, which costs about a second;
 * the **fault-plan hash** — an injected run must never alias the
   fault-free one (``None`` hashes differently from every real plan,
   including the empty shield plan).
 
-The ingredients are explicit keyword arguments so tests can vary each
-independently and assert a miss.
+Deriving a key reads files only: it imports no driver and no model.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
-import sys
+import pathlib
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from typing import Any, Optional, Union
 
 NO_FAULTS = "no-faults"
+
+#: The installed ``repro`` package directory (``src/repro`` in a checkout).
+PACKAGE_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def canonical_json(obj: Any) -> str:
@@ -42,54 +41,23 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def driver_source(exp_id: str) -> str:
-    """Source text of the module defining ``exp_id``'s driver."""
-    from repro.core.registry import driver_module
+@lru_cache(maxsize=None)
+def source_digest(root: Union[str, pathlib.Path] = PACKAGE_ROOT) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``.
 
-    module = sys.modules.get(driver_module(exp_id))
-    if module is None:  # registered but module never imported: load it
-        import importlib
-
-        module = importlib.import_module(driver_module(exp_id))
-    return inspect.getsource(module)
-
-
-@lru_cache(maxsize=1)
-def machine_blob() -> str:
-    """Canonical JSON of every standard machine configuration.
-
-    Covers both SN and VN instantiations of each factory, so a
-    mode-dependent spec change (e.g. VN memory partitioning) is caught.
+    Files are taken in sorted order of their POSIX path relative to
+    ``root``; each contributes that path and its length-prefixed bytes.
+    The digest therefore depends on the tree's content, not on where it
+    is installed. Cached per ``root`` for the life of the process.
     """
-    from repro.machine.configs import (
-        xt3,
-        xt3_dc,
-        xt3_xt4_combined,
-        xt4,
-        xt4_quadcore,
-    )
-    from repro.machine.io import machine_to_dict
-
-    factories = {
-        "xt3": xt3,
-        "xt3_dc": xt3_dc,
-        "xt4": xt4,
-        "xt4_quadcore": xt4_quadcore,
-        "xt3_xt4_combined": xt3_xt4_combined,
-    }
-    blob: Dict[str, Any] = {}
-    for name, factory in sorted(factories.items()):
-        for mode in ("SN", "VN"):
-            blob[f"{name}/{mode}"] = machine_to_dict(factory(mode))
-    return canonical_json(blob)
-
-
-@lru_cache(maxsize=1)
-def sweep_blob() -> str:
-    """Canonical JSON of the shared sweep constants."""
-    from repro.experiments.common import sweep_constants
-
-    return canonical_json(sweep_constants())
+    root = pathlib.Path(root)
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py"))
+    digest = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()
 
 
 def fault_plan_hash(path: Optional[str]) -> str:
@@ -107,38 +75,17 @@ def fault_plan_hash(path: Optional[str]) -> str:
     return sha256_text(canonical_json(plan.to_dict()))
 
 
-def cache_key(
-    exp_id: str,
-    *,
-    driver_src: str,
-    machines: str,
-    sweeps: str,
-    version: str,
-    fault_hash: str = NO_FAULTS,
-) -> str:
-    """SHA-256 cache key over the five fingerprint ingredients."""
-    document = canonical_json(
-        {
-            "exp_id": exp_id,
-            "driver_source_sha256": sha256_text(driver_src),
-            "machines_sha256": sha256_text(machines),
-            "sweeps_sha256": sha256_text(sweeps),
-            "version": version,
-            "fault_plan": fault_hash,
-        }
+def cache_key(exp_id: str, *, tree: str, fault_hash: str) -> str:
+    """SHA-256 cache key over the experiment id, source digest and plan."""
+    return sha256_text(
+        canonical_json(
+            {"exp_id": exp_id, "source_sha256": tree, "fault_plan": fault_hash}
+        )
     )
-    return sha256_text(document)
 
 
 def cache_key_for(exp_id: str, faults_path: Optional[str] = None) -> str:
-    """The live cache key for ``exp_id`` in the current tree."""
-    from repro.version import __version__
-
+    """The live cache key for ``exp_id`` in the installed tree."""
     return cache_key(
-        exp_id,
-        driver_src=driver_source(exp_id),
-        machines=machine_blob(),
-        sweeps=sweep_blob(),
-        version=__version__,
-        fault_hash=fault_plan_hash(faults_path),
+        exp_id, tree=source_digest(), fault_hash=fault_plan_hash(faults_path)
     )

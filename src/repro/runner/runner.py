@@ -6,12 +6,14 @@
   in **registry (sorted) order**;
 * consults the content-addressed :class:`~repro.runner.cache.ResultCache`
   first: a hit rehydrates the stored
-  :class:`~repro.core.experiment.ExperimentResult` without executing a
-  single driver;
-* runs each miss in-process and stores its result *before* starting the
-  next one, so the cache doubles as the run's journal: an interrupted
-  or killed run loses at most the driver in flight, and re-running
-  resumes warm from everything that completed;
+  :class:`~repro.core.experiment.ExperimentResult` and its stored
+  shape-check verdict without importing, let alone executing, a single
+  driver;
+* runs each miss in-process, runs the driver's ``shape_checks`` on the
+  fresh result, and stores both *before* starting the next one, so the
+  cache doubles as the run's journal: an interrupted or killed run
+  loses at most the driver in flight, and re-running resumes warm from
+  everything that completed;
 * surfaces per-experiment wall time and cache hit/miss totals through
   the :mod:`repro.obs` counter layer (``runner.cache.hits``,
   ``runner.cache.misses``, ``runner.exp[<id>].wall_s``) whenever a
@@ -29,17 +31,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
-from repro.core.registry import get_experiment, resolve_ids
+from repro.core.registry import check_shape, get_experiment, resolve_ids
 from repro.obs import Tracer, current_tracer
 from repro.runner.cache import CacheEntry, ResultCache
-from repro.runner.fingerprint import (
-    cache_key,
-    driver_source,
-    fault_plan_hash,
-    machine_blob,
-    sweep_blob,
-)
-from repro.version import __version__
+from repro.runner.fingerprint import cache_key_for
 
 
 @dataclass
@@ -48,13 +43,15 @@ class RunOutcome:
 
     ``wall_s`` is the driver execution time; for cache hits it is the
     *stored* execution time of the original run (the hit itself costs
-    only a JSON load).
+    only a JSON load). ``passed`` is the shape-check verdict: checked
+    live on an execution, stored with the entry on a hit.
     """
 
     exp_id: str
     result: ExperimentResult
     from_cache: bool
     wall_s: float
+    passed: bool
     key: Optional[str] = None
 
 
@@ -104,14 +101,7 @@ class ExperimentRunner:
     # -- key derivation ---------------------------------------------------
     def key_for(self, exp_id: str) -> str:
         """The content-address of ``exp_id`` under the current inputs."""
-        return cache_key(
-            exp_id,
-            driver_src=driver_source(exp_id),
-            machines=machine_blob(),
-            sweeps=sweep_blob(),
-            version=__version__,
-            fault_hash=fault_plan_hash(self.faults_path),
-        )
+        return cache_key_for(exp_id, self.faults_path)
 
     # -- execution --------------------------------------------------------
     def run(self, exp_ids: Optional[List[str]] = None) -> List[RunOutcome]:
@@ -135,21 +125,27 @@ class ExperimentRunner:
             )
             if entry is not None:
                 outcomes.append(
-                    RunOutcome(exp_id, entry.result, True, entry.wall_s, key)
+                    RunOutcome(
+                        exp_id, entry.result, True, entry.wall_s,
+                        entry.passed, key,
+                    )
                 )
                 continue
             result, wall_s = self._execute(exp_id)
+            passed = check_shape(exp_id, result).passed
             if key is not None:
                 self.cache.put(
                     CacheEntry(
                         key=key,
                         exp_id=exp_id,
-                        version=__version__,
                         wall_s=wall_s,
+                        passed=passed,
                         result=result,
                     )
                 )
-            outcomes.append(RunOutcome(exp_id, result, False, wall_s, key))
+            outcomes.append(
+                RunOutcome(exp_id, result, False, wall_s, passed, key)
+            )
         self._publish(outcomes)
         return outcomes
 

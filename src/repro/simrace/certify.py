@@ -20,10 +20,10 @@ rewrite's "bit-identical results" gate (ROADMAP item 1, and
 docs/DETERMINISM.md).
 
 Certificates are content-addressed like cached results: the key covers
-the driver fingerprint (source, machine configs, sweeps, version — see
-:mod:`repro.runner.fingerprint`) plus the certification parameters, so
-editing a driver or the machine model invalidates its certificate and
-nothing else.
+the result's cache key (the experiment id and a digest of the whole
+``repro`` source tree — see :mod:`repro.runner.fingerprint`) plus the
+certification parameters, so any source edit, to a driver or to a
+model it runs, invalidates every certificate.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class CertificateCache:
 
 
 def certificate_key(exp_id: str, k: int, base_seed: int) -> str:
-    """Content key: the driver's result fingerprint + race parameters."""
+    """Content key: the result's cache key + race parameters."""
     from repro.runner.fingerprint import cache_key_for
 
     document = canonical_json(

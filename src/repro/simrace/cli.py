@@ -13,9 +13,10 @@ any diverges, 2 on usage errors (unknown experiment ids follow the
 ``repro run`` convention).
 
 Certificates are content-addressed cached under
-``.repro-cache/race-v1/`` keyed on the driver fingerprint plus the race
-parameters; ``--no-cache`` bypasses the store, ``--force`` re-certifies
-and refreshes entries.
+``.repro-cache/race-v1/``, keyed on the result's cache key (experiment
+id plus a digest of the whole ``repro`` source tree) and the race
+parameters, so any source edit re-certifies; ``--no-cache`` bypasses
+the store, ``--force`` re-certifies and refreshes entries.
 """
 
 from __future__ import annotations

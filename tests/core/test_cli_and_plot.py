@@ -15,10 +15,11 @@ def test_cli_list(capsys):
 
 
 def test_cli_list_executes_no_driver(capsys, monkeypatch):
-    # Listing must be O(imports): titles come from registry metadata,
+    # Listing must be O(imports): titles come from the static manifest,
     # never from running the 26 simulated benchmark sweeps.
-    registry._ensure_loaded()
-    for exp_id in list(registry._REGISTRY):
+    for exp_id in registry.all_experiments():
+        registry.get_experiment(exp_id)  # register the real driver first
+
         def bomb(exp_id=exp_id):
             raise AssertionError(f"driver {exp_id} executed by `list`")
         monkeypatch.setitem(registry._REGISTRY, exp_id, bomb)

@@ -1,9 +1,14 @@
 """Tests for the experiment registry."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from repro.core import all_experiments, get_experiment
+import repro.experiments
+from repro.core import all_experiments, get_experiment, registry
 from repro.core.registry import (
+    MANIFEST,
     UnknownExperimentError,
     experiment_title,
     experiment_titles,
@@ -42,6 +47,17 @@ def test_double_registration_rejected():
         register("table1")(lambda: None)
 
 
+def test_manifest_equals_what_the_drivers_register():
+    # Import every module of the package, so a driver missing from the
+    # manifest (or filed under the wrong module) cannot hide.
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        importlib.import_module(f"repro.experiments.{info.name}")
+    registered = {
+        exp_id: fn.__module__ for exp_id, fn in registry._REGISTRY.items()
+    }
+    assert registered == {exp_id: module for exp_id, module, _ in MANIFEST}
+
+
 def test_every_experiment_has_a_registered_title():
     titles = experiment_titles()
     assert set(titles) == PAPER_IDS | EXTENSION_IDS
@@ -49,11 +65,11 @@ def test_every_experiment_has_a_registered_title():
 
 
 def test_registered_title_matches_driver_result():
-    # The registry metadata exists so `repro list` can skip execution;
-    # it must agree with what the driver actually returns.
-    for exp_id in ("table1", "fig05"):
+    # The manifest's titles exist so `repro list` can skip execution;
+    # they must agree with what every driver actually returns.
+    for exp_id in all_experiments():
         result = get_experiment(exp_id)()
-        assert experiment_title(exp_id) == result.title
+        assert experiment_title(exp_id) == result.title, exp_id
 
 
 def test_experiment_title_unknown_id():

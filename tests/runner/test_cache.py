@@ -26,7 +26,7 @@ def _result() -> ExperimentResult:
 
 def _entry(key=KEY) -> CacheEntry:
     return CacheEntry(
-        key=key, exp_id="figX", version="1.0.0", wall_s=0.25, result=_result()
+        key=key, exp_id="figX", wall_s=0.25, passed=True, result=_result()
     )
 
 

@@ -21,7 +21,7 @@ def _entry(key):
     )
     r.add("XT4", [1, 2], [1.0, 2.0])
     return CacheEntry(
-        key=key, exp_id="figX", version="1.0.0", wall_s=0.1, result=r
+        key=key, exp_id="figX", wall_s=0.1, passed=True, result=r
     )
 
 

@@ -1,25 +1,36 @@
-"""Cache-key derivation: every ingredient must invalidate independently."""
+"""Cache-key derivation: one digest of the source tree, the experiment
+id and the fault plan; an edit to any source file misses."""
 
+import importlib
+import inspect
 import json
+import pathlib
 
+import pytest
+
+from repro.core.registry import driver_module
 from repro.runner import (
     NO_FAULTS,
     cache_key,
     cache_key_for,
-    driver_source,
     fault_plan_hash,
-    machine_blob,
-    sweep_blob,
+    source_digest,
 )
-from repro.runner.fingerprint import canonical_json, sha256_text
+from repro.runner.fingerprint import PACKAGE_ROOT, canonical_json, sha256_text
 
-BASE = dict(
-    driver_src="def run(): return 1\n",
-    machines='{"xt4/SN":{}}',
-    sweeps='{"GLOBAL_SWEEP":[128]}',
-    version="1.0.0",
-    fault_hash=NO_FAULTS,
-)
+BASE = dict(tree="ab" * 32, fault_hash=NO_FAULTS)
+
+
+def _key_after_edit(repro_copy, edit):
+    """fig05's key over a copy of the tree with ``edit`` touched."""
+    tree = source_digest(repro_copy("edited", edit=edit) / "repro")
+    return cache_key("fig05", tree=tree, fault_hash=NO_FAULTS)
+
+
+@pytest.fixture
+def pristine_key(repro_copy):
+    tree = source_digest(repro_copy("pristine") / "repro")
+    return cache_key("fig05", tree=tree, fault_hash=NO_FAULTS)
 
 
 def test_identical_inputs_identical_key():
@@ -30,47 +41,87 @@ def test_exp_id_in_key():
     assert cache_key("fig05", **BASE) != cache_key("fig06", **BASE)
 
 
-def test_driver_source_edit_misses():
-    edited = dict(BASE, driver_src="def run(): return 2\n")
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
+def test_digest_does_not_depend_on_the_install_location(repro_copy):
+    assert source_digest(repro_copy("pristine") / "repro") == source_digest()
 
 
-def test_machine_config_swap_misses():
-    edited = dict(BASE, machines='{"xt4/SN":{"clock_ghz":2.8}}')
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
+def test_driver_source_edit_misses(repro_copy, pristine_key):
+    edited = _key_after_edit(repro_copy, "experiments/fig05_dgemm.py")
+    assert edited != pristine_key
 
 
-def test_sweep_change_misses():
-    edited = dict(BASE, sweeps='{"GLOBAL_SWEEP":[128,256]}')
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
+def test_machine_config_swap_misses(repro_copy, pristine_key):
+    assert _key_after_edit(repro_copy, "machine/configs.py") != pristine_key
 
 
-def test_version_bump_misses():
-    edited = dict(BASE, version="1.0.1")
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
+def test_sweep_change_misses(repro_copy, pristine_key):
+    assert _key_after_edit(repro_copy, "experiments/common.py") != pristine_key
+
+
+def test_version_bump_misses(repro_copy, pristine_key):
+    assert _key_after_edit(repro_copy, "version.py") != pristine_key
+
+
+@pytest.mark.parametrize(
+    "edit", ["apps/s3d/model.py", "core/validate.py", "mpi/costmodels.py"]
+)
+def test_model_or_shape_check_edit_misses(repro_copy, pristine_key, edit):
+    # Neither file is fig05's driver: the key covers the whole tree.
+    assert _key_after_edit(repro_copy, edit) != pristine_key
+
+
+def test_source_digest_covers_every_py_file(repro_copy):
+    root = repro_copy("tree") / "repro"
+    before = source_digest(root)
+    (root / "README.txt").write_text("not source\n")
+    (root / "__pycache__").mkdir()
+    (root / "__pycache__" / "x.cpython-311.pyc").write_bytes(b"\0")
+    source_digest.cache_clear()
+    assert source_digest(root) == before  # only *.py files count
+    (root / "apps" / "extra.py").write_text("")
+    source_digest.cache_clear()
+    added = source_digest(root)
+    assert added != before  # a new, even empty, module counts
+    (root / "apps" / "extra.py").rename(root / "apps" / "other.py")
+    source_digest.cache_clear()
+    assert source_digest(root) not in (before, added)  # so does its path
+
+
+def test_driver_source_is_module_source():
+    # The module the registry names for fig05 is a file the digest reads.
+    module = importlib.import_module(driver_module("fig05"))
+    path = pathlib.Path(inspect.getsourcefile(module)).resolve()
+    assert PACKAGE_ROOT in path.parents and path.suffix == ".py"
+    src = path.read_text()
+    assert '@register("fig05"' in src and "def shape_checks" in src
+
+
+def test_machine_blob_covers_both_modes(repro_copy, pristine_key):
+    from repro.machine.configs import xt4
+
+    sn, vn = xt4("SN"), xt4("VN")
+    assert sn != vn and sn.node.processor and vn.node.processor
+    # The factories and the mode semantics are both digested source.
+    for name, edit in (("configs", "machine/configs.py"), ("modes", "machine/modes.py")):
+        tree = source_digest(repro_copy(name, edit=edit) / "repro")
+        assert cache_key("fig05", tree=tree, fault_hash=NO_FAULTS) != pristine_key
+
+
+def test_sweep_blob_matches_common_constants(repro_copy, pristine_key):
+    from repro.experiments.common import GLOBAL_SWEEP
+
+    common = repro_copy("sweep") / "repro" / "experiments" / "common.py"
+    text = common.read_text()
+    literal = repr(tuple(GLOBAL_SWEEP))
+    assert literal in text  # the constant is written in the digested file
+    common.write_text(text.replace(literal, repr(tuple(GLOBAL_SWEEP) + (2048,)), 1))
+    tree = source_digest(common.parents[1])
+    assert cache_key("fig05", tree=tree, fault_hash=NO_FAULTS) != pristine_key
 
 
 def test_fault_plan_attach_misses():
     edited = dict(BASE, fault_hash="ab" * 32)
     assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
-
-
-def test_driver_source_is_module_source():
-    src = driver_source("fig05")
-    assert '@register("fig05"' in src and "def shape_checks" in src
-
-
-def test_machine_blob_covers_both_modes():
-    blob = json.loads(machine_blob())
-    assert "xt4/SN" in blob and "xt4/VN" in blob
-    assert blob["xt4/SN"]["node"]["processor"]
-
-
-def test_sweep_blob_matches_common_constants():
-    from repro.experiments.common import GLOBAL_SWEEP
-
-    blob = json.loads(sweep_blob())
-    assert blob["GLOBAL_SWEEP"] == list(GLOBAL_SWEEP)
 
 
 def test_empty_fault_plan_differs_from_no_faults(tmp_path):

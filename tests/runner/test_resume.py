@@ -29,8 +29,7 @@ def stop():
         os.kill(os.getpid(), getattr(signal, sys.argv[1].upper()))
     raise KeyboardInterrupt
 
-registry._ensure_loaded()
-stop.__module__ = registry._REGISTRY["fig05"].__module__
+registry.get_experiment("fig05")  # register the real driver first
 registry._REGISTRY["fig05"] = stop
 sys.exit(main(sys.argv[2:]))
 """

@@ -1,5 +1,9 @@
 """ExperimentRunner: caching, invalidation, cached/uncached equivalence."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import registry
@@ -11,14 +15,12 @@ CHEAP = ["fig05", "table1"]
 
 
 def _bomb_all_drivers(monkeypatch):
-    """Replace every registered driver with one that fails the test."""
-    registry._ensure_loaded()
-    for exp_id, original in list(registry._REGISTRY.items()):
+    """Replace every driver with one that fails the test."""
+    for exp_id in registry.all_experiments():
+        registry.get_experiment(exp_id)  # register the real one first
+
         def bomb(exp_id=exp_id):
             raise AssertionError(f"driver {exp_id} executed")
-        # Keep the original module so the source fingerprint (and hence
-        # the cache key) is unchanged — only execution must differ.
-        bomb.__module__ = original.__module__
         monkeypatch.setitem(registry._REGISTRY, exp_id, bomb)
 
 
@@ -63,41 +65,55 @@ def test_no_cache_never_stores(tmp_path):
     assert all(not o.from_cache for o in again)
 
 
-def test_driver_source_edit_invalidates(cache, monkeypatch):
-    ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr(
-        "repro.runner.runner.driver_source",
-        lambda exp_id: "# edited\n",
+#: Run in a copy of the tree: does the runner's key for fig05 hit the
+#: cache at argv[1]?
+HITS = """
+import sys
+from repro.runner import ExperimentRunner, ResultCache
+runner = ExperimentRunner(ResultCache(sys.argv[1]))
+print(runner.key_for("fig05") in runner.cache)
+"""
+
+
+def _hits_in(root, cache):
+    """Whether the runner over the tree at ``root`` hits ``cache``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", HITS, str(cache.root)],
+        env=dict(os.environ, PYTHONPATH=str(root)),
+        capture_output=True, text=True, check=True,
     )
-    runner = ExperimentRunner(cache)
-    outcomes = runner.run(["fig05"])
-    assert not outcomes[0].from_cache
-    assert runner.misses == 1
+    return {"True\n": True, "False\n": False}[proc.stdout]
 
 
-def test_machine_config_swap_invalidates(cache, monkeypatch):
+def _edit_invalidates(cache, repro_copy, edit):
     ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr(
-        "repro.runner.runner.machine_blob", lambda: '{"other": true}'
-    )
-    outcomes = ExperimentRunner(cache).run(["fig05"])
-    assert not outcomes[0].from_cache
+    return not _hits_in(repro_copy("edited", edit=edit), cache)
 
 
-def test_sweep_change_invalidates(cache, monkeypatch):
+def test_unedited_copy_of_the_tree_hits(cache, repro_copy):
     ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr(
-        "repro.runner.runner.sweep_blob", lambda: '{"GLOBAL_SWEEP": [1]}'
-    )
-    outcomes = ExperimentRunner(cache).run(["fig05"])
-    assert not outcomes[0].from_cache
+    assert _hits_in(repro_copy("pristine"), cache)
 
 
-def test_version_bump_invalidates(cache, monkeypatch):
-    ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr("repro.runner.runner.__version__", "999.0.0")
-    outcomes = ExperimentRunner(cache).run(["fig05"])
-    assert not outcomes[0].from_cache
+def test_driver_source_edit_invalidates(cache, repro_copy):
+    assert _edit_invalidates(cache, repro_copy, "experiments/fig05_dgemm.py")
+
+
+def test_machine_config_swap_invalidates(cache, repro_copy):
+    assert _edit_invalidates(cache, repro_copy, "machine/configs.py")
+
+
+def test_sweep_change_invalidates(cache, repro_copy):
+    assert _edit_invalidates(cache, repro_copy, "experiments/common.py")
+
+
+def test_version_bump_invalidates(cache, repro_copy):
+    assert _edit_invalidates(cache, repro_copy, "version.py")
+
+
+def test_model_edit_invalidates(cache, repro_copy):
+    # fig05's driver is untouched: only the S3D model changed.
+    assert _edit_invalidates(cache, repro_copy, "apps/s3d/model.py")
 
 
 def test_fault_plan_invalidates_and_never_aliases(cache, tmp_path):

@@ -2,6 +2,9 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -98,6 +101,28 @@ def test_certificate_key_depends_on_parameters():
     assert certificate_key("fig08", 5, 1) != base
     assert certificate_key("fig08", 4, 2) != base
     assert certificate_key("fig02", 4, 1) != base
+
+
+def _certificate_key_in(root):
+    code = (
+        "from repro.simrace.certify import certificate_key\n"
+        "print(certificate_key('fig22', 4, 1))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(root)),
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.strip()
+
+
+def test_model_edit_changes_certificate_key(repro_copy):
+    # A certificate for a tree whose S3D model has since changed must
+    # not be served: fig22's driver is untouched, its model is not.
+    pristine = _certificate_key_in(repro_copy("pristine"))
+    assert pristine == certificate_key("fig22", 4, 1)
+    edited = _certificate_key_in(repro_copy("edited", edit="apps/s3d/model.py"))
+    assert edited != pristine
 
 
 # -- memo clearing ------------------------------------------------------------

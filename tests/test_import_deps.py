@@ -16,7 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_importing_the_package_loads_no_scipy():
     code = (
         "import json, sys\n"
-        "import repro.experiments, repro.hpcc, repro.kernels, repro.apps\n"
+        "import repro.hpcc, repro.kernels, repro.apps\n"
+        "from repro.core.registry import all_experiments, get_experiment\n"
+        "drivers = [get_experiment(exp_id) for exp_id in all_experiments()]\n"
+        "assert len(drivers) == 26\n"
         "print(json.dumps(sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy')))\n"
     )
