@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.machine.configs import PROFILES
 from repro.machine.memorymodel import MemoryModel
@@ -21,10 +21,14 @@ class CoreModel:
     """
 
     machine: Machine
+    #: The socket's memory-controller model, built once per instance (not
+    #: per rate lookup); not compared, so equality and hash stay those of
+    #: ``machine``.
+    memory: MemoryModel = field(init=False, repr=False, compare=False)
 
-    @property
-    def memory(self) -> MemoryModel:
-        return MemoryModel(self.machine.node.memory, self.machine.node.cores)
+    def __post_init__(self) -> None:
+        node = self.machine.node
+        object.__setattr__(self, "memory", MemoryModel(node.memory, node.cores))
 
     @property
     def default_active_cores(self) -> int:

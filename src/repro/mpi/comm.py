@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
+from repro.machine.specs import MICRO
 from repro.mpi.datatypes import payload_nbytes, reduce_values
 from repro.mpi.request import Request
+from repro.network.simnet import INTRA_NODE_LATENCY_US
 from repro.simengine import Delay, Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,6 +25,130 @@ class _Msg:
         self.source = source
         self.tag = tag
         self.obj = obj
+
+
+class _Transfer:
+    """One message from ``comm``'s rank to ``dest``, in flight.
+
+    :meth:`run` is the full-DES reference: a process pricing the latency
+    and running :meth:`SimNetwork.transfer`. When the network's fast path
+    is open (:meth:`SimNetwork.fast_path_open`), :meth:`post` instead
+    runs the message as a keyed callback chain that pushes exactly the
+    queue entries that process does, at the same times and under the
+    same key — so simulated results cannot move:
+
+    * :meth:`start`, at send time, prices the latency;
+    * :meth:`arrive` claims the route if it is idle and schedules the
+      end of the hold; a busy route, or a network that has meanwhile
+      gained fault state, continues in :meth:`SimNetwork.carry` as a
+      process started synchronously (no extra queue entry);
+    * :meth:`finish` charges the links, releases and delivers.
+
+    Intra-node messages hold no resources: :meth:`start` → :meth:`copy`
+    (after the fixed copy latency) → :meth:`copied`.
+    """
+
+    __slots__ = ("comm", "dest", "tag", "obj", "nbytes", "done", "key",
+                 "terms", "route", "ordered", "hold")
+
+    def __init__(
+        self, comm: "Comm", dest: int, tag: Any, obj: Any, nbytes: int,
+        done: Any, key: str,
+    ) -> None:
+        self.comm = comm
+        self.dest = dest
+        self.tag = tag
+        self.obj = obj
+        self.nbytes = nbytes
+        self.done = done
+        self.key = key
+        #: The pair's static latency terms (``MPIJob.latency_terms``).
+        self.terms = comm.job.latency_terms(comm.rank, dest)
+        comm._in_flight[dest] += 1
+
+    # -- full DES ----------------------------------------------------------
+    def run(self):
+        job = self.comm.job
+        terms = self.terms
+        latency = job.price_latency_s(terms)
+        yield from job.network.transfer(terms[1], terms[2], self.nbytes, latency)
+        self.deliver()
+
+    # -- keyed callback chain ----------------------------------------------
+    def post(self) -> None:
+        sim = self.comm.job.sim
+        sharing = self.terms[0]
+        if sharing > 1 or self.comm._in_flight[self.dest] > 1:
+            sim.schedule(0.0, self.start, key=self.key)
+        # Static-latency fusion: an unshared or intra-node pair's price
+        # reads no clock state, so ``start`` would only push the next
+        # step at now + latency — push it here instead. The pushed entry
+        # then takes an earlier sequence number, which orders it only
+        # among same-time entries of its own key, i.e. of this pair's
+        # other transfers; with none in flight there are none to reorder.
+        elif sharing:
+            sim.schedule(self.terms[3], self.arrive, key=self.key)
+        else:
+            sim.schedule(INTRA_NODE_LATENCY_US * MICRO, self.copy, key=self.key)
+
+    def start(self) -> None:
+        job = self.comm.job
+        terms = self.terms
+        if terms[0] == 0:
+            job.sim.schedule(INTRA_NODE_LATENCY_US * MICRO, self.copy, key=self.key)
+        else:
+            job.sim.schedule(job.price_latency_s(terms), self.arrive, key=self.key)
+
+    def arrive(self) -> None:
+        job = self.comm.job
+        net = job.network
+        src_node, dst_node = self.terms[1], self.terms[2]
+        claimed = net.claim_idle(src_node, dst_node)
+        if claimed is None:
+            job.sim._continue(
+                self._carry(), f"xfer {self.comm.rank}->{self.dest}", self.key
+            )
+            return
+        self.route, self.ordered = claimed
+        if self.nbytes:
+            self.hold = net.hold_s(self.nbytes)
+            job.sim.schedule(self.hold, self.finish, key=self.key)
+        else:
+            self.finish()
+
+    def _carry(self):
+        terms = self.terms
+        yield from self.comm.job.network.carry(terms[1], terms[2], self.nbytes)
+        self.deliver()
+
+    def finish(self) -> None:
+        net = self.comm.job.network
+        if self.nbytes:
+            net.charge(
+                self.terms[1], self.terms[2], self.route, self.nbytes, self.hold
+            )
+        net.release(self.ordered)
+        net.count_transfer()
+        self.deliver()
+
+    def copy(self) -> None:
+        if self.nbytes:
+            job = self.comm.job
+            job.sim.schedule(
+                job.network.copy_s(self.nbytes), self.copied, key=self.key
+            )
+        else:
+            self.copied()
+
+    def copied(self) -> None:
+        self.comm.job.network.count_transfer()
+        self.deliver()
+
+    def deliver(self) -> None:
+        comm = self.comm
+        comm._in_flight[self.dest] -= 1
+        comm.job.comms[self.dest]._inbox.put(_Msg(comm.rank, self.tag, self.obj))
+        self.done.succeed(None)
 
 
 class Comm:
@@ -42,6 +169,8 @@ class Comm:
         # Per-destination isend name/key strings, formatted once: a rank
         # sends to the same few torus neighbours thousands of times.
         self._send_names: dict = {}
+        # Destination → transfers from this rank not yet delivered.
+        self._in_flight: Dict[int, int] = defaultdict(int)
         # (source, tag) → receive-match predicate, built once per pair.
         self._matchers: dict = {}
         # The job's tracer, looked up once: an untraced operation pays one
@@ -110,6 +239,8 @@ class Comm:
     def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> Request:
         """Untraced isend of ``n`` bytes (overridden by SubComm)."""
         self._check_peer(dest)
+        if n < 0:
+            raise ValueError("nbytes must be >= 0")
         names = self._send_names.get(dest)
         if names is None:
             # The tie-break key makes same-time transfer wakeups — and
@@ -123,22 +254,14 @@ class Comm:
                 f"xfer {self.rank}->{dest}",
                 f"xfer:{self.rank:06d}->{dest:06d}",
             )
-        done = self.job.sim.event(name=names[0])
-        self.job.sim.spawn(
-            self._transfer(obj, dest, tag, n, done),
-            name=names[1],
-            key=names[2],
-        )
-        return Request(done)
-
-    def _transfer(self, obj: Any, dest: int, tag: int, nbytes: int, done):
         job = self.job
-        src_node = job.placement.node_of(self.rank)
-        dst_node = job.placement.node_of(dest)
-        latency = job.message_latency_s(self.rank, dest)
-        yield from job.network.transfer(src_node, dst_node, nbytes, latency)
-        job.comms[dest]._inbox.put(_Msg(self.rank, tag, obj))
-        done.succeed(None)
+        done = job.sim.event(name=names[0])
+        xfer = _Transfer(self, dest, tag, obj, n, done, names[2])
+        if job.network.fast_path_open():
+            xfer.post()
+        else:
+            job.sim.spawn(xfer.run(), name=names[1], key=names[2])
+        return Request(done)
 
     def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         """Blocking send: returns once the message is fully injected and

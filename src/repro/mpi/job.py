@@ -119,6 +119,20 @@ class MPIJob:
         self.model = NetworkModel(machine)
         self.costs = CollectiveCostModel.for_machine(self.model, ntasks)
         self.core_model = CoreModel(machine)
+        # Placement is static, so each rank's count of busy cores on its
+        # socket is too, and so is every local rate. Compute and stream
+        # times divide by a rate looked up here (``flops / rate`` — the
+        # divisor itself, not its reciprocal, keeps the arithmetic of
+        # :meth:`CoreModel.time_s` bit for bit).
+        cores = machine.node.cores
+        self._active: List[int] = [
+            min(self.placement.tasks_sharing_nic(r), cores)
+            for r in range(ntasks)
+        ]
+        #: (profile, active cores) → flops per second.
+        self._flop_rate: Dict[Tuple[Any, int], float] = {}
+        #: active cores → streaming bytes per second.
+        self._stream_rate: Dict[int, float] = {}
         self.comms: List[Comm] = [Comm(self, r) for r in range(ntasks)]
         self._coll: Dict[Tuple[Any, int, str], _CollCtx] = {}
         self._node_last_tx: Dict[int, float] = {}
@@ -151,20 +165,23 @@ class MPIJob:
         self._stalled_since_durable = 0.0
 
     # -- latency / contention ------------------------------------------------
-    def message_latency_s(self, src_rank: int, dst_rank: int) -> float:
-        """End-to-end zero-byte latency for a message sent *now*.
+    def latency_terms(self, src_rank: int, dst_rank: int) -> tuple:
+        """Static latency terms of a rank pair, computed once:
+        ``(sharing, src_node, dst_node, idle_s, contended_s)``.
 
-        Static part: base NIC latency + hop latency + the VN surcharge when
-        the sender or receiver shares its node with another job task.
-        Dynamic part: the full interrupt-contention term when the sharing
-        task has itself driven the NIC within the recent activity window.
+        ``sharing`` is the larger task count on the two NICs: 0 for an
+        intra-node pair (the network prices that path itself), 1 when
+        neither NIC is shared — the price is then ``idle_s`` whatever
+        the clock — and above 1 when :meth:`price_latency_s` must look
+        at recent NIC activity.
         """
         entry = self._lat_cache.get((src_rank, dst_rank))
         if entry is None:
             p = self.placement
             hops = p.hops(src_rank, dst_rank)
             if hops == 0:
-                entry = (0, 0, 0, 0.0, 0.0)
+                node = p.node_of(src_rank)
+                entry = (0, node, node, 0.0, 0.0)
             else:
                 sharing = max(
                     p.tasks_sharing_nic(src_rank), p.tasks_sharing_nic(dst_rank)
@@ -182,7 +199,18 @@ class MPIJob:
                     ),
                 )
             self._lat_cache[(src_rank, dst_rank)] = entry
-        sharing, src_node, dst_node, lat_idle, lat_contended = entry
+        return entry
+
+    def price_latency_s(self, terms: tuple) -> float:
+        """End-to-end zero-byte latency for a message sent *now*, from its
+        pair's :meth:`latency_terms`; notes the NIC activity it causes.
+
+        Static part: base NIC latency + hop latency + the VN surcharge when
+        the sender or receiver shares its node with another job task.
+        Dynamic part: the full interrupt-contention term when the sharing
+        task has itself driven the NIC within the recent activity window.
+        """
+        sharing, src_node, dst_node, lat_idle, lat_contended = terms
         if sharing == 0:
             return 0.0  # intra-node path is priced by the network itself
         if sharing > 1:
@@ -194,8 +222,8 @@ class MPIJob:
                 # Same-time activity counts: simultaneous injection from
                 # the sharing core pays the interrupt surcharge too. The
                 # pricing order among same-time messages is pinned by the
-                # transfer processes' tie-break keys (Comm.isend), so
-                # this read-then-note sequence is schedule-invariant.
+                # transfers' tie-break keys (Comm.isend), so this
+                # read-then-note sequence is schedule-invariant.
                 if last is not None and now - last <= _ACTIVITY_WINDOW_S:
                     contended = True
                     break
@@ -205,18 +233,26 @@ class MPIJob:
         return lat_idle
 
     # -- local compute -------------------------------------------------------
-    def _active_cores(self, rank: int) -> int:
-        return min(
-            self.placement.tasks_sharing_nic(rank), self.machine.node.cores
-        )
-
     def compute_time_s(self, rank: int, flops: float, profile: str) -> float:
-        prof = PROFILES[profile] if isinstance(profile, str) else profile
-        t = self.core_model.time_s(flops, prof, self._active_cores(rank))
+        active = self._active[rank]
+        rate = self._flop_rate.get((profile, active))
+        if rate is None:
+            prof = PROFILES[profile] if isinstance(profile, str) else profile
+            rate = self.core_model.rate_gflops(prof, active) * 1.0e9
+            self._flop_rate[(profile, active)] = rate
+        t = flops / rate
         return t * self._dilation(rank, memory=False) if self._injector else t
 
     def stream_time_s(self, rank: int, nbytes: float) -> float:
-        t = self.core_model.memory.bytes_time_s(nbytes, self._active_cores(rank))
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        active = self._active[rank]
+        rate = self._stream_rate.get(active)
+        if rate is None:
+            memory = self.core_model.memory
+            rate = memory.per_core_bandwidth_GBs(active) * 1.0e9
+            self._stream_rate[active] = rate
+        t = nbytes / rate
         return t * self._dilation(rank, memory=True) if self._injector else t
 
     def _dilation(self, rank: int, memory: bool) -> float:
@@ -251,7 +287,7 @@ class MPIJob:
             return
         t0 = self.sim.now
         t1 = t0 + dt
-        active = self._active_cores(rank)
+        active = self._active[rank]
         memory = self.core_model.memory
         peak = self.core_model.peak_gflops
         if profile is not None:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import Counter
+from typing import Dict, List, Optional
 
 from repro.machine.specs import Machine
 from repro.network.topology import Torus3D
@@ -51,6 +52,8 @@ class Placement:
             raise ValueError(f"unknown placement strategy {strategy!r}")
         self._node: List[int] = [s[0] for s in slots]
         self._core: List[int] = [s[1] for s in slots]
+        #: node → number of this job's tasks placed on it.
+        self._tasks_on: Dict[int, int] = Counter(self._node)
 
     # -- lookups -------------------------------------------------------------
     def node_of(self, rank: int) -> int:
@@ -76,4 +79,4 @@ class Placement:
 
     def tasks_sharing_nic(self, rank: int) -> int:
         """How many job tasks share ``rank``'s NIC (1 in SN mode)."""
-        return len(self.ranks_on_node(self._node[rank]))
+        return self._tasks_on[self._node[rank]]

@@ -16,6 +16,12 @@ A message transfer is a simulation process that
 Intra-node messages (two cores of one socket, VN mode) bypass the NIC:
 Catamount implements them as a memory copy (paper §2).
 
+That process is the full-DES reference (:meth:`SimNetwork.transfer`). In
+hybrid mode the MPI layer runs an uncontended message as a keyed
+callback chain over the same steps (:class:`repro.mpi.comm.Comm`), using
+this module's idle test, slot claim, charge, release and counting
+methods, and continues a busy or faulted one in :meth:`SimNetwork.carry`.
+
 When the simulator carries a :class:`~repro.obs.tracer.Tracer`, every
 transfer is recorded as a span tagged ``src``/``dst``/``bytes``, and the
 per-link / per-NIC accounting moves onto tracer counters
@@ -162,13 +168,14 @@ class SimNetwork:
         self.machine = machine
         self.torus = Torus3D(machine.torus_dims)
         self._tracer = sim.tracer
-        #: Hybrid analytic/DES mode: price *uncontended* transfers by the
-        #: closed-form LogGP cost as a single scheduled completion instead
-        #: of the request/hold/release process chain (see
-        #: :func:`hybrid_mode`). Byte-identical to full DES:
-        #: the fast path claims the same slots and falls back the moment
-        #: any shared resource is busy, a tracer or race tracker needs to
-        #: observe the holds, or a link or NIC fault has fired.
+        #: Hybrid analytic/DES mode: MPI messages on an *uncontended*
+        #: route run as a keyed callback chain that claims every slot at
+        #: once and schedules one completion, instead of a process making
+        #: request/hold/release steps (see :func:`hybrid_mode` and
+        #: :meth:`fast_path_open`). Byte-identical to full DES: the chain
+        #: pushes the same queue entries, claims the same slots and hands
+        #: off to :meth:`carry` the moment its route is busy or a link or
+        #: NIC fault has fired.
         self.hybrid = _HYBRID_DEFAULT
         #: Transfers completed via the hybrid fast path (diagnostics).
         self.fast_transfers = 0
@@ -292,15 +299,92 @@ class SimNetwork:
             tracer.add(f"net.nic[{dst_node}].busy_s", now, hold_s)
 
     # -- transfers ------------------------------------------------------------
+    def fast_path_open(self) -> bool:
+        """Whether a new transfer may run as a hybrid fast-path chain:
+        hybrid mode on, and nothing needs to observe the holds (no
+        tracer, no race tracker) or reroute them (no fault state)."""
+        return (
+            self.hybrid
+            and self._tracer is None
+            and self.sim.race is None
+            and self.faults is None
+        )
+
+    def claim_idle(
+        self, src_node: int, dst_node: int
+    ) -> Optional[Tuple[List[Link], List[Resource]]]:
+        """Claim every slot of the fault-free route at once and return
+        ``(route, resources)``; ``None`` (nothing claimed) when the
+        network has fault state or any resource is held or has waiters.
+
+        An uncontended DES transfer resumes synchronously from each
+        ``request()`` (no queue pushes), so claiming directly schedules
+        the exact same event sequence. Counts a fast transfer.
+        """
+        global _FAST_TRANSFERS
+        if self.faults is not None:
+            return None
+        path = self._path(src_node, dst_node)
+        ordered = path[1]
+        for r in ordered:
+            if r._in_use or r._waiters:
+                return None
+        for r in ordered:
+            r._in_use = 1
+            r._grants += 1
+        self.fast_transfers += 1
+        _FAST_TRANSFERS += 1
+        return path
+
+    def hold_s(self, nbytes: float) -> float:
+        """How long an inter-node transfer holds its route."""
+        return nbytes / self._path_bw_Bs
+
+    def copy_s(self, nbytes: float) -> float:
+        """How long an intra-node memory copy of ``nbytes`` takes, after
+        its fixed :data:`INTRA_NODE_LATENCY_US`."""
+        return nbytes / self._intra_bw_Bs
+
+    def charge(
+        self,
+        src_node: int,
+        dst_node: int,
+        route: List[Link],
+        nbytes: float,
+        hold_s: float,
+    ) -> None:
+        """Account a completed hold of ``hold_s`` on every route link
+        (and, traced, on both NICs)."""
+        for ln in route:
+            self._charge_link(ln, nbytes, hold_s)
+        if self._tracer is not None:
+            self._charge_nics(src_node, dst_node, nbytes, hold_s)
+
+    @staticmethod
+    def release(held: List[Resource]) -> None:
+        """Release held slots in reverse acquisition order — in DES
+        order, so a waiter that queued mid-hold gets its slot exactly as
+        in full DES."""
+        for r in reversed(held):
+            r.release()
+
+    def count_transfer(self) -> None:
+        """Count one completed transfer, here and in :func:`transfer_totals`."""
+        global _TRANSFERS
+        self.transfers_completed += 1
+        _TRANSFERS += 1
+
     def transfer(self, src_node: int, dst_node: int, nbytes: float, latency_s: float):
         """Process-helper: move ``nbytes`` from ``src_node`` to ``dst_node``.
 
         ``latency_s`` is the end-to-end zero-byte latency (caller supplies
         it, including any VN surcharge). Use as
         ``yield from net.transfer(a, b, n, lat)``; returns the completion
-        time.
+        time. This is the full-DES path: every hold is a resource
+        request, and the hybrid fast path is the MPI layer's transfer
+        chain (:class:`repro.mpi.comm.Comm`), which falls back to
+        :meth:`carry` when a route is busy.
         """
-        global _FAST_TRANSFERS, _TRANSFERS
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         tracer = self._tracer
@@ -317,49 +401,25 @@ class SimNetwork:
         if src_node == dst_node:
             yield Delay(INTRA_NODE_LATENCY_US * MICRO)
             if nbytes:
-                yield Delay(nbytes / self._intra_bw_Bs)
-            self.transfers_completed += 1
-            _TRANSFERS += 1
+                yield Delay(self.copy_s(nbytes))
+            self.count_transfer()
             if span is not None:
                 tracer.end(span, self.sim.now, intra_node=True)
             return self.sim.now
 
         yield Delay(latency_s)
+        route = yield from self.carry(src_node, dst_node, nbytes)
+        if span is not None:
+            tracer.end(span, self.sim.now, hops=len(route))
+        return self.sim.now
+
+    def carry(self, src_node: int, dst_node: int, nbytes: float):
+        """Process-helper: the part of an inter-node transfer after its
+        latency — find the route (through the fault state, if any),
+        acquire its resources in canonical order, hold them for
+        ``nbytes / bandwidth``, release, count. Returns the route."""
         if self.faults is None:
             route, ordered = self._path(src_node, dst_node)
-            idle = self.hybrid and tracer is None and self.sim.race is None
-            if idle:
-                for r in ordered:
-                    if r._in_use or r._waiters:
-                        idle = False
-                        break
-            if idle:
-                # Hybrid fast path: the whole route is idle, nothing needs
-                # to observe the holds (no tracer, no race tracker, no
-                # faults) — claim every slot directly and charge the
-                # closed-form cost as one scheduled completion. An
-                # uncontended DES transfer resumes synchronously from each
-                # ``request()`` (no queue pushes), so this schedules the
-                # exact same event sequence: one hold delay. Releasing via
-                # ``release()`` in DES order hands slots to any waiter
-                # that queued mid-hold, identically to the slow path.
-                for r in ordered:
-                    r._in_use = 1
-                    r._grants += 1
-                self.fast_transfers += 1
-                _FAST_TRANSFERS += 1
-                try:
-                    if nbytes:
-                        hold = nbytes / self._path_bw_Bs
-                        yield Delay(hold)
-                        for ln in route:
-                            self._charge_link(ln, nbytes, hold)
-                finally:
-                    for r in reversed(ordered):
-                        r.release()
-                self.transfers_completed += 1
-                _TRANSFERS += 1
-                return self.sim.now
         else:
             route = yield from self._resolve_route(src_node, dst_node)
             resources: List[Tuple[tuple, Resource]] = [
@@ -377,20 +437,13 @@ class SimNetwork:
                 yield res.request()
                 acquired.append(res)
             if nbytes:
-                hold = nbytes / self._path_bw_Bs
+                hold = self.hold_s(nbytes)
                 yield Delay(hold)
-                for ln in route:
-                    self._charge_link(ln, nbytes, hold)
-                if tracer is not None:
-                    self._charge_nics(src_node, dst_node, nbytes, hold)
+                self.charge(src_node, dst_node, route, nbytes, hold)
         finally:
-            for res in reversed(acquired):
-                res.release()
-        self.transfers_completed += 1
-        _TRANSFERS += 1
-        if span is not None:
-            tracer.end(span, self.sim.now, hops=len(route))
-        return self.sim.now
+            self.release(acquired)
+        self.count_transfer()
+        return route
 
     def _path(self, src_node: int, dst_node: int):
         """Cached fault-free route + resources in canonical acquisition

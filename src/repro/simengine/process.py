@@ -61,6 +61,21 @@ class Process:
         name: str = "",
         key: Optional[str] = None,
     ) -> None:
+        self._bind(sim, gen, name, key)
+        # First step happens via the scheduler so that spawn() during a
+        # callback cascade preserves deterministic ordering.
+        sim._queue.push(sim.now, self._start, key=key)
+        sim._register_process(self)
+
+    def _bind(
+        self,
+        sim: "Simulator",
+        gen: Generator[Any, Any, Any],
+        name: str,
+        key: Optional[str],
+    ) -> None:
+        """Set up every field; scheduling the first step is the caller's
+        job (``__init__`` queues it, ``Simulator._continue`` runs it now)."""
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
         #: Optional deterministic tie-break key: every wakeup this process
@@ -98,10 +113,6 @@ class Process:
                 f"proc/{self.name}", "proc.lifetime", sim.now
             )
             self.done.add_callback(self._end_life_span)
-        # First step happens via the scheduler so that spawn() during a
-        # callback cascade preserves deterministic ordering.
-        sim._queue.push(sim.now, self._start, key=key)
-        sim._register_process(self)
 
     # -- public ----------------------------------------------------------
     @property

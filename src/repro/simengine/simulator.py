@@ -152,6 +152,24 @@ class Simulator:
         """
         return Process(self, gen, name=name, key=key)
 
+    def _continue(
+        self, gen: Generator[Any, Any, Any], name: str, key: Optional[str]
+    ) -> Process:
+        """Run ``gen``'s first step now, inside the calling callback, as a
+        process keyed ``key``.
+
+        Private: it exists for a keyed callback chain that hands its
+        remaining work to a generator mid-flight (the MPI transfer
+        chain's fall-back to the contended DES path). The chain's own
+        queue entry already is the step, so a :meth:`spawn` here would
+        add a same-time push that can reorder contended arbitration.
+        """
+        proc = Process.__new__(Process)
+        proc._bind(self, gen, name, key)
+        self._register_process(proc)
+        proc._step(None)
+        return proc
+
     def schedule(
         self,
         delay: float,

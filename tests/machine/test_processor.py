@@ -47,3 +47,12 @@ def test_time_s_inverse_of_rate():
     cm = CoreModel(xt4("SN"))
     t = cm.time_s(1.0e9, "dgemm")
     assert t == pytest.approx(1.0 / cm.dgemm_gflops())
+
+
+def test_memory_model_is_built_once_and_stays_out_of_equality():
+    machine = xt4("VN")
+    used, fresh = CoreModel(machine), CoreModel(machine)
+    assert used.memory is used.memory
+    assert used.memory == fresh.memory
+    # Caching the model on ``used`` leaves equality and hash field-based.
+    assert used == fresh and hash(used) == hash(fresh)

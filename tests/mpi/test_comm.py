@@ -106,6 +106,18 @@ def test_invalid_peer_rejected():
         run(xt4("SN"), 2, main)
 
 
+@pytest.mark.parametrize("mode", ["SN", "VN"])  # VN: rank 1 is intra-node
+def test_negative_nbytes_rejected(mode):
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(1, dest=1, nbytes=-1)
+        else:
+            yield from comm.recv(source=0)
+
+    with pytest.raises(ValueError, match="nbytes"):
+        run(xt4(mode), 2, main)
+
+
 def test_deadlock_detection():
     def main(comm):
         yield from comm.recv(source=0)  # nobody ever sends
@@ -283,3 +295,23 @@ def test_determinism():
     b = run(xt4("VN"), 8, main)
     assert a.elapsed_s == b.elapsed_s
     assert a.rank_times == b.rank_times
+
+
+@pytest.mark.parametrize("mode", ["SN", "VN"])
+def test_compute_and_stream_prices_equal_the_core_model_bit_for_bit(mode):
+    from repro.machine.configs import PROFILES
+
+    job = MPIJob(xt4(mode), 3)  # VN: rank 2 is alone on its socket
+    core = job.core_model
+    for rank in range(3):
+        active = job.placement.tasks_sharing_nic(rank)
+        for profile in ("dgemm", "fft", PROFILES["hpl"]):
+            for _ in range(2):  # first call prices, second reuses
+                assert job.compute_time_s(rank, 3.7e8, profile) == core.time_s(
+                    3.7e8, profile, active
+                )
+        assert job.stream_time_s(rank, 1.0e6) == core.memory.bytes_time_s(
+            1.0e6, active
+        )
+    with pytest.raises(ValueError, match="nbytes"):
+        job.stream_time_s(0, -1.0)

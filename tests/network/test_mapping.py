@@ -38,6 +38,15 @@ def test_tasks_sharing_nic():
     assert odd.tasks_sharing_nic(4) == 1
 
 
+@pytest.mark.parametrize("mode", ["SN", "VN"])
+@pytest.mark.parametrize("strategy", ["contiguous", "random"])
+def test_tasks_sharing_nic_counts_ranks_on_node(mode, strategy):
+    # 13 tasks: in VN the last node holds a single task.
+    p = Placement(xt4(mode), 13, strategy=strategy, seed=3)
+    for r in range(13):
+        assert p.tasks_sharing_nic(r) == len(p.ranks_on_node(p.node_of(r)))
+
+
 def test_random_placement_is_seeded_permutation():
     a = Placement(xt4("SN"), 32, strategy="random", seed=7)
     b = Placement(xt4("SN"), 32, strategy="random", seed=7)

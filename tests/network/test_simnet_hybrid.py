@@ -21,6 +21,7 @@ from repro.mpi.job import MPIJob
 from repro.network import simnet
 from repro.network.simnet import hybrid_mode
 from repro.obs import Tracer
+from repro.simrace.permute import permutation_seeds, tie_break_permutation
 
 
 def _mixed_main(comm):
@@ -37,13 +38,14 @@ def _mixed_main(comm):
             yield from comm.recv(source=0, tag=100 + i)
     for lap in range(2):
         yield from comm.sendrecv(b"r" * 32768, dest=peer, source=left, tag=lap)
+    exchanged = comm.wtime()  # before the barrier evens the ranks out
     yield from comm.barrier()
-    return comm.wtime()
+    return exchanged
 
 
-def _run(hybrid, plan=None, tracer=None):
+def _run(hybrid, plan=None, tracer=None, mode="SN"):
     with hybrid_mode(hybrid):
-        job = MPIJob(xt4("SN"), 8, tracer=tracer, faults=plan)
+        job = MPIJob(xt4(mode), 8, tracer=tracer, faults=plan)
         result = job.run(_mixed_main)
     return job, result
 
@@ -51,12 +53,16 @@ def _run(hybrid, plan=None, tracer=None):
 def _snapshot(job, result):
     """Everything a hybrid run could possibly perturb, bit-for-bit."""
     net = job.network
+    faults = net.faults
     return {
         "elapsed_s": result.elapsed_s,
+        "rank_times": list(result.rank_times),
         "returns": list(result.returns),
         "transfers_completed": net.transfers_completed,
         "link_bytes": dict(net.link_bytes),
         "link_busy_s": dict(net.link_busy_s),
+        "reroutes": faults.reroutes if faults is not None else 0,
+        "retransmits": faults.retransmits if faults is not None else 0,
     }
 
 
@@ -69,15 +75,35 @@ def test_hybrid_mode_context_manager_restores_default():
     assert job.network.hybrid is True
 
 
-def test_hybrid_vs_des_bit_identical_counters_and_results():
-    job_fast, res_fast = _run(hybrid=True)
-    job_slow, res_slow = _run(hybrid=False)
+# VN puts ranks 0 and 1 on one socket, so its pingpong legs are
+# intra-node copies, and its latencies are priced from same-time NIC
+# activity (the transfer chain's ``start`` step).
+@pytest.mark.parametrize("mode", ["SN", "VN"])
+def test_hybrid_vs_des_bit_identical_counters_and_results(mode):
+    job_fast, res_fast = _run(hybrid=True, mode=mode)
+    job_slow, res_slow = _run(hybrid=False, mode=mode)
     assert _snapshot(job_fast, res_fast) == _snapshot(job_slow, res_slow)
     # The fast path actually ran (pingpong legs) AND fell back under
     # contention (simultaneous ring exchange) — both sides exercised.
     assert job_fast.network.fast_transfers > 0
     assert job_fast.network.fast_transfers < job_fast.network.transfers_completed
     assert job_slow.network.fast_transfers == 0
+
+
+def test_untraced_fast_path_is_schedule_invariant():
+    # The permutation certifier installs a tracer, which closes the fast
+    # path; this shakes same-time tie-breaking with the chain running.
+    # The transfers' keys pin VN latency pricing and NIC arbitration.
+    identity_job, identity = _run(hybrid=True, mode="VN")
+    assert identity_job.network.fast_transfers > 0
+    expected = _snapshot(identity_job, identity)
+    expected["fast_transfers"] = identity_job.network.fast_transfers
+    for seed in permutation_seeds(k=4):
+        with tie_break_permutation(seed):
+            job, result = _run(hybrid=True, mode="VN")
+        shaken = _snapshot(job, result)
+        shaken["fast_transfers"] = job.network.fast_transfers
+        assert shaken == expected, f"seed {seed}"
 
 
 def test_fast_path_disables_itself_under_tracer():
@@ -103,6 +129,29 @@ def test_fast_path_stops_once_a_network_fault_fires():
     assert 0 < net.fast_transfers < net.transfers_completed
     assert net.faults is not None
     assert _snapshot(job_fast, res_fast) == _snapshot(job_slow, res_slow)
+
+
+#: The +x link out of node 0: the whole route of the first pingpong leg.
+LINK_0_PX = ((0, 0, 0), 0, 1)
+LINK_DOWN_AT_S = 1e-6
+LINK_DOWN_FOR_S = 2e-5
+
+
+def test_link_fault_inside_a_fast_transfers_latency_hands_off_mid_flight():
+    # The first leg starts at t=0 on a fault-free network, so it runs as
+    # a fast-path chain; its route fails before the latency has elapsed,
+    # so the chain must continue in the fault-aware DES path (detour).
+    assert LINK_DOWN_AT_S < xt4("SN").node.nic.mpi_latency_us * 1e-6
+    plan = FaultPlan(
+        [FaultEvent(t_s=LINK_DOWN_AT_S, kind="link_down", link=LINK_0_PX,
+                    duration_s=LINK_DOWN_FOR_S)]
+    )
+    job_fast, res_fast = _run(hybrid=True, plan=plan)
+    job_slow, res_slow = _run(hybrid=False, plan=plan)
+    fast = _snapshot(job_fast, res_fast)
+    assert fast == _snapshot(job_slow, res_slow)
+    assert fast["reroutes"] + fast["retransmits"] > 0
+    assert job_fast.network.fast_transfers == 0
 
 
 def _crash_main(comm):
