@@ -66,6 +66,17 @@ def _sweep() -> Tuple[float, float, float, Tuple[Tuple[float, List[float]], ...]
     for frac in MTBF_FRACTIONS:
         mtbf = t_solve * frac
         i_star = daly_optimal_interval_s(ckpt_cost, mtbf)
+        # A crash plan depends on the MTBF and the seed only: every
+        # interval ratio replays the same plans.
+        plans = [
+            FaultPlan.sample(
+                horizon_s=4.0 * t_solve,
+                num_nodes=NTASKS,
+                node_mtbf_s=mtbf * NTASKS,  # aggregate rate = 1/mtbf
+                seed=seed,
+            )
+            for seed in SEEDS
+        ]
         overheads = []
         for ratio in RATIOS:
             policy = FaultPolicy(
@@ -75,13 +86,7 @@ def _sweep() -> Tuple[float, float, float, Tuple[Tuple[float, List[float]], ...]
                 max_restarts=10_000,
             )
             total = 0.0
-            for seed in SEEDS:
-                plan = FaultPlan.sample(
-                    horizon_s=4.0 * t_solve,
-                    num_nodes=NTASKS,
-                    node_mtbf_s=mtbf * NTASKS,  # aggregate rate = 1/mtbf
-                    seed=seed,
-                )
+            for plan in plans:
                 total += _run_once(plan, policy)
             mean = total / len(SEEDS)
             overheads.append(100.0 * (mean - t_solve) / t_solve)

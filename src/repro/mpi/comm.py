@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.machine.specs import MICRO
 from repro.mpi.datatypes import payload_nbytes, reduce_values
 from repro.mpi.request import Request
 from repro.network.simnet import INTRA_NODE_LATENCY_US
-from repro.simengine import Delay, Store
+from repro.simengine import Delay, Event, Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.job import MPIJob
@@ -46,24 +46,29 @@ class _Transfer:
 
     Intra-node messages hold no resources: :meth:`start` → :meth:`copy`
     (after the fixed copy latency) → :meth:`copied`.
+
+    The completion :class:`Event` is made only when a sender waits on a
+    message still in flight (:meth:`completion`); ``delivered`` tells
+    whether it has arrived.
     """
 
-    __slots__ = ("comm", "dest", "tag", "obj", "nbytes", "done", "key",
-                 "terms", "route", "ordered", "hold")
+    __slots__ = ("comm", "dest", "tag", "obj", "nbytes", "key", "done",
+                 "delivered", "terms", "route", "ordered", "hold")
 
     def __init__(
         self, comm: "Comm", dest: int, tag: Any, obj: Any, nbytes: int,
-        done: Any, key: str,
+        peer: tuple,
     ) -> None:
         self.comm = comm
         self.dest = dest
         self.tag = tag
         self.obj = obj
         self.nbytes = nbytes
-        self.done = done
-        self.key = key
+        self.key = peer[2]
         #: The pair's static latency terms (``MPIJob.latency_terms``).
-        self.terms = comm.job.latency_terms(comm.rank, dest)
+        self.terms = peer[3]
+        self.done: Optional[Event] = None
+        self.delivered = False
         comm._in_flight[dest] += 1
 
     # -- full DES ----------------------------------------------------------
@@ -148,7 +153,19 @@ class _Transfer:
         comm = self.comm
         comm._in_flight[self.dest] -= 1
         comm.job.comms[self.dest]._inbox.put(_Msg(comm.rank, self.tag, self.obj))
-        self.done.succeed(None)
+        self.delivered = True
+        if self.done is not None:
+            self.done.succeed(None)
+
+    def completion(self) -> Event:
+        """The event that succeeds on delivery, made on first request."""
+        done = self.done
+        if done is None:
+            comm = self.comm
+            done = self.done = Event(comm.job.sim, comm._peers[self.dest][0])
+            if self.delivered:
+                done.succeed(None)
+        return done
 
 
 class Comm:
@@ -166,13 +183,14 @@ class Comm:
         self._inbox = Store(job.sim, name=f"inbox[{rank}]")
         self._coll_seq = 0
         self._group_key: Any = "world"
-        # Per-destination isend name/key strings, formatted once: a rank
-        # sends to the same few torus neighbours thousands of times.
-        self._send_names: dict = {}
+        # Destination → (isend name, transfer name, tie-break key, latency
+        # terms), built once: a rank sends to the same few torus
+        # neighbours thousands of times.
+        self._peers: dict = {}
         # Destination → transfers from this rank not yet delivered.
         self._in_flight: Dict[int, int] = defaultdict(int)
-        # (source, tag) → receive-match predicate, built once per pair.
-        self._matchers: dict = {}
+        # (source, tag) → (inbox, match predicate), built once per pair.
+        self._mailboxes: dict = {}
         # The job's tracer, looked up once: an untraced operation pays one
         # ``is None`` test. Every operation records on the world rank's
         # track, sub-communicator calls included.
@@ -231,65 +249,68 @@ class Comm:
     ) -> Request:
         """Start a nonblocking send; returns a :class:`Request`."""
         n = payload_nbytes(obj) if nbytes is None else int(nbytes)
-        req = self._isend(obj, dest, tag, n)
+        req = Request(self._isend(obj, dest, tag, n).completion())
         if self._tracer is not None:
             self._tracer.instant(self._track, "mpi.isend", self.job.sim.now, bytes=n)
         return req
 
-    def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> Request:
-        """Untraced isend of ``n`` bytes (overridden by SubComm)."""
-        self._check_peer(dest)
-        if n < 0:
-            raise ValueError("nbytes must be >= 0")
-        names = self._send_names.get(dest)
-        if names is None:
+    def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> _Transfer:
+        """Untraced send of ``n`` bytes; returns the message in flight
+        (overridden by SubComm)."""
+        peer = self._peers.get(dest)
+        if peer is None:
+            self._check_peer(dest)
             # The tie-break key makes same-time transfer wakeups — and
             # hence NIC/link arbitration among simultaneous messages —
             # follow rank order deterministically instead of queue
             # insertion order, which is a schedule race (two exchanging
             # pairs in VN mode would otherwise pipeline differently per
             # tie-break permutation).
-            names = self._send_names[dest] = (
+            peer = self._peers[dest] = (
                 f"isend {self.rank}->{dest}",
                 f"xfer {self.rank}->{dest}",
                 f"xfer:{self.rank:06d}->{dest:06d}",
+                self.job.latency_terms(self.rank, dest),
             )
+        if n < 0:
+            raise ValueError("nbytes must be >= 0")
         job = self.job
-        done = job.sim.event(name=names[0])
-        xfer = _Transfer(self, dest, tag, obj, n, done, names[2])
+        xfer = _Transfer(self, dest, tag, obj, n, peer)
         if job.network.fast_path_open():
             xfer.post()
         else:
-            job.sim.spawn(xfer.run(), name=names[1], key=names[2])
-        return Request(done)
+            job.sim.spawn(xfer.run(), name=peer[1], key=peer[2])
+        return xfer
 
     def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         """Blocking send: returns once the message is fully injected and
         delivered (conservative synchronous semantics)."""
         t0 = self.job.sim.now
         n = payload_nbytes(obj) if nbytes is None else int(nbytes)
-        yield self._isend(obj, dest, tag, n).event
+        xfer = self._isend(obj, dest, tag, n)
+        if not xfer.delivered:
+            yield xfer.completion()
         if self._tracer is not None:
             self._span("send", t0, n)
 
-    def _match(self, source: int, tag: int) -> Callable[[_Msg], bool]:
-        matcher = self._matchers.get((source, tag))
-        if matcher is None:
-            matcher = self._matchers[(source, tag)] = lambda m: (
-                source == ANY_SOURCE or m.source == source
-            ) and (tag == ANY_TAG or m.tag == tag)
-        return matcher
-
-    def _get(self, source: int, tag: Any):
-        """The inbox event for the next matching message (overridden by
-        SubComm)."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        return self._inbox.get(self._match(source, tag))
+    def _mailbox(self, source: int, tag: Any) -> Tuple[Store, Callable]:
+        """The inbox holding messages from ``source`` with ``tag``, and
+        the predicate that matches them (overridden by SubComm)."""
+        box = self._mailboxes.get((source, tag))
+        if box is None:
+            if source != ANY_SOURCE:
+                self._check_peer(source)
+            box = self._mailboxes[(source, tag)] = (
+                self._inbox,
+                lambda m: (source == ANY_SOURCE or m.source == source)
+                and (tag == ANY_TAG or m.tag == tag),
+            )
+        return box
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Start a nonblocking receive; the request's value is the payload."""
-        inner = self._get(source, tag)
+        inbox, match = self._mailbox(source, tag)
+        inner = inbox.get(match)
         outer = self.job.sim.event(name=f"irecv @{self.rank}")
         inner.add_callback(lambda e: outer.succeed(e.value.obj))
         if self._tracer is not None:
@@ -299,7 +320,11 @@ class Comm:
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload object."""
         t0 = self.job.sim.now
-        msg = yield self._get(source, tag)
+        inbox, match = self._mailbox(source, tag)
+        # A message that has already arrived is taken without an event.
+        msg = inbox.take(match)
+        if msg is None:
+            msg = yield inbox.get(match)
         if self._tracer is not None:
             self._span("recv", t0, 0)
         return msg.obj
@@ -307,7 +332,11 @@ class Comm:
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns ``(payload, source, tag)``."""
         t0 = self.job.sim.now
-        msg = yield self._get(source, tag)
+        inbox, match = self._mailbox(source, tag)
+        # A message that has already arrived is taken without an event.
+        msg = inbox.take(match)
+        if msg is None:
+            msg = yield inbox.get(match)
         if self._tracer is not None:
             self._span("recv", t0, 0)
         return msg.obj, msg.source, msg.tag
@@ -323,9 +352,13 @@ class Comm:
         """Simultaneous exchange; returns the received payload."""
         t0 = self.job.sim.now
         n = payload_nbytes(obj) if nbytes is None else int(nbytes)
-        req = self._isend(obj, dest, tag, n)
-        msg = yield self._get(dest if source is None else source, tag)
-        yield req.event
+        xfer = self._isend(obj, dest, tag, n)
+        inbox, match = self._mailbox(dest if source is None else source, tag)
+        msg = inbox.take(match)
+        if msg is None:
+            msg = yield inbox.get(match)
+        if not xfer.delivered:
+            yield xfer.completion()
         if self._tracer is not None:
             self._span("sendrecv", t0, n)
         return msg.obj

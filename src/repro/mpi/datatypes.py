@@ -19,6 +19,11 @@ def payload_nbytes(obj: Any) -> int:
     Anything else falls back to its pickle length (mirroring mpi4py's
     pickle path for generic objects).
     """
+    cls = type(obj)
+    if cls is float or cls is int or cls is bool:
+        # Exact builtins first (numpy scalars subclass float and int, and
+        # report their own buffer size below).
+        return 8
     if obj is None:
         return 0
     if isinstance(obj, np.ndarray):

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm
+from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm, _Transfer
 from repro.mpi.costmodels import CollectiveCostModel
-from repro.mpi.request import Request
 
 
 class SubComm(Comm):
@@ -57,7 +56,7 @@ class SubComm(Comm):
     def _scoped(self, tag: int) -> tuple:
         return ("subcomm", self._group_key, tag)
 
-    def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> Request:
+    def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> _Transfer:
         self._check_peer(dest)
         return self._world_comm._isend(obj, self._ranks[dest], self._scoped(tag), n)
 
@@ -73,18 +72,18 @@ class SubComm(Comm):
 
         return match
 
-    def _get(self, source: int, tag: Any):
+    def _mailbox(self, source: int, tag: Any):
         if source != ANY_SOURCE:
             self._check_peer(source)
             wsource: Optional[int] = self._ranks[source]
         else:
             wsource = None
-        return self._world_comm._inbox.get(self._group_match(wsource, tag))
+        return self._world_comm._inbox, self._group_match(wsource, tag)
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         obj, wsource, scoped = yield from super().recv_with_status(source, tag)
         return obj, self._ranks.index(wsource), scoped[2]
 
     # The public point-to-point calls and all collectives are inherited:
-    # they are written against _isend/_get/_collective and the group
+    # they are written against _isend/_mailbox/_collective and the group
     # plumbing above, and record their spans on the caller's world track.

@@ -302,13 +302,8 @@ class SimNetwork:
     def fast_path_open(self) -> bool:
         """Whether a new transfer may run as a hybrid fast-path chain:
         hybrid mode on, and nothing needs to observe the holds (no
-        tracer, no race tracker) or reroute them (no fault state)."""
-        return (
-            self.hybrid
-            and self._tracer is None
-            and self.sim.race is None
-            and self.faults is None
-        )
+        tracer) or reroute them (no fault state)."""
+        return self.hybrid and self._tracer is None and self.faults is None
 
     def claim_idle(
         self, src_node: int, dst_node: int
@@ -324,7 +319,9 @@ class SimNetwork:
         global _FAST_TRANSFERS
         if self.faults is not None:
             return None
-        path = self._path(src_node, dst_node)
+        path = self._path_cache.get((src_node, dst_node))
+        if path is None:
+            path = self._path(src_node, dst_node)
         ordered = path[1]
         for r in ordered:
             if r._in_use or r._waiters:
@@ -355,10 +352,18 @@ class SimNetwork:
     ) -> None:
         """Account a completed hold of ``hold_s`` on every route link
         (and, traced, on both NICs)."""
+        if self._tracer is None:
+            # Untraced, every message: the in-memory byte accounting of
+            # ``_charge_link``, inlined.
+            link_bytes = self.link_bytes
+            link_busy_s = self.link_busy_s
+            for ln in route:
+                link_bytes[ln] = link_bytes.get(ln, 0.0) + nbytes
+                link_busy_s[ln] = link_busy_s.get(ln, 0.0) + hold_s
+            return
         for ln in route:
             self._charge_link(ln, nbytes, hold_s)
-        if self._tracer is not None:
-            self._charge_nics(src_node, dst_node, nbytes, hold_s)
+        self._charge_nics(src_node, dst_node, nbytes, hold_s)
 
     @staticmethod
     def release(held: List[Resource]) -> None:
@@ -366,7 +371,13 @@ class SimNetwork:
         order, so a waiter that queued mid-hold gets its slot exactly as
         in full DES."""
         for r in reversed(held):
-            r.release()
+            if r._waiters or r._tracer is not None or r._in_use <= 0:
+                r.release()
+            else:
+                # Untraced and nobody queued: all that Resource.release
+                # would do.
+                r._releases += 1
+                r._in_use -= 1
 
     def count_transfer(self) -> None:
         """Count one completed transfer, here and in :func:`transfer_totals`."""

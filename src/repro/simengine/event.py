@@ -61,7 +61,11 @@ class Event:
             raise RuntimeError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        self._dispatch()
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -70,13 +74,10 @@ class Event:
             raise RuntimeError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._failure = exc
-        self._dispatch()
-        return self
-
-    def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(self)
+        return self
 
     # -- abandonment ----------------------------------------------------
     def on_abandon(self, cb: Callable[["Event"], None]) -> None:

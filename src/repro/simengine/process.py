@@ -25,6 +25,15 @@ def _combinator_desc(kind: str, waitables: Any) -> str:
     return f"{kind}({shown})"
 
 
+def _all_outcome(events: "list[Event]") -> tuple:
+    """``(values, None)`` for an ``AllOf`` whose events all succeeded, else
+    ``(None, first failure)``."""
+    for evt in events:
+        if evt._failure is not None:
+            return None, evt._failure
+    return [evt._value for evt in events], None
+
+
 def _describe(command: Any) -> str:
     """Deadlock-report description of a wait command (computed lazily —
     the hot path stores the command object and formats only when a
@@ -156,7 +165,16 @@ class Process:
         nothing can race the very first resumption)."""
         self._step(None)
 
-    def _step(self, send_value: Any) -> None:
+    def _step(self, value: Any, exc: Optional[BaseException] = None) -> None:
+        """Resume the generator with ``value`` (or throw ``exc`` into it)
+        and run it until it yields a wait that is not yet satisfied.
+
+        A command that is already complete — a triggered event, a
+        finished process, a decided ``AllOf``/``AnyOf`` — resumes the
+        generator in this loop, not through a callback, so a process
+        taking many already-satisfied waits in a row runs at constant
+        stack depth and records no wait span for them.
+        """
         if self.done._triggered:
             return
         self._epoch += 1
@@ -164,15 +182,62 @@ class Process:
         if self._wait_span is not None:
             self._close_wait_span()
         self._waiting_cmd = None
-        try:
-            command = self._gen.send(send_value)
-        except StopIteration as stop:
-            self.done.succeed(stop.value)
-            return
-        except ProcessKilled as exc:
-            self.done.fail(exc)
-            return
-        self._handle(command)
+        gen = self._gen
+        while True:
+            try:
+                if exc is None:
+                    command = gen.send(value)
+                else:
+                    command = gen.throw(exc)
+            except StopIteration as stop:
+                self.done.succeed(stop.value)
+                return
+            except ProcessKilled as err:
+                self.done.fail(err)
+                return
+            except Interrupt as err:
+                if exc is None:
+                    raise
+                # An interrupt thrown in and not handled ends the process.
+                self.done.fail(err)
+                return
+            if type(command) is Delay:
+                # Fused delay→resume: the wakeup is this bound method — no
+                # per-wait closure, no epoch capture. An interrupt that
+                # diverts the process *cancels* the queue entry (see
+                # ``_throw``), so a fired delay entry is never stale.
+                self._waiting_cmd = command
+                sim = self.sim
+                self._wait_handle = sim._queue.push(
+                    sim.now + command.dt, self._resume_wakeup, key=self.key
+                )
+            elif isinstance(command, Event):
+                if command._triggered:
+                    value, exc = command._value, command._failure
+                    continue
+                # Staleness check by identity, not epoch: ``_waiting_event``
+                # is cleared (and the wait abandoned) whenever the process
+                # moves on, and a one-shot pending event can never be
+                # waited on twice by the same process — so no per-wait
+                # closure.
+                self._waiting_cmd = command
+                self._waiting_event = command
+                command._callbacks.append(self._resume_event_cb)
+            else:
+                ready = self._wait_other(command)
+                if ready is not None:
+                    value, exc = ready
+                    continue
+            break
+        tracer = self.sim.tracer
+        if (
+            tracer is not None
+            and tracer.wait_spans
+            and self._waiting_cmd is not None
+        ):
+            self._wait_span = tracer.begin(
+                f"proc/{self.name}", f"wait:{self.waiting_on}", self.sim.now
+            )
 
     def _throw(self, exc: BaseException) -> None:
         if not self.alive:
@@ -187,51 +252,42 @@ class Process:
             # producer (a resource's grant queue, a store's getter list)
             # that nothing will ever consume the event.
             waited.abandon()
-        self._close_wait_span()
-        self._waiting_cmd = None
-        try:
-            command = self._gen.throw(exc)
-        except StopIteration as stop:
-            self.done.succeed(stop.value)
-            return
-        except (ProcessKilled, Interrupt) as err:
-            self.done.fail(err)
-            return
-        self._handle(command)
+        self._step(None, exc)
 
-    def _handle(self, command: Any) -> None:
-        sim = self.sim
-        if type(command) is Delay:
-            # Fused delay→resume: the wakeup is this bound method — no
-            # per-wait closure, no epoch capture. An interrupt that
-            # diverts the process *cancels* the queue entry (see
-            # ``_throw``), so a fired delay entry is never stale.
-            self._waiting_cmd = command
-            self._wait_handle = sim._queue.push(
-                sim.now + command.dt, self._resume_wakeup, key=self.key
-            )
-        elif isinstance(command, Event):
-            # Staleness check by identity, not epoch: ``_waiting_event``
-            # is cleared (and the wait abandoned) whenever the process
-            # moves on, and a one-shot pending event can never be waited
-            # on twice by the same process — so no per-wait closure.
-            self._waiting_cmd = command
-            self._waiting_event = command
-            command.add_callback(self._resume_event_cb)
-        elif isinstance(command, Process):
+    def _wait_other(self, command: Any) -> Optional[tuple]:
+        """Wait on any command but a ``Delay`` or an ``Event``.
+
+        Returns ``(value, exc)`` when the command is already complete
+        (``_step`` resumes with it at once), else ``None`` after arming
+        the wakeup.
+        """
+        if isinstance(command, Process):
+            done = command.done
+            if done._triggered:
+                return done._value, done._failure
             self._waiting_cmd = command
             epoch = self._epoch
-            command.done.add_callback(
-                lambda e: self._resume_from_event(epoch, e)
-            )
+            done._callbacks.append(lambda e: self._resume_from_event(epoch, e))
         elif isinstance(command, AllOf):
+            events = [
+                e.done if isinstance(e, Process) else e for e in command.events
+            ]
+            if events and all(e._triggered for e in events):
+                return _all_outcome(events)
             self._waiting_cmd = command
-            self._wait_all(command, self._epoch)
+            self._wait_all(events, self._epoch)
         elif isinstance(command, AnyOf):
+            events = [
+                e.done if isinstance(e, Process) else e for e in command.events
+            ]
+            for index, evt in enumerate(events):
+                if evt._triggered:
+                    return (index, evt._value), evt._failure
             self._waiting_cmd = command
-            self._wait_any(command, self._epoch)
+            self._wait_any(events, self._epoch)
         elif command is None:
             # ``yield`` with no argument: cooperative reschedule "now".
+            sim = self.sim
             self._wait_handle = sim._queue.push(
                 sim.now, self._resume_wakeup, key=self.key
             )
@@ -239,15 +295,7 @@ class Process:
             raise TypeError(
                 f"process {self.name!r} yielded unsupported command {command!r}"
             )
-        tracer = sim.tracer
-        if (
-            tracer is not None
-            and tracer.wait_spans
-            and self._waiting_cmd is not None
-        ):
-            self._wait_span = tracer.begin(
-                f"proc/{self.name}", f"wait:{self.waiting_on}", sim.now
-            )
+        return None
 
     def _resume_wakeup(self) -> None:
         """Wakeup for a Delay / bare-yield wait. No staleness check: the
@@ -263,24 +311,23 @@ class Process:
         self._step(value)
 
     def _resume_event_cb(self, event: Event) -> None:
-        """Wakeup for a single-Event wait (see ``_handle``)."""
+        """Wakeup for a single-Event wait (see ``_step``)."""
         if event is not self._waiting_event:
             return  # stale wakeup: the process was interrupted meanwhile
-        if event.failed:
-            self._throw(event.failure)  # type: ignore[arg-type]
+        if event._failure is not None:
+            self._throw(event._failure)
         else:
-            self._step(event.value)
+            self._step(event._value)
 
     def _resume_from_event(self, epoch: int, event: Event) -> None:
         if epoch != self._epoch:
             return  # stale wakeup: the process was interrupted meanwhile
-        if event.failed:
-            self._throw(event.failure)  # type: ignore[arg-type]
+        if event._failure is not None:
+            self._throw(event._failure)
         else:
-            self._step(event.value)
+            self._step(event._value)
 
-    def _wait_all(self, barrier: AllOf, epoch: int) -> None:
-        events = [e.done if isinstance(e, Process) else e for e in barrier.events]
+    def _wait_all(self, events: "list[Event]", epoch: int) -> None:
         if not events:
             self.sim._queue.push(
                 self.sim.now, lambda: self._resume(epoch, []), key=self.key
@@ -291,27 +338,26 @@ class Process:
         def on_trigger(_evt: Event) -> None:
             remaining["n"] -= 1
             if remaining["n"] == 0 and epoch == self._epoch:
-                failures = [e.failure for e in events if e.failed]
-                if failures:
-                    self._throw(failures[0])  # type: ignore[arg-type]
+                value, exc = _all_outcome(events)
+                if exc is not None:
+                    self._throw(exc)
                 else:
-                    self._step([e.value for e in events])
+                    self._step(value)
 
         for evt in events:
             evt.add_callback(on_trigger)
 
-    def _wait_any(self, race: AnyOf, epoch: int) -> None:
-        events = [e.done if isinstance(e, Process) else e for e in race.events]
+    def _wait_any(self, events: "list[Event]", epoch: int) -> None:
         fired = {"done": False}
 
         def on_trigger(evt: Event) -> None:
             if fired["done"] or epoch != self._epoch:
                 return
             fired["done"] = True
-            if evt.failed:
-                self._throw(evt.failure)  # type: ignore[arg-type]
+            if evt._failure is not None:
+                self._throw(evt._failure)
             else:
-                self._step((events.index(evt), evt.value))
+                self._step((events.index(evt), evt._value))
 
         for evt in events:
             evt.add_callback(on_trigger)

@@ -10,29 +10,28 @@ Entries at the same timestamp are ordered by a three-level rule:
 3. under an installed **permutation seed** (:func:`set_tie_break_seed`),
    unkeyed entries are reordered *across* scheduling parents while
    insertion order is preserved *within* each parent. Program order —
-   two pushes made by the same executing event — is a real
-   happens-before edge and must survive; the relative order of events
-   scheduled by unrelated parents is exactly the arbitrariness the
-   ``repro race`` certifier (see :mod:`repro.simrace`) shakes.
+   two pushes made by the same executing event — must survive; the
+   relative order of events scheduled by unrelated parents is exactly
+   the arbitrariness the ``repro race`` certifier (see
+   :mod:`repro.simrace`) shakes. An entry's parent is the entry that was
+   executing when it was pushed (``-1`` outside the run loop).
 
-Every entry records the ``seq`` of the entry that was executing when it
-was pushed (``parent``; ``-1`` for pushes outside the run loop), which is
-the scheduled-by edge of the happens-before relation used by
-``Simulator(sanitize="race")``.
+Hot-path layout: each heap item is a mutable list that is also the
+entry's cancellable handle,
 
-Hot-path layout (ROADMAP item 1): the heap holds plain tuples
-``(time, group, key, rank1, rank2, entry)`` rather than comparable
-entry objects, so every sift during ``heappush``/``heappop`` compares
-natively in C — no Python-level ``__lt__`` calls on the hot path. The
-tie-break *order* is exactly the three-level rule above:
+    ``[time, group, key, rank1, seq, callback, dead]``
 
-* keyed entries:   ``(time, 0, key, seq,  0)``
-* unkeyed (identity): ``(time, 1, "", seq,  seq)``
-* unkeyed (permuted): ``(time, 1, "", mix(seed, parent), seq)``
+read through the ``T``/``SEQ``/``CB``/``DEAD`` index constants. Lists
+compare element by element in C, so every sift during
+``heappush``/``heappop`` runs without a Python-level ``__lt__``. The
+first five slots encode the three-level rule:
 
-``seq`` is unique, so the trailing :class:`_Entry` slot is never
-compared. :class:`_Entry` remains the cancellable handle carrying the
-callback and the race-tracker bookkeeping (``seq``, ``parent``).
+* keyed entries:      ``[time, 0, key, seq, seq, ...]``
+* unkeyed (identity): ``[time, 1, "", seq, seq, ...]``
+* unkeyed (permuted): ``[time, 1, "", mix(seed, parent), seq, ...]``
+
+``seq`` is unique, so the comparison never reaches ``callback`` or
+``dead``, and flipping ``dead`` in place never disturbs the heap.
 """
 
 from __future__ import annotations
@@ -41,6 +40,10 @@ from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 _M64 = 0xFFFFFFFFFFFFFFFF
+
+#: Heap-item slots: firing time, sequence number, callback and the
+#: dead flag (cancelled, or already fired).
+T, SEQ, CB, DEAD = 0, 4, 5, 6
 
 #: Installed tie-break permutation seed (``None`` = identity order).
 #: Module-global like the installed tracer, so a seed installed by
@@ -77,43 +80,15 @@ def _mix(seed: int, parent: int) -> int:
     return x ^ (x >> 31)
 
 
-class _Entry:
-    """Cancellable handle for one scheduled callback.
-
-    Ordering lives in the heap tuples (see module docstring); the entry
-    itself carries the callback plus the scheduling provenance used by
-    the race tracker.
-    """
-
-    __slots__ = ("time", "seq", "parent", "callback", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[[], Any],
-        parent: int,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.parent = parent
-        self.callback = callback
-        self.cancelled = False
-
-
-#: One heap item: ``(time, group, key, rank1, rank2, entry)``.
-_Item = Tuple[float, int, str, int, int, _Entry]
-
-
 class EventQueue:
     """Min-heap of timed callbacks; deterministic among equal timestamps.
 
-    Entries may be cancelled lazily: :meth:`cancel` marks the entry and
-    :meth:`pop` skips cancelled entries, so cancellation is O(1).
+    Entries may be cancelled lazily: :meth:`cancel` marks the entry dead
+    and :meth:`pop` skips dead entries, so cancellation is O(1).
     """
 
     def __init__(self) -> None:
-        self._heap: List[_Item] = []
+        self._heap: List[list] = []
         self._next_seq = 0
         self._live = 0
         # seq of the most recently popped entry: the scheduling parent of
@@ -131,8 +106,9 @@ class EventQueue:
         time: float,
         callback: Callable[[], Any],
         key: Optional[str] = None,
-    ) -> _Entry:
-        """Schedule ``callback`` at ``time``; returns a cancellable handle.
+    ) -> list:
+        """Schedule ``callback`` at ``time``; returns a cancellable handle
+        (the heap item itself).
 
         ``key`` pins the entry's order among same-time entries (keyed
         entries fire first, in key order) independent of any installed
@@ -140,52 +116,47 @@ class EventQueue:
         """
         seq = self._next_seq
         self._next_seq = seq + 1
-        entry = _Entry(time, seq, callback, self._current_seq)
         if key is not None:
             # Explicitly keyed: pinned order, immune to permutation.
-            item = (time, 0, str(key), seq, 0, entry)
+            item = [time, 0, str(key), seq, seq, callback, False]
         elif _PERM_SEED is None:
-            item = (time, 1, "", seq, seq, entry)
+            item = [time, 1, "", seq, seq, callback, False]
         else:
             # Permute across parents, keep FIFO within a parent.
-            item = (time, 1, "", _mix(_PERM_SEED, self._current_seq), seq, entry)
+            item = [time, 1, "", _mix(_PERM_SEED, self._current_seq), seq,
+                    callback, False]
         heappush(self._heap, item)
         self._live += 1
-        return entry
+        return item
 
-    def cancel(self, entry: _Entry) -> None:
-        """Mark ``entry`` so it is skipped when popped."""
-        if not entry.cancelled:
-            entry.cancelled = True
+    def cancel(self, item: list) -> None:
+        """Mark ``item`` dead so it is skipped when popped. A no-op on an
+        entry that already fired or was cancelled."""
+        if not item[DEAD]:
+            item[DEAD] = True
             self._live -= 1
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live entry, or ``None`` if empty."""
-        self._drop_cancelled()
-        return self._heap[0][0] if self._heap else None
+        self._drop_dead()
+        return self._heap[0][T] if self._heap else None
 
-    def pop_entry(self) -> _Entry:
-        """Remove and return the earliest live entry.
+    def pop(self) -> Tuple[float, Callable[[], Any]]:
+        """Remove and return ``(time, callback)`` of the earliest live entry.
 
-        Also marks it as the current scheduling parent: pushes made while
-        its callback runs record this entry's ``seq`` as their ``parent``.
+        Also marks it as the current scheduling parent of later pushes.
         """
-        self._drop_cancelled()
+        self._drop_dead()
         if not self._heap:
             raise IndexError("pop from empty EventQueue")
-        entry = heappop(self._heap)[5]
+        item = heappop(self._heap)
         # Mark consumed: a late cancel() on a handle whose entry already
         # fired (e.g. a fault injector sweeping its handle list at job
         # end) must be a no-op, not a spurious live-count decrement.
-        entry.cancelled = True
+        item[DEAD] = True
         self._live -= 1
-        self._current_seq = entry.seq
-        return entry
-
-    def pop(self) -> Tuple[float, Callable[[], Any]]:
-        """Remove and return ``(time, callback)`` of the earliest live entry."""
-        entry = self.pop_entry()
-        return entry.time, entry.callback
+        self._current_seq = item[SEQ]
+        return item[T], item[CB]
 
     def shift_all(self, delta: float) -> None:
         """Postpone every pending entry by ``delta`` seconds.
@@ -197,14 +168,12 @@ class EventQueue:
         """
         if delta == 0.0:
             return
-        # Mutate in place: the run loop holds a direct reference to this
-        # list, so rebinding ``self._heap`` would strand it mid-run.
-        heap = self._heap
-        for i, (time, group, key, r1, r2, entry) in enumerate(heap):
-            heap[i] = (time + delta, group, key, r1, r2, entry)
-            entry.time += delta
+        # In place: the run loop and outstanding handles hold these very
+        # lists.
+        for item in self._heap:
+            item[T] += delta
 
-    def _drop_cancelled(self) -> None:
+    def _drop_dead(self) -> None:
         heap = self._heap
-        while heap and heap[0][5].cancelled:
+        while heap and heap[0][DEAD]:
             heappop(heap)

@@ -77,10 +77,7 @@ class Resource:
         withdrawn automatically (via the event's abandon hook), so a slot
         is never handed to a process that can no longer consume it.
         """
-        race = self.sim.race
-        if race is not None:
-            race.touch(self, "resource", self.name, "request")
-        evt = self.sim.event(name=self._grant_name)
+        evt = Event(self.sim, self._grant_name)
         evt.on_abandon(self._abandon_waiter)
         tracer = self._tracer
         if self._in_use < self.capacity:
@@ -135,9 +132,6 @@ class Resource:
         release must match an outstanding grant, and occupancy can never
         exceed capacity.
         """
-        race = self.sim.race
-        if race is not None:
-            race.touch(self, "resource", self.name, "release")
         if self._in_use <= 0:
             raise RuntimeError(f"release() of idle resource {self.name!r}")
         if self._in_use > self.capacity:  # pragma: no cover - defensive
@@ -213,15 +207,22 @@ class Store:
 
     def put(self, item: Any) -> None:
         """Deposit ``item``; wakes the first compatible waiting getter."""
-        race = self.sim.race
-        if race is not None:
-            race.touch(self, "store", self.name, "put")
         for idx, (evt, match) in enumerate(self._getters):
             if match is None or match(item):
                 del self._getters[idx]
                 evt.succeed(item)
                 return
         self._items.append(item)
+
+    def take(self, match: Optional[Callable[[Any], bool]] = None) -> Any:
+        """Remove and return the first matching item without waiting, or
+        ``None`` if there is none (so stores that use it never hold
+        ``None`` items)."""
+        for idx, item in enumerate(self._items):
+            if match is None or match(item):
+                del self._items[idx]
+                return item
+        return None
 
     def get(self, match: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event yielding the first matching item.
@@ -230,10 +231,7 @@ class Store:
         get is withdrawn (via the event's abandon hook) so a later ``put``
         cannot hand an item to a process that will never consume it.
         """
-        race = self.sim.race
-        if race is not None:
-            race.touch(self, "store", self.name, "get")
-        evt = self.sim.event(name=self._get_name)
+        evt = Event(self.sim, self._get_name)
         evt.on_abandon(self._abandon_getter)
         for idx, item in enumerate(self._items):
             if match is None or match(item):

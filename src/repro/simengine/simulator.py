@@ -39,31 +39,6 @@ class ResourceLeakError(RuntimeError):
     but a :class:`~repro.simengine.resource.Resource` still holds slots."""
 
 
-class ScheduleRaceError(RuntimeError):
-    """Raised by ``Simulator(sanitize="race")`` when two same-time events
-    with no happens-before path touch the same resource/store state.
-
-    Their relative order is then decided by queue tie-breaking alone, so
-    the model's results may silently depend on scheduler internals — the
-    exact property the hot-path rewrite must preserve. ``state`` names
-    the contended object; ``first`` and ``second`` carry both events'
-    provenances (seq, scheduling parent, callback)."""
-
-    def __init__(self, state: str, now: float, first: str, second: str) -> None:
-        self.state = state
-        self.now = now
-        self.first = first
-        self.second = second
-        super().__init__(
-            f"schedule race at t={now:.9g}s on {state}:\n"
-            f"  {first}\n  {second}\n"
-            f"no happens-before path orders these same-time events — their "
-            f"relative order is queue tie-breaking. Constrain it (schedule "
-            f"key=..., an Event, a Resource hand-off) or make the accesses "
-            f"commutative."
-        )
-
-
 class Simulator:
     """Owns the clock and the pending-event queue.
 
@@ -89,21 +64,19 @@ class Simulator:
     * a **resource-conservation check** — if every process finished but a
       resource still has slots in use, :class:`ResourceLeakError` names
       the leaking resource (an acquire without a matching release).
-
-    ``sanitize="race"`` additionally turns on the schedule-race detector
-    (see :mod:`repro.simrace.hb`): every event records which event
-    scheduled it, and two same-time events that touch the same
-    resource/store state without a happens-before path raise
-    :class:`ScheduleRaceError` naming both provenances.
     """
 
     def __init__(
         self,
-        sanitize: "bool | str" = False,
+        sanitize: bool = False,
         tracer: "Optional[Tracer]" = None,
     ) -> None:
         self.now: float = 0.0
-        self.sanitize = bool(sanitize)
+        if not isinstance(sanitize, bool):
+            raise ValueError(
+                f"sanitize must be True or False, got {sanitize!r}"
+            )
+        self.sanitize = sanitize
         if tracer is None:
             # Deferred import: repro.obs is a higher layer; pulling it in
             # eagerly here would create an import cycle.
@@ -114,14 +87,6 @@ class Simulator:
         #: default — untraced runs pay only ``is None`` checks).
         self.tracer = tracer
         self._queue = EventQueue()
-        #: Attached :class:`~repro.simrace.hb.RaceTracker`, or ``None``
-        #: (the default — race-free runs pay only ``is None`` checks).
-        self.race = None
-        if sanitize == "race":
-            # Deferred import: repro.simrace is a higher layer.
-            from repro.simrace.hb import RaceTracker
-
-            self.race = RaceTracker(self)
         self._running = False
         self._processes: List[Process] = []
         self._resources: "List[Resource]" = []
@@ -268,39 +233,38 @@ class Simulator:
             raise RuntimeError("Simulator.run() is not re-entrant")
         self._running = True
         processed = 0
-        # Hot loop: the queue internals are inlined (single cancelled
-        # scan per pop, native tuple comparisons, local bindings) — this
+        # Hot loop: the queue internals are inlined (single dead-entry
+        # scan per pop, native list comparisons, local bindings) — this
         # loop dominates every DES workload (des_fault_free in
-        # BENCHMARK.json).
+        # BENCHMARK.json). Heap items are ``[time, group, key, rank1,
+        # seq, callback, dead]``; the literal indexes 0, 4, 5 and 6 below
+        # are repro.simengine.queue's T, SEQ, CB and DEAD.
         queue = self._queue
         heap = queue._heap
         pop = heappop
-        race = self.race
         try:
             while queue._live:
-                entry = heap[0][5]
-                if entry.cancelled:
+                item = heap[0]
+                if item[6]:
                     pop(heap)
                     continue
-                time = entry.time
+                time = item[0]
                 if until is not None and time > until:
                     self.now = until
                     return until
                 pop(heap)
                 # Mark consumed so a late cancel() on this handle (a fault
                 # injector sweeping its list at job end) is a no-op.
-                entry.cancelled = True
+                item[6] = True
                 queue._live -= 1
-                queue._current_seq = entry.seq
+                queue._current_seq = item[4]
                 if time > self.now:
                     self.now = time
                 elif time < self.now - 1e-15:
                     raise RuntimeError(
                         f"time went backwards: {time} < {self.now}"
                     )
-                if race is not None:
-                    race.begin_event(entry)
-                entry.callback()
+                item[5]()
                 processed += 1
                 if max_events and processed > max_events:
                     raise RuntimeError(f"exceeded max_events={max_events}")

@@ -90,3 +90,22 @@ def test_store_get_event_resolution_after_cancelled_style_race():
 
     with pytest.raises(RuntimeError, match="deadlock"):
         MPIJob(xt4("SN"), 3).run(main)
+
+
+@pytest.mark.parametrize("ntasks", [300, 600])
+def test_gather_by_recv_from_many_early_senders_does_not_recurse(ntasks):
+    """Every message has arrived before rank 0 asks for it, so each recv
+    is satisfied at once; hundreds in a row must not grow the stack."""
+
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.compute(1e12)
+            got = 0
+            for src in range(1, comm.size):
+                got += yield from comm.recv(source=src)
+            return got
+        yield from comm.send(comm.rank, dest=0)
+        return None
+
+    res = MPIJob(xt4("SN"), ntasks=ntasks).run(main)
+    assert res.returns[0] == sum(range(1, ntasks))

@@ -153,3 +153,11 @@ def test_release_of_idle_resource_still_raises():
     res = Resource(sim, capacity=1, name="port")
     with pytest.raises(RuntimeError, match="idle resource"):
         res.release()
+
+
+# -- mode argument -------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["race", 1, None])
+def test_sanitize_accepts_only_a_bool(mode):
+    with pytest.raises(ValueError, match="sanitize must be True or False"):
+        Simulator(sanitize=mode)
