@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.lustre.client import LustreClient
-from repro.lustre.filesystem import LustreConfig, LustreFilesystem
-from repro.simengine import AllOf, Simulator
+from repro.lustre import IORBenchmark, LustreConfig
 
 #: Conserved variables per grid point in the restart file.
 STATE_VARIABLES = 13
@@ -32,6 +30,8 @@ class CheckpointStudy:
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
+        if self.points_per_task < 1:
+            raise ValueError("points_per_task must be >= 1")
 
     @property
     def bytes_per_task(self) -> int:
@@ -39,44 +39,12 @@ class CheckpointStudy:
 
     def write_time_s(self, pattern: str = "file-per-process") -> Tuple[float, float]:
         """Simulated ``(total_seconds, metadata_seconds)`` for one checkpoint."""
-        if pattern not in ("file-per-process", "single-shared-file"):
-            raise ValueError(f"unknown pattern {pattern!r}")
-        sim = Simulator()
-        fs = LustreFilesystem(sim, self.config)
-        clients = [LustreClient(fs, i) for i in range(self.ntasks)]
-        meta_done = [0.0]
-        shared = {}
-
-        def creator():
-            f = yield from clients[0].create(
-                "s3d.restart", stripe_count=fs.config.total_osts
-            )
-            shared["f"] = f
-            meta_done[0] = sim.now
-
-        def writer_fpp(c: LustreClient):
-            f = yield from c.create(f"s3d.restart.{c.client_id}")
-            meta_done[0] = max(meta_done[0], sim.now)
-            yield from c.write(f, 0, self.bytes_per_task)
-
-        def writer_ssf(c: LustreClient, creator_proc):
-            yield creator_proc.done
-            yield from c.write(
-                shared["f"], c.client_id * self.bytes_per_task, self.bytes_per_task
-            )
-
-        if pattern == "file-per-process":
-            procs = [sim.spawn(writer_fpp(c)) for c in clients]
-        else:
-            cp = sim.spawn(creator())
-            procs = [sim.spawn(writer_ssf(c, cp)) for c in clients]
-
-        def waiter():
-            yield AllOf(procs)
-
-        sim.spawn(waiter())
-        sim.run()
-        return sim.now, meta_done[0]
+        config = self.config or LustreConfig()
+        stripes = config.total_osts if pattern == "single-shared-file" else None
+        run = IORBenchmark(config).run(
+            self.ntasks, self.bytes_per_task, pattern, stripe_count=stripes
+        )
+        return run.elapsed_s, run.metadata_s
 
     def checkpoint_overhead_fraction(
         self, step_seconds: float, steps_between_checkpoints: int,

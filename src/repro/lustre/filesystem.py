@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.machine.specs import GIGA, MICRO
-from repro.simengine import Delay, Resource, Simulator
+from repro.simengine import AllOf, Event, Resource, Simulator
 from repro.lustre.striping import StripeLayout
 
 
@@ -48,6 +48,35 @@ class _File:
         self.name = name
         self.layout = layout
         self.size = 0
+
+
+class _Chunk:
+    """One stripe chunk's pass through its OSS pipe, as a callback chain:
+    :meth:`start` requests the OSS, the grant schedules the end of the
+    ``hold``, and :meth:`finish` releases the OSS and counts ``left`` (a
+    one-item list shared by the transfer's chunks) down, succeeding
+    ``done`` with the last. It pushes the same queue entries, at the same
+    times, as a process running ``Resource.use(hold)``."""
+
+    __slots__ = ("oss", "hold", "left", "done")
+
+    def __init__(self, oss: Resource, hold: float, left: list, done: Event) -> None:
+        self.oss = oss
+        self.hold = hold
+        self.left = left
+        self.done = done
+
+    def start(self) -> None:
+        self.oss.request().add_callback(self._granted)
+
+    def _granted(self, _grant: Event) -> None:
+        self.oss.sim.schedule(self.hold, self.finish)
+
+    def finish(self) -> None:
+        self.oss.release()
+        self.left[0] -= 1
+        if not self.left[0]:
+            self.done.succeed()
 
 
 class LustreFilesystem:
@@ -120,23 +149,26 @@ class LustreFilesystem:
         """Process-helper: move ``nbytes`` at ``offset`` through the OSSes.
 
         Each per-OST chunk holds its OSS pipe for ``chunk / bandwidth``;
-        chunks to distinct OSSes proceed concurrently via sub-processes.
+        chunks to distinct OSSes proceed concurrently, each a
+        :class:`_Chunk` chain started at the current time, and the caller
+        resumes when the last one finishes.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         chunks = file.layout.chunks(offset, nbytes)
-        procs = []
-        for ost, chunk in chunks:
-            oss_idx = self.oss_of_ost(ost)
-            self.oss_bytes[oss_idx] += chunk
-            hold = chunk / (self.config.oss_bandwidth_GBs * GIGA)
-            procs.append(
-                self.sim.spawn(
-                    self.oss[oss_idx].use(hold), name=f"io-oss{oss_idx}"
-                )
-            )
-        from repro.simengine import AllOf
-
-        yield AllOf(procs)
+        if chunks:
+            sim = self.sim
+            done = Event(sim, "transfer")
+            left = [len(chunks)]
+            rate = self.config.oss_bandwidth_GBs * GIGA
+            for ost, chunk in chunks:
+                oss_idx = self.oss_of_ost(ost)
+                self.oss_bytes[oss_idx] += chunk
+                step = _Chunk(self.oss[oss_idx], chunk / rate, left, done)
+                sim.schedule(0.0, step.start)
+            yield done
+        else:
+            # No chunks: still resume through a queue entry at this time.
+            yield AllOf(())
         if write:
             file.size = max(file.size, offset + nbytes)

@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.lustre.client import LustreClient
 from repro.lustre.filesystem import LustreConfig, LustreFilesystem
-from repro.simengine import AllOf, Simulator
+from repro.simengine import Simulator
 
 
 @dataclass
@@ -82,15 +82,13 @@ class IORBenchmark:
             yield from c.write(f, c.client_id * bytes_per_client, bytes_per_client)
 
         if pattern == "file-per-process":
-            procs = [sim.spawn(writer_fpp(c)) for c in clients]
+            for c in clients:
+                sim.spawn(writer_fpp(c))
         else:
             creator = sim.spawn(shared_creator())
-            procs = [sim.spawn(writer_ssf(c, creator)) for c in clients]
+            for c in clients:
+                sim.spawn(writer_ssf(c, creator))
 
-        def waiter():
-            yield AllOf(procs)
-
-        sim.spawn(waiter())
         sim.run()
         return IORResult(
             pattern=pattern,

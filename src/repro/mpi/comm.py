@@ -310,12 +310,16 @@ class Comm:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Start a nonblocking receive; the request's value is the payload."""
         inbox, match = self._mailbox(source, tag)
-        inner = inbox.get(match)
-        outer = self.job.sim.event(name=f"irecv @{self.rank}")
-        inner.add_callback(lambda e: outer.succeed(e.value.obj))
+        done = self.job.sim.event(name=f"irecv @{self.rank}")
+        # A message that has already arrived completes the request now.
+        msg = inbox.take(match)
+        if msg is None:
+            inbox.get(match).add_callback(lambda e: done.succeed(e.value.obj))
+        else:
+            done.succeed(msg.obj)
         if self._tracer is not None:
             self._tracer.instant(self._track, "mpi.irecv", self.job.sim.now, bytes=0)
-        return Request(outer)
+        return Request(done)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload object."""

@@ -31,6 +31,9 @@ class SubComm(Comm):
         self.size = len(self._ranks)
         self._coll_seq = 0
         self._group_key = group_key
+        # (source, tag) → (world inbox, group-scoped predicate), built once
+        # per pair, as Comm._mailboxes.
+        self._mailboxes: dict = {}
         self._tracer = world_comm._tracer
         self._track = world_comm._track
         self._costs_model = CollectiveCostModel.for_machine(
@@ -73,12 +76,17 @@ class SubComm(Comm):
         return match
 
     def _mailbox(self, source: int, tag: Any):
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-            wsource: Optional[int] = self._ranks[source]
-        else:
-            wsource = None
-        return self._world_comm._inbox, self._group_match(wsource, tag)
+        box = self._mailboxes.get((source, tag))
+        if box is None:
+            if source != ANY_SOURCE:
+                self._check_peer(source)
+                wsource: Optional[int] = self._ranks[source]
+            else:
+                wsource = None
+            box = self._mailboxes[(source, tag)] = (
+                self._world_comm._inbox, self._group_match(wsource, tag)
+            )
+        return box
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         obj, wsource, scoped = yield from super().recv_with_status(source, tag)

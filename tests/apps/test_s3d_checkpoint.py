@@ -48,3 +48,9 @@ def test_validation():
         CheckpointStudy(ntasks=0)
     with pytest.raises(ValueError):
         CheckpointStudy(ntasks=2).write_time_s("strided")
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_empty_checkpoint_rejected_by_its_own_parameter(points):
+    with pytest.raises(ValueError, match="points_per_task must be >= 1"):
+        CheckpointStudy(ntasks=2, points_per_task=points)

@@ -88,6 +88,58 @@ def test_request_test_polls_without_blocking():
     assert res.returns[1] == 1024
 
 
+def test_irecv_after_arrival_is_complete_at_once():
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send("early", dest=1, tag=3)
+            return None
+        yield from comm.compute(1e9)  # the message lands meanwhile
+        req = comm.irecv(source=0, tag=3)
+        assert req.test()
+        t0 = comm.wtime()
+        value = yield from req.wait()
+        return value, comm.wtime() - t0
+
+    res = run(xt4("SN"), 2, main)
+    assert res.returns[1] == ("early", 0.0)
+
+
+def test_irecv_before_arrival_completes_on_delivery():
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.compute(1e9)
+            yield from comm.send("late", dest=1, tag=4)
+            return None
+        req = comm.irecv(source=0, tag=4)
+        polled = req.test()  # nothing sent yet
+        value = yield from req.wait()
+        return polled, req.test(), value, comm.wtime()
+
+    res = run(xt4("SN"), 2, main)
+    polled, done, value, t = res.returns[1]
+    assert (polled, done, value) == (False, True, "late")
+    assert t > 0
+
+
+def test_irecv_any_source_takes_messages_in_arrival_order():
+    def main(comm):
+        if comm.rank == 0:
+            first = comm.irecv(source=ANY_SOURCE, tag=5)
+            second = comm.irecv(source=ANY_SOURCE, tag=5)
+            values = yield from Request.waitall([first, second])
+            yield from comm.compute(1e9)  # rank 3's message lands meanwhile
+            third = comm.irecv(source=ANY_SOURCE, tag=5)
+            ready = third.test()
+            value = yield from third.wait()
+            return values + [value], ready
+        yield from comm.compute(1e8 * comm.rank)
+        yield from comm.send(f"from {comm.rank}", dest=0, tag=5)
+        return None
+
+    res = run(xt4("SN"), 4, main)
+    assert res.returns[0] == (["from 1", "from 2", "from 3"], True)
+
+
 def test_sendrecv_exchange():
     def main(comm):
         peer = 1 - comm.rank

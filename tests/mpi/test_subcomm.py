@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine import xt4
-from repro.mpi import MPIJob
+from repro.mpi import ANY_SOURCE, MPIJob
 from repro.obs import Tracer
 
 
@@ -90,6 +90,35 @@ def test_subgroup_recv_any_source_only_sees_group_traffic():
 
     res = run(main2, ntasks=4)
     assert res.returns[2] == ("group", 0, 7, "world")
+
+
+def test_subgroup_mailbox_is_cached_and_group_scoped():
+    """Receives from one peer and tag reuse one predicate, which still
+    rejects world and sibling-group messages in the shared inbox."""
+
+    def main(comm):
+        pairs = yield from comm.split(comm.rank % 2)  # [0, 2] and [1, 3]
+        halves = yield from comm.split(comm.rank // 2)  # [0, 1] and [2, 3]
+        if comm.rank == 0:
+            yield from comm.send("world", dest=2, tag=5)
+            yield from pairs.send("group 1", dest=1, tag=5)
+            yield from pairs.send("group 2", dest=1, tag=5)
+        elif comm.rank == 3:
+            yield from halves.send("sibling", dest=0, tag=5)  # to world rank 2
+        elif comm.rank == 2:
+            yield from comm.compute(1e9)  # every message lands meanwhile
+            box = pairs._mailbox(0, 5)
+            first = yield from pairs.recv(source=0, tag=5)
+            second = yield from pairs.recv(source=0, tag=5)
+            assert pairs._mailbox(0, 5) is box
+            assert pairs._mailbox(ANY_SOURCE, 5)[1] is not box[1]
+            world = yield from comm.recv(source=0, tag=5)
+            sibling = yield from halves.recv(source=1, tag=5)
+            return first, second, world, sibling
+        return None
+
+    res = run(main, ntasks=4)
+    assert res.returns[2] == ("group 1", "group 2", "world", "sibling")
 
 
 def test_subgroup_gather_bcast_scatter():
