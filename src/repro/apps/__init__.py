@@ -13,10 +13,14 @@ on the simulated MPI at small scale) with a *performance model* (shared
 decomposition and cost-model code, evaluated at paper scale).
 """
 
-from repro.apps.aorsa import AORSAModel
-from repro.apps.cam import CAMModel
-from repro.apps.namd import NAMDModel
-from repro.apps.pop import POPModel
-from repro.apps.s3d import S3DModel
+from repro.core.lazy import lazy_exports
 
 __all__ = ["AORSAModel", "CAMModel", "NAMDModel", "POPModel", "S3DModel"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.aorsa.model": ("AORSAModel",),
+    "repro.apps.cam.model": ("CAMModel",),
+    "repro.apps.namd.model": ("NAMDModel",),
+    "repro.apps.pop.model": ("POPModel",),
+    "repro.apps.s3d.model": ("S3DModel",),
+})

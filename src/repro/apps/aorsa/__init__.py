@@ -8,8 +8,12 @@ LU, then evaluates the quasi-linear (QL) operator.
 spectral system with the from-scratch FFT and blocked LU kernels.
 """
 
-from repro.apps.aorsa.model import AORSAModel
-from repro.apps.aorsa.pipeline import AORSAPipeline
-from repro.apps.aorsa.spectral import SpectralProblem
+from repro.core.lazy import lazy_exports
 
 __all__ = ["AORSAModel", "AORSAPipeline", "SpectralProblem"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.aorsa.model": ("AORSAModel",),
+    "repro.apps.aorsa.pipeline": ("AORSAPipeline",),
+    "repro.apps.aorsa.spectral": ("SpectralProblem",),
+})

@@ -6,12 +6,7 @@ Figures 14–16; :mod:`~repro.apps.cam.dycore` is a real finite-volume
 advection mini-dycore runnable on the simulated MPI.
 """
 
-from repro.apps.cam.decomp import D_GRID, CAMDecomposition, CAMGrid, decompose
-from repro.apps.cam.dycore import MiniDycore
-from repro.apps.cam.model import CAMModel, best_configuration
-from repro.apps.cam.physics import PhysicsProxy
-from repro.apps.cam.minicam import MiniCAM
-from repro.apps.cam.remap import RemapStudy
+from repro.core.lazy import lazy_exports
 
 __all__ = [
     "CAMDecomposition",
@@ -25,3 +20,12 @@ __all__ = [
     "best_configuration",
     "decompose",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.cam.decomp": ("D_GRID", "CAMDecomposition", "CAMGrid", "decompose"),
+    "repro.apps.cam.dycore": ("MiniDycore",),
+    "repro.apps.cam.model": ("CAMModel", "best_configuration"),
+    "repro.apps.cam.physics": ("PhysicsProxy",),
+    "repro.apps.cam.minicam": ("MiniCAM",),
+    "repro.apps.cam.remap": ("RemapStudy",),
+})

@@ -7,7 +7,11 @@ Jones + velocity Verlet) with a spatial-decomposition step on the
 simulated MPI.
 """
 
-from repro.apps.namd.minimd import MiniMD
-from repro.apps.namd.model import NAMD_1M, NAMD_3M, NAMDModel, NAMDSystem
+from repro.core.lazy import lazy_exports
 
 __all__ = ["MiniMD", "NAMDModel", "NAMDSystem", "NAMD_1M", "NAMD_3M"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.namd.minimd": ("MiniMD",),
+    "repro.apps.namd.model": ("NAMD_1M", "NAMD_3M", "NAMDModel", "NAMDSystem"),
+})

@@ -8,11 +8,7 @@ contains a real distributed CG — standard and Chronopoulos–Gear — on the
 simulated MPI.
 """
 
-from repro.apps.pop.baroclinic import BaroclinicStep
-from repro.apps.pop.barotropic import DistributedCG
-from repro.apps.pop.minipop import MiniPOP
-from repro.apps.pop.grid import POP_01_GRID, POPDecomposition, POPGrid
-from repro.apps.pop.model import POPModel
+from repro.core.lazy import lazy_exports
 
 __all__ = [
     "BaroclinicStep",
@@ -23,3 +19,11 @@ __all__ = [
     "POPGrid",
     "POPModel",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.pop.baroclinic": ("BaroclinicStep",),
+    "repro.apps.pop.barotropic": ("DistributedCG",),
+    "repro.apps.pop.minipop": ("MiniPOP",),
+    "repro.apps.pop.grid": ("POP_01_GRID", "POPDecomposition", "POPGrid"),
+    "repro.apps.pop.model": ("POPModel",),
+})

@@ -8,9 +8,13 @@ nearest-neighbour ghost exchange only.
 DNS proxy using the same discretization on the simulated MPI.
 """
 
-from repro.apps.s3d.checkpoint import CheckpointStudy
-from repro.apps.s3d.model import S3DModel
-from repro.apps.s3d.solver import MiniDNS
-from repro.apps.s3d.weak import S3DWeakScalingRun
+from repro.core.lazy import lazy_exports
 
 __all__ = ["CheckpointStudy", "MiniDNS", "S3DModel", "S3DWeakScalingRun"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.s3d.checkpoint": ("CheckpointStudy",),
+    "repro.apps.s3d.model": ("S3DModel",),
+    "repro.apps.s3d.solver": ("MiniDNS",),
+    "repro.apps.s3d.weak": ("S3DWeakScalingRun",),
+})

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps.s3d import S3DModel
-from repro.apps.s3d.solver import MiniDNS
 from repro.core.experiment import ExperimentResult
 from repro.core.registry import register
 from repro.core.validate import ShapeCheck
@@ -43,6 +40,10 @@ def des_companion() -> str:
     trace carries the weak-scaling pattern's ghost exchanges, compute
     phases and memory-controller draw.
     """
+    import numpy as np
+
+    from repro.apps.s3d.solver import MiniDNS
+
     dns = MiniDNS(nx=16, ny=32)
     x = np.linspace(0, 2 * np.pi, dns.nx, endpoint=False)
     y = np.linspace(0, 2 * np.pi, dns.ny, endpoint=False)

@@ -8,22 +8,7 @@ machine runs. Each benchmark can also execute its real kernel at small
 scale (``run_numeric``) so correctness and model structure are testable.
 """
 
-from repro.hpcc.bidirectional import BidirectionalBandwidth
-from repro.hpcc.dgemm_bench import DGEMMBench
-from repro.hpcc.fft_bench import FFTBench
-from repro.hpcc.hpl import HPLModel
-from repro.hpcc.hpl_distributed import DistributedLU
-from repro.hpcc.mpifft import MPIFFTModel
-from repro.hpcc.mpifft_distributed import DistributedFFT
-from repro.hpcc.mpira import MPIRandomAccessModel
-from repro.hpcc.mpira_distributed import DistributedRandomAccess
-from repro.hpcc.pingpong import PingPong
-from repro.hpcc.ptrans import PTRANSModel
-from repro.hpcc.ptrans_distributed import DistributedPTRANS
-from repro.hpcc.ra_bench import RandomAccessBench
-from repro.hpcc.ring import RingBenchmark
-from repro.hpcc.stream_bench import StreamBench
-from repro.hpcc.suite import HPCCSuite
+from repro.core.lazy import lazy_exports
 
 __all__ = [
     "BidirectionalBandwidth",
@@ -43,3 +28,22 @@ __all__ = [
     "RingBenchmark",
     "StreamBench",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hpcc.bidirectional": ("BidirectionalBandwidth",),
+    "repro.hpcc.dgemm_bench": ("DGEMMBench",),
+    "repro.hpcc.fft_bench": ("FFTBench",),
+    "repro.hpcc.hpl": ("HPLModel",),
+    "repro.hpcc.hpl_distributed": ("DistributedLU",),
+    "repro.hpcc.mpifft": ("MPIFFTModel",),
+    "repro.hpcc.mpifft_distributed": ("DistributedFFT",),
+    "repro.hpcc.mpira": ("MPIRandomAccessModel",),
+    "repro.hpcc.mpira_distributed": ("DistributedRandomAccess",),
+    "repro.hpcc.pingpong": ("PingPong",),
+    "repro.hpcc.ptrans": ("PTRANSModel",),
+    "repro.hpcc.ptrans_distributed": ("DistributedPTRANS",),
+    "repro.hpcc.ra_bench": ("RandomAccessBench",),
+    "repro.hpcc.ring": ("RingBenchmark",),
+    "repro.hpcc.stream_bench": ("StreamBench",),
+    "repro.hpcc.suite": ("HPCCSuite",),
+})

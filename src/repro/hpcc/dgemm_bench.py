@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.kernels.dgemm import dgemm, dgemm_flops
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
 
@@ -35,6 +32,10 @@ class DGEMMBench:
         ``verified`` confirms the blocked kernel matches ``A @ B``; the
         modelled time charges ``2n³`` flops at the SP rate.
         """
+        import numpy as np
+
+        from repro.kernels.dgemm import dgemm, dgemm_flops
+
         rng = np.random.default_rng(5)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.kernels.fft import fft, fft_flops
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
 
@@ -29,6 +26,10 @@ class FFTBench:
 
     def run_numeric(self, n: int = 1 << 12):
         """Run the real FFT, validate against NumPy, return modelled seconds."""
+        import numpy as np
+
+        from repro.kernels.fft import fft, fft_flops
+
         rng = np.random.default_rng(7)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = fft(x)

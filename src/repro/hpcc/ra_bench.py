@@ -4,13 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.kernels.randomaccess import (
-    hpcc_random_stream,
-    random_access_update,
-    verify_random_access,
-)
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
 
@@ -40,6 +33,14 @@ class RandomAccessBench:
         lookahead batch scales with the table as in the real benchmark so
         the collision rate stays inside tolerance.
         """
+        import numpy as np
+
+        from repro.kernels.randomaccess import (
+            hpcc_random_stream,
+            random_access_update,
+            verify_random_access,
+        )
+
         size = 1 << table_bits
         table = np.arange(size, dtype=np.uint64)
         stream = hpcc_random_stream(2 * size)

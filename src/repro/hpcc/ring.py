@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.machine.specs import Machine
 from repro.mpi.job import MPIJob
 from repro.network.model import NetworkModel
@@ -47,6 +45,8 @@ class RingBenchmark:
         Every rank simultaneously exchanges with both neighbours; returns
         the elapsed time in microseconds (one iteration).
         """
+        import numpy as np
+
         if ntasks < 2:
             raise ValueError("need at least 2 tasks for a ring")
 
@@ -69,6 +69,8 @@ class RingBenchmark:
         self, ntasks: int = 8, nbytes: int = 1024, seed: int = 0
     ) -> float:
         """DES ring over a random rank permutation (non-local pattern)."""
+        import numpy as np
+
         if ntasks < 2:
             raise ValueError("need at least 2 tasks for a ring")
         rng = np.random.default_rng(seed)

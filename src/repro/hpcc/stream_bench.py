@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.kernels.stream import stream_triad
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
 
@@ -31,6 +28,10 @@ class StreamBench:
 
     def run_numeric(self, n: int = 100_000):
         """Run the real triad, validate, return modelled seconds (SP)."""
+        import numpy as np
+
+        from repro.kernels.stream import stream_triad
+
         rng = np.random.default_rng(11)
         a = np.empty(n)
         b = rng.standard_normal(n)

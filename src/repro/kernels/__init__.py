@@ -6,6 +6,12 @@ high-order finite-difference stencils, conjugate-gradient solvers (standard
 and Chronopoulos–Gear), low-storage Runge–Kutta, block transpose, and
 blocked LU — so tests validate numerics, while *timing* always comes from
 the machine models.
+
+Unlike :mod:`repro.apps` and :mod:`repro.hpcc`, this package imports its
+exports eagerly. No analytic path reaches it (the HPCC benches import
+their kernels inside ``run_numeric``), and it exports ``dgemm`` and
+``fft``, the names of its own submodules: with lazy exports, importing
+``repro.kernels.dgemm`` would bind the module over the function.
 """
 
 from repro.kernels.cg import CGResult, chronopoulos_gear_cg, conjugate_gradient

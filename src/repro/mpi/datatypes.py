@@ -1,11 +1,15 @@
-"""Payload sizing and reduction operators for the simulated MPI."""
+"""Payload sizing and reduction operators for the simulated MPI.
+
+numpy is looked up in ``sys.modules`` rather than imported: while it is
+not loaded, no payload can be an array, and the MPI layer imports
+without it.
+"""
 
 from __future__ import annotations
 
 import pickle
+import sys
 from typing import Any, Iterable, List, Sequence
-
-import numpy as np
 
 #: Fallback wire size for objects whose size cannot be derived structurally.
 _DEFAULT_OBJ_NBYTES = 64
@@ -26,9 +30,8 @@ def payload_nbytes(obj: Any) -> int:
         return 8
     if obj is None:
         return 0
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, np.generic):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return int(obj.nbytes)
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
@@ -46,11 +49,23 @@ def payload_nbytes(obj: Any) -> int:
         return _DEFAULT_OBJ_NBYTES
 
 
+def _maximum(acc: Any, x: Any) -> Any:
+    import numpy as np
+
+    return np.maximum(acc, x)
+
+
+def _minimum(acc: Any, x: Any) -> Any:
+    import numpy as np
+
+    return np.minimum(acc, x)
+
+
 _OPS = {
     "sum": lambda acc, x: acc + x,
     "prod": lambda acc, x: acc * x,
-    "max": lambda acc, x: np.maximum(acc, x),
-    "min": lambda acc, x: np.minimum(acc, x),
+    "max": _maximum,
+    "min": _minimum,
 }
 
 
@@ -66,12 +81,16 @@ def reduce_values(values: Sequence[Any], op: str = "sum") -> Any:
         raise ValueError("cannot reduce an empty value list")
     it = iter(values)
     acc = next(it)
-    if isinstance(acc, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(acc, np.ndarray):
         acc = acc.copy()
     fn = _OPS[op]
     for v in it:
         acc = fn(acc, v)
-    if op in ("max", "min") and not isinstance(acc, np.ndarray):
-        # numpy.maximum on scalars yields numpy scalars; normalize.
-        acc = acc.item() if isinstance(acc, np.generic) else acc
+    if op in ("max", "min"):
+        # numpy.maximum on scalars yields numpy scalars; normalize. The op
+        # itself may have loaded numpy, so look it up again.
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(acc, np.generic):
+            acc = acc.item()
     return acc

@@ -78,7 +78,6 @@ class Resource:
         is never handed to a process that can no longer consume it.
         """
         evt = Event(self.sim, self._grant_name)
-        evt.on_abandon(self._abandon_waiter)
         tracer = self._tracer
         if self._in_use < self.capacity:
             self._in_use += 1
@@ -87,6 +86,7 @@ class Resource:
                 self._trace_grant(waited_from=None)
             evt.succeed(self)
         else:
+            evt.on_abandon(self._abandon_waiter)
             self._waiters.append(evt)
             if tracer is not None:
                 now = self.sim.now
@@ -232,12 +232,12 @@ class Store:
         cannot hand an item to a process that will never consume it.
         """
         evt = Event(self.sim, self._get_name)
-        evt.on_abandon(self._abandon_getter)
         for idx, item in enumerate(self._items):
             if match is None or match(item):
                 del self._items[idx]
                 evt.succeed(item)
                 return evt
+        evt.on_abandon(self._abandon_getter)
         self._getters.append((evt, match))
         return evt
 

@@ -5,11 +5,17 @@ address streams, job placement shuffles) flow through ``seeded_rng`` — or its
 named-stream front door :func:`fork` — so that experiments are reproducible
 bit-for-bit given a seed. The simlint ``nondet`` rules (docs/LINT.md) flag
 any bypass of this module.
+
+numpy loads on the first draw, not on import: the analytic drivers import
+modules that use this one but never draw, and so never load numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default seed used across the repository's experiments.
 DEFAULT_SEED = 20071110  # SC'07 opened 10 Nov 2007
@@ -21,6 +27,8 @@ def seeded_rng(seed: int | None = None, stream: str = "") -> np.random.Generator
     ``stream`` namespaces independent random streams derived from one
     experiment seed, so adding a new consumer never perturbs existing ones.
     """
+    import numpy as np
+
     base = DEFAULT_SEED if seed is None else int(seed)
     if stream:
         # Stable 64-bit mix of the stream name into the seed.

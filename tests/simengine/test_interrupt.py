@@ -73,6 +73,53 @@ def test_interrupt_while_queued_on_resource_does_not_leak_slots():
     assert res.in_use == 0 and res.queue_length == 0
 
 
+def test_only_queued_waits_carry_an_abandon_hook():
+    """An immediate grant or item can never be abandoned, so it carries no
+    hook; a queued requester or getter does, and interrupting it while
+    queued still withdraws it."""
+    sim = Simulator(sanitize=True)
+    res = Resource(sim, capacity=1, name="nic")
+    store = Store(sim, name="inbox")
+    store.put("ready")
+    queued = {}
+
+    def holder():
+        grant = res.request()
+        item = store.get()
+        assert grant.triggered and grant._abandon_cb is None
+        assert item.triggered and item._abandon_cb is None
+        yield grant
+        try:
+            yield Delay(2.0)
+        finally:
+            res.release()
+
+    def victim():
+        queued["grant"] = res.request()
+        queued["item"] = store.get()
+        assert queued["grant"]._abandon_cb is not None
+        assert queued["item"]._abandon_cb is not None
+        try:
+            yield queued["item"]
+        except Interrupt:
+            queued["grant"].abandon()
+
+    sim.spawn(holder(), name="holder")
+    vproc = sim.spawn(victim(), name="victim")
+
+    def interrupter():
+        yield Delay(1.0)
+        assert res.queue_length == 1
+        vproc.interrupt("fault")
+
+    sim.spawn(interrupter(), name="interrupter")
+    sim.run()
+    assert queued["grant"].abandoned and queued["item"].abandoned
+    assert res.in_use == 0 and res.queue_length == 0
+    store.put("late")
+    assert store.peek_all() == ["late"]
+
+
 def test_interrupt_while_holding_slot_releases_via_finally():
     sim = Simulator(sanitize=True)
     res = Resource(sim, capacity=1, name="port")

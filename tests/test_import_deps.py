@@ -1,7 +1,9 @@
-"""Import-cost guard: numpy is the only numerics dependency.
+"""Import-cost guards: numpy is the only numerics dependency, and the
+analytic drivers do not load even that.
 
-Runs in a fresh interpreter so that modules other tests imported do not
-count, and passes whether or not scipy is installed.
+Each test runs in a fresh interpreter so that modules other tests
+imported do not count; the scipy test passes whether or not scipy is
+installed.
 """
 
 import json
@@ -22,6 +24,32 @@ def test_importing_the_package_loads_no_scipy():
         "assert len(drivers) == 26\n"
         "print(json.dumps(sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == []
+
+
+def test_analytic_drivers_load_no_numpy():
+    """The 23 drivers that never run the DES, and a cold ``repro run``
+    of one of them, import and execute without loading numpy."""
+    code = (
+        "import contextlib, importlib, io, json, sys\n"
+        "from repro.core.registry import all_experiments, get_experiment\n"
+        "des = {'ext_resilience', 'fig01', 'fig12_13'}\n"
+        "ids = [e for e in all_experiments() if e not in des]\n"
+        "assert len(ids) == 23\n"
+        "for exp_id in ids:\n"
+        "    driver = get_experiment(exp_id)\n"
+        "    module = importlib.import_module(driver.__module__)\n"
+        "    assert module.shape_checks(driver()).passed, exp_id\n"
+        "import repro.__main__\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert repro.__main__.main(['run', 'fig17']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'numpy')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
