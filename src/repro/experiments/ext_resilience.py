@@ -11,7 +11,10 @@ and validates the simulated optimum against Daly's first-order formula
 
 Each curve plots total overhead (checkpoints + lost work + restarts, as
 a % of the fault-free solve time) against ``interval / I*``, so theory
-says every curve should bottom out near x = 1.
+says every curve should bottom out near x = 1. Each point is a mean over
+the crash-plan seeds; the ``seed min`` and ``seed max`` series show its
+spread, which is wider than the gaps between neighbouring means
+(docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ MTBF_FRACTIONS = (1 / 4, 1 / 12)
 #: Crash-plan seeds averaged per grid point.
 SEEDS = tuple(range(1, 7))
 
+#: (mtbf_s, mean, min, max overhead % per ratio), min and max over SEEDS.
+Curve = Tuple[float, List[float], List[float], List[float]]
+
 
 def _workload(comm, iters=ITERS):
     """Compute + neighbour exchange loop (the usual mini-app skeleton)."""
@@ -54,9 +60,9 @@ def _run_once(plan: FaultPlan, policy) -> float:
 
 
 @lru_cache(maxsize=1)
-def _sweep() -> Tuple[float, float, float, Tuple[Tuple[float, List[float]], ...]]:
-    """(T_solve, C, R, ((mtbf_s, overhead_pct per ratio), ...)) — cached so
-    the reproduce and render passes do not re-simulate."""
+def _sweep() -> Tuple[float, float, float, Tuple[Curve, ...]]:
+    """(T_solve, C, R, (curve per MTBF, ...)) — cached so the reproduce
+    and render passes do not re-simulate."""
     # Fault-free baseline; the explicit empty plan shields the run from
     # any process-globally installed plan (repro run --faults).
     t_solve = _run_once(FaultPlan([]), None)
@@ -77,7 +83,7 @@ def _sweep() -> Tuple[float, float, float, Tuple[Tuple[float, List[float]], ...]
             )
             for seed in SEEDS
         ]
-        overheads = []
+        overheads, lows, highs = [], [], []
         for ratio in RATIOS:
             policy = FaultPolicy(
                 checkpoint_interval_s=ratio * i_star,
@@ -85,12 +91,12 @@ def _sweep() -> Tuple[float, float, float, Tuple[Tuple[float, List[float]], ...]
                 restart_cost_s=restart_cost,
                 max_restarts=10_000,
             )
-            total = 0.0
-            for plan in plans:
-                total += _run_once(plan, policy)
-            mean = total / len(SEEDS)
+            times = [_run_once(plan, policy) for plan in plans]
+            mean = sum(times) / len(times)
             overheads.append(100.0 * (mean - t_solve) / t_solve)
-        curves.append((mtbf, overheads))
+            lows.append(100.0 * (min(times) - t_solve) / t_solve)
+            highs.append(100.0 * (max(times) - t_solve) / t_solve)
+        curves.append((mtbf, overheads, lows, highs))
     return t_solve, ckpt_cost, restart_cost, tuple(curves)
 
 
@@ -103,14 +109,18 @@ def run() -> ExperimentResult:
         ylabel="resilience overhead (% of fault-free solve time)",
     )
     t_solve, ckpt_cost, restart_cost, curves = _sweep()
-    for (mtbf, overheads), frac in zip(curves, MTBF_FRACTIONS):
+    for (mtbf, overheads, lows, highs), frac in zip(curves, MTBF_FRACTIONS):
         label = f"MTBF = T/{round(1 / frac)}"
         result.add(label, list(RATIOS), overheads)
+        result.add(f"{label} seed min", list(RATIOS), lows)
+        result.add(f"{label} seed max", list(RATIOS), highs)
     result.notes = (
         f"XT4-SN, {NTASKS} ranks, {ITERS} compute+sendrecv iterations; "
         f"fault-free solve T = {t_solve:.4g}s, checkpoint cost C = T/200, "
         f"restart cost R = T/100; node crashes sampled from exponential "
-        f"MTBF over {len(SEEDS)} seeds per point. Daly: I* = sqrt(2CM) - C."
+        f"MTBF over {len(SEEDS)} seeds; each curve is the seed mean, and its "
+        f"'seed min' and 'seed max' series give the spread over the seeds. "
+        f"Daly: I* = sqrt(2CM) - C."
     )
     return result
 

@@ -178,7 +178,7 @@ class FaultPlan:
             rate = n_components / mtbf_s
             out, t = [], 0.0
             while True:
-                t += float(rng.exponential(1.0 / rate))
+                t += rng.expovariate(rate)
                 if t >= horizon_s:
                     return out
                 out.append(t)
@@ -188,7 +188,7 @@ class FaultPlan:
             for t in arrivals("node_crash", num_nodes, node_mtbf_s):
                 events.append(FaultEvent(
                     t_s=t, kind="node_crash",
-                    node=int(rng.integers(num_nodes)),
+                    node=rng.randrange(num_nodes),
                 ))
         if link_mtbf_s is not None:
             if torus_dims is None:
@@ -198,7 +198,7 @@ class FaultPlan:
             for t in arrivals("link_down", len(links), link_mtbf_s):
                 events.append(FaultEvent(
                     t_s=t, kind="link_down",
-                    link=links[int(rng.integers(len(links)))],
+                    link=links[rng.randrange(len(links))],
                     duration_s=link_outage_s,
                 ))
         if nic_mtbf_s is not None:
@@ -206,7 +206,7 @@ class FaultPlan:
             for t in arrivals("nic_stall", num_nodes, nic_mtbf_s):
                 events.append(FaultEvent(
                     t_s=t, kind="nic_stall",
-                    node=int(rng.integers(num_nodes)),
+                    node=rng.randrange(num_nodes),
                     duration_s=nic_stall_s,
                 ))
         if mem_mtbf_s is not None:
@@ -214,7 +214,7 @@ class FaultPlan:
             for t in arrivals("mem_throttle", num_nodes, mem_mtbf_s):
                 events.append(FaultEvent(
                     t_s=t, kind="mem_throttle",
-                    node=int(rng.integers(num_nodes)),
+                    node=rng.randrange(num_nodes),
                     duration_s=mem_throttle_s, factor=mem_factor,
                 ))
         if noise_mtbf_s is not None:
@@ -222,7 +222,7 @@ class FaultPlan:
             for t in arrivals("os_noise", num_nodes, noise_mtbf_s):
                 events.append(FaultEvent(
                     t_s=t, kind="os_noise",
-                    node=int(rng.integers(num_nodes)),
+                    node=rng.randrange(num_nodes),
                     duration_s=noise_window_s, factor=noise_factor,
                 ))
         return cls(events)

@@ -10,10 +10,11 @@ are banned from simulation code:
   clock: use ``sim.now`` / ``comm.wtime()``.
 * SL202 — the *global* (unseeded / ambiently-seeded) RNGs: the
   ``random`` module's top-level functions and NumPy's legacy
-  ``np.random.*`` singleton. All stochastic choices flow through
-  :func:`repro.simengine.rng.seeded_rng` (or a
-  :func:`~repro.simengine.rng.fork` of it), which namespaces streams
-  under the experiment seed.
+  ``np.random.*`` singleton. Stochastic choices draw from
+  :func:`repro.simengine.rng.fork` ``(stream, seed)``, a stdlib
+  ``random.Random`` per named stream under the experiment seed; only
+  numerics that need numpy arrays of draws use
+  :func:`~repro.simengine.rng.seeded_rng`.
 * SL203 — iteration over a ``set`` (literal, comprehension or
   ``set(...)`` call) in a ``for`` header or comprehension. Set order
   depends on hash seeding; feeding it into scheduling or rank ordering
@@ -113,7 +114,7 @@ class DeterminismChecker:
             yield self._finding(
                 "SL202", node, filename,
                 f"'random.{func.attr}()' draws from the shared global RNG — "
-                f"use repro.simengine.rng.seeded_rng(seed, stream=...)",
+                f"use repro.simengine.rng.fork(stream, seed)",
             )
             return
         # np.random.<fn>() / numpy.random.<fn>()
@@ -127,7 +128,8 @@ class DeterminismChecker:
             yield self._finding(
                 "SL202", node, filename,
                 f"'{owner.value.id}.random.{func.attr}()' uses NumPy's global "
-                f"RandomState — use repro.simengine.rng.seeded_rng / fork",
+                f"RandomState — use repro.simengine.rng.fork(stream, seed), or "
+                f"seeded_rng(seed, stream=...) for numpy arrays of draws",
             )
 
     # -- set iteration -------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from repro.machine.specs import Machine
 from repro.network.topology import Torus3D
-from repro.simengine.rng import seeded_rng
+from repro.simengine.rng import fork
 
 
 class Placement:
@@ -45,9 +45,7 @@ class Placement:
         if strategy == "contiguous":
             pass
         elif strategy == "random":
-            rng = seeded_rng(seed, "placement")
-            order = rng.permutation(len(slots))
-            slots = [slots[i] for i in order]
+            fork("placement", seed).shuffle(slots)
         else:
             raise ValueError(f"unknown placement strategy {strategy!r}")
         self._node: List[int] = [s[0] for s in slots]

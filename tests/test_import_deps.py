@@ -1,5 +1,6 @@
-"""Import-cost guards: numpy is the only numerics dependency, and the
-analytic drivers do not load even that.
+"""Import-cost guards: numpy is the only numerics dependency, the
+analytic drivers do not load even that, and a cold ``repro all`` runs
+with numpy unimportable.
 
 Each test runs in a fresh interpreter so that modules other tests
 imported do not count; the scipy test passes whether or not scipy is
@@ -12,7 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_importing_the_package_loads_no_scipy():
@@ -56,3 +58,27 @@ def test_analytic_drivers_load_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(proc.stdout) == []
+
+
+def test_cold_repro_all_runs_without_numpy(tmp_path):
+    """Every artifact regenerates, byte for byte, on an install where
+    numpy cannot be imported: numpy is an optional extra."""
+    out = tmp_path / "out"
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import repro.__main__\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = repro.__main__.main(['all', '--no-cache', '--out', {str(out)!r}])\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = ROOT / "results"
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(p.name for p in results.iterdir())
+    differ = [n for n in written if (out / n).read_bytes() != (results / n).read_bytes()]
+    assert differ == []
