@@ -10,7 +10,6 @@ Usage::
     python -m repro cache verify [--delete]              # result-store hygiene
     python -m repro cache gc --max-age-days 30
     python -m repro lint src/ tests/                     # simlint passthrough
-    python -m repro race fig08 -k 4                      # schedule-race certify
 """
 
 from __future__ import annotations
@@ -315,13 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         add_help=False,
     )
     p_lint.add_argument("lint_args", nargs=argparse.REMAINDER)
-    p_race = sub.add_parser(
-        "race",
-        help="certify drivers schedule-invariant "
-        "(see `repro race -- --help` for its options)",
-        add_help=False,
-    )
-    p_race.add_argument("race_args", nargs=argparse.REMAINDER)
     p_mach = sub.add_parser("machine", help="inspect or export a machine config")
     p_mach.add_argument("name", nargs="?", default="xt4",
                         help="xt3 | xt3-dc | xt4 | xt4-qc | xt3/4")
@@ -349,13 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if lint_args and lint_args[0] == "--":
             lint_args = lint_args[1:]
         return lint_main(lint_args)
-    if args.command == "race":
-        from repro.simrace.cli import main as race_main
-
-        race_args = args.race_args
-        if race_args and race_args[0] == "--":
-            race_args = race_args[1:]
-        return race_main(race_args)
     if args.command == "machine":
         return cmd_machine(args)
     return cmd_all(args)

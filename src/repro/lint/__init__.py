@@ -25,7 +25,8 @@ Every rule is per-file: a checker sees one module at a time, and
 ``repro-lint`` parses and checks each file once, with no cross-module
 index and no result cache. The rule set is what a mutation audit kept
 (``docs/LINT.md``, "Audit"); schedule-order bugs are the job of the
-runtime certifier ``repro race`` (:mod:`repro.simrace`).
+runtime certifier (:mod:`repro.simrace`), which tier-1 runs over every
+driver.
 
 Run it as ``python -m repro.lint [paths]``, ``repro-lint`` or
 ``repro lint``; suppress a deliberate violation with

@@ -3,14 +3,13 @@
 ``--format sarif`` makes CI integration free: GitHub (and most code
 hosts) render SARIF uploads as inline annotations. One SARIF *result*
 is emitted per finding; the *rules* table carries every registered rule
-(or the caller's own table) so viewers can show descriptions for ids
-that did not fire.
+so viewers can show descriptions for ids that did not fire.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.lint.core import Finding, all_rules
 from repro.version import __version__
@@ -55,18 +54,15 @@ def _sarif_result(f: Finding) -> dict:
     }
 
 
-def render_sarif(
-    findings: Iterable[Finding], rules: Optional[Dict[str, str]] = None
-) -> str:
-    """SARIF 2.1.0 for ``findings``; ``rules`` (rule id → description)
-    defaults to every registered simlint rule."""
+def render_sarif(findings: Iterable[Finding]) -> str:
+    """SARIF 2.1.0 for ``findings``, declaring every simlint rule."""
     table: List[dict] = [
         {
             "id": rule,
             "shortDescription": {"text": desc},
             "helpUri": "https://github.com/repro/docs/LINT.md",
         }
-        for rule, desc in sorted((rules or all_rules()).items())
+        for rule, desc in sorted(all_rules().items())
     ]
     results = [_sarif_result(f) for f in findings]
     doc = {

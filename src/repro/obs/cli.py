@@ -3,16 +3,15 @@
 Usage::
 
     repro-trace summary TRACE [--top K] [--counters PREFIX]
-    repro-trace summary TRACE --diff OTHER [--top K]
     repro-trace diff A B [--top K] [--fail-over PCT]
     python -m repro.obs summary results/s3d.trace.json
 
 ``summary`` prints the top-k spans by self time, the link-hotspot table
-and per-counter statistics; ``--diff``/``diff`` compares two traces the
-way the paper's tables compare SN and VN mode — per-operation totals
-side by side with the delta that explains the gap. ``diff --fail-over
-PCT`` additionally exits nonzero when any counter's final value drifted
-by more than PCT percent, so CI can gate on trace-counter drift.
+and per-counter statistics; ``diff`` compares two traces the way the
+paper's tables compare SN and VN mode — per-operation totals side by
+side with the delta that explains the gap. ``diff --fail-over PCT``
+additionally exits nonzero when any counter's final value drifted by
+more than PCT percent, so CI can gate on trace-counter drift.
 """
 
 from __future__ import annotations
@@ -93,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rows per ranking table (default 10)")
     p_sum.add_argument("--counters", default="", metavar="PREFIX",
                        help="only show counters with this name prefix")
-    p_sum.add_argument("--diff", metavar="OTHER", default=None,
-                       help="compare against a second trace instead")
     p_diff = sub.add_parser("diff", help="compare two traces (A -> B)")
     p_diff.add_argument("trace_a")
     p_diff.add_argument("trace_b")
@@ -133,14 +130,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "summary" and args.diff is None:
+        if args.command == "summary":
             trace = load_trace(args.trace)
             print(render_summary(trace, top=args.top,
                                  counter_prefix=args.counters,
                                  label=args.trace))
-        elif args.command == "summary":
-            print(render_diff(load_trace(args.trace), load_trace(args.diff),
-                              top=args.top))
         else:
             a = load_trace(args.trace_a)
             b = load_trace(args.trace_b)

@@ -3,11 +3,12 @@
 The content-addressed store is self-healing at read time (a corrupt
 entry is a miss), but a long-lived cache accumulates debris that reads
 alone never clean up: entries torn by power loss, files copied under
-the wrong key, temp files abandoned by SIGKILL, and stale entries whose
-fingerprints will never be asked for again. These commands make that
-hygiene explicit::
+the wrong key, temp files abandoned by SIGKILL, stale entries whose
+fingerprints will never be asked for again, and whole stores left
+behind by an earlier schema. These commands make that hygiene
+explicit::
 
-    repro cache verify                 # report corrupt/misplaced/tmp debris
+    repro cache verify                 # report corrupt/misplaced/tmp/stale debris
     repro cache verify --delete        # ... and remove it
     repro cache gc --max-age-days 30   # age-based eviction (atime-free)
     repro cache gc --max-age-days 0 --dry-run
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -32,6 +34,32 @@ from repro.obs import current_tracer
 from repro.runner.cache import SCHEMA, CacheEntry, ResultCache
 
 __all__ = ["main", "scan", "evict_older_than"]
+
+#: Names of store directories, current and retired: result stores
+#: ``v<N>`` and schedule-race certificate stores ``race-v<N>``.
+_STORE_DIR = re.compile(r"(race-)?v[0-9]+")
+
+
+def _stale_files(root: pathlib.Path) -> List[pathlib.Path]:
+    """Every file under a retired store of ``root``.
+
+    A retired store is a top-level directory named ``v<N>`` or
+    ``race-v<N>`` other than the current ``SCHEMA``; no reader ever
+    opens it again. Nothing else under ``root`` qualifies, so pointing
+    ``--cache-dir`` at a working directory cannot touch unrelated files.
+    """
+    if not root.is_dir():
+        return []
+    return [
+        path
+        for store in sorted(root.iterdir())
+        if store.name != SCHEMA
+        and _STORE_DIR.fullmatch(store.name)
+        and store.is_dir()
+        and not store.is_symlink()
+        for path in sorted(store.rglob("*"))
+        if path.is_file()
+    ]
 
 
 @dataclass
@@ -43,11 +71,12 @@ class ScanReport:
     corrupt: List[pathlib.Path] = field(default_factory=list)
     misplaced: List[pathlib.Path] = field(default_factory=list)
     tmp: List[pathlib.Path] = field(default_factory=list)
+    stale: List[pathlib.Path] = field(default_factory=list)
     deleted: int = 0
 
     @property
     def problems(self) -> List[pathlib.Path]:
-        return self.corrupt + self.misplaced + self.tmp
+        return self.corrupt + self.misplaced + self.tmp + self.stale
 
 
 def scan(cache: ResultCache, delete: bool = False) -> ScanReport:
@@ -56,13 +85,12 @@ def scan(cache: ResultCache, delete: bool = False) -> ScanReport:
     * **corrupt** — unparseable JSON or schema-incompatible documents;
     * **misplaced** — a valid entry filed under the wrong name or
       fan-out directory (it would never be served: reads check the key);
-    * **tmp** — abandoned ``.tmp-*`` files from killed writers.
+    * **tmp** — abandoned ``.tmp-*`` files from killed writers;
+    * **stale** — any file of a retired store (:func:`_stale_files`).
     """
-    report = ScanReport()
+    report = ScanReport(stale=_stale_files(cache.root))
     base = cache.root / SCHEMA
-    if not base.is_dir():
-        return report
-    for path in sorted(base.rglob("*")):
+    for path in sorted(base.rglob("*")) if base.is_dir() else ():
         if not path.is_file():
             continue
         if path.name.startswith(".tmp-"):
@@ -95,6 +123,7 @@ def scan(cache: ResultCache, delete: bool = False) -> ScanReport:
             "cache.verify.corrupt": len(report.corrupt),
             "cache.verify.misplaced": len(report.misplaced),
             "cache.verify.tmp": len(report.tmp),
+            "cache.verify.stale": len(report.stale),
             "cache.verify.deleted": report.deleted,
         }
         for i, (name, value) in enumerate(sorted(totals.items())):
@@ -123,22 +152,25 @@ def evict_older_than(
     Abandoned temp files are swept once they are over a minute old (a
     *live* temp file exists only for the milliseconds between mkstemp
     and ``os.replace``; the grace period keeps gc from racing an
-    in-flight atomic write).
+    in-flight atomic write). Files of a retired store
+    (:func:`_stale_files`) go at any age: nothing reads them again.
     """
     report = GcReport(dry_run=dry_run)
     now = time.time()
     cutoff = now - max_age_days * 86400.0
     base = cache.root / SCHEMA
-    if not base.is_dir():
-        return report
-    for path in sorted(base.rglob("*")):
+    stale = set(_stale_files(cache.root))
+    live = sorted(base.rglob("*")) if base.is_dir() else []
+    for path in live + sorted(stale):
         if not path.is_file():
             continue
         try:
             stat = path.stat()
         except OSError:
             continue
-        if path.name.startswith(".tmp-"):
+        if path in stale:
+            pass  # evicted at any age
+        elif path.name.startswith(".tmp-"):
             if stat.st_mtime > now - 60.0:
                 continue  # possibly an in-flight atomic write
         elif path.suffix == ".json":
@@ -180,12 +212,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(
         f"scanned {report.scanned} entries: {report.ok} ok, "
         f"{len(report.corrupt)} corrupt, {len(report.misplaced)} misplaced, "
-        f"{len(report.tmp)} abandoned tmp"
+        f"{len(report.tmp)} abandoned tmp, "
+        f"{len(report.stale)} in retired stores"
     )
     for label, paths in (
         ("corrupt", report.corrupt),
         ("misplaced", report.misplaced),
         ("tmp", report.tmp),
+        ("stale", report.stale),
     ):
         for rel in _rel(paths, cache.root):
             print(f"  {label}: {rel}")
@@ -217,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_verify = sub.add_parser(
-        "verify", help="scan for corrupt/misplaced/abandoned files"
+        "verify", help="scan for corrupt/misplaced/abandoned/stale files"
     )
     p_verify.add_argument(
         "--delete", action="store_true",

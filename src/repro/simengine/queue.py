@@ -12,7 +12,7 @@ Entries at the same timestamp are ordered by a three-level rule:
    insertion order is preserved *within* each parent. Program order —
    two pushes made by the same executing event — must survive; the
    relative order of events scheduled by unrelated parents is exactly
-   the arbitrariness the ``repro race`` certifier (see
+   the arbitrariness the schedule-race certifier (see
    :mod:`repro.simrace`) shakes. An entry's parent is the entry that was
    executing when it was pushed (``-1`` outside the run loop).
 
@@ -47,7 +47,7 @@ T, SEQ, CB, DEAD = 0, 4, 5, 6
 
 #: Installed tie-break permutation seed (``None`` = identity order).
 #: Module-global like the installed tracer, so a seed installed by
-#: ``repro race`` reaches simulators constructed deep inside drivers.
+#: the certifier reaches simulators constructed deep inside drivers.
 _PERM_SEED: Optional[int] = None
 
 

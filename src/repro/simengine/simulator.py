@@ -146,7 +146,8 @@ class Simulator:
         ``key`` pins the callback's order among same-time events (keyed
         events fire first, in lexicographic key order) — use it whenever
         several callbacks land on the same timestamp and their relative
-        order matters (``repro race`` finds the ones that do).
+        order matters (tier-1's schedule-invariance test finds the ones
+        that do).
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")

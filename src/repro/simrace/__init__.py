@@ -1,13 +1,12 @@
-"""simrace: schedule-race detection for the DES core.
+"""simrace: schedule-race certification for the DES core.
 
-``repro race`` (:mod:`repro.simrace.cli`) re-executes drivers under
+:func:`repro.simrace.certify.certify_driver` re-executes a driver under
 seeded permutations of the event queue's tie-breaking
-(:mod:`repro.simrace.permute`) and certifies their published results
-schedule-invariant (:mod:`repro.simrace.certify`). ``--format sarif``
-reports each divergent driver under rule ``SL850``
-(:mod:`repro.simrace.formats`).
+(:mod:`repro.simrace.permute`) and reports the first value that moves.
+``tests/experiments/test_schedule_invariance.py`` certifies every
+registered driver with it.
 
-See ``docs/DETERMINISM.md`` for the model and the certificate format.
+See ``docs/DETERMINISM.md`` for the model.
 """
 
 from repro.simrace.permute import (

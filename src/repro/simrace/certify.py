@@ -15,145 +15,21 @@ to a canonical JSON blob over
 
 If every permuted blob equals the baseline, the driver is
 *schedule-invariant*: its published numbers cannot depend on same-time
-event ordering, which is the precondition for the simengine hot-path
-rewrite's "bit-identical results" gate (ROADMAP item 1, and
-docs/DETERMINISM.md).
-
-Certificates are content-addressed like cached results: the key covers
-the result's cache key (the experiment id and a digest of the whole
-``repro`` source tree — see :mod:`repro.runner.fingerprint`) plus the
-certification parameters, so any source edit, to a driver or to a
-model it runs, invalidates every certificate.
+event ordering (docs/DETERMINISM.md).
+``tests/experiments/test_schedule_invariance.py`` certifies every
+registered driver this way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
-import json
-import os
-import pathlib
-import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from repro.runner.fingerprint import canonical_json
-from repro.simrace.permute import DEFAULT_SEED, permutation_seeds, tie_break_permutation
-
-#: Bump when the certificate schema or the execution-blob shape changes.
-RACE_SCHEMA = 1
+from repro.simrace.permute import permutation_seeds, tie_break_permutation
 
 DEFAULT_PERMUTATIONS = 4
 
-
-@dataclass
-class Certificate:
-    """The outcome of certifying one driver.
-
-    ``divergence`` is ``None`` for an invariant driver; otherwise it
-    carries the first diverging permutation seed and a pointer to the
-    first differing value (path into the execution blob, baseline value,
-    permuted value).
-    """
-
-    exp_id: str
-    title: str
-    schedule_invariant: bool
-    k: int
-    base_seed: int
-    seeds: List[int] = field(default_factory=list)
-    divergence: Optional[Dict[str, Any]] = None
-    fingerprint: str = ""
-    from_cache: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": RACE_SCHEMA,
-            "exp_id": self.exp_id,
-            "title": self.title,
-            "schedule_invariant": self.schedule_invariant,
-            "k": self.k,
-            "base_seed": self.base_seed,
-            "seeds": list(self.seeds),
-            "divergence": self.divergence,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            exp_id=data["exp_id"],
-            title=data.get("title", ""),
-            schedule_invariant=bool(data["schedule_invariant"]),
-            k=int(data["k"]),
-            base_seed=int(data["base_seed"]),
-            seeds=[int(s) for s in data.get("seeds", [])],
-            divergence=data.get("divergence"),
-            fingerprint=data.get("fingerprint", ""),
-        )
-
-
-class CertificateCache:
-    """Content-addressed certificate store (mirrors the result cache).
-
-    Layout: ``<root>/race-v1/<2-char fan-out>/<key>.json``; writes are
-    atomic, unreadable entries are misses.
-    """
-
-    SCHEMA = f"race-v{RACE_SCHEMA}"
-
-    def __init__(self, root: Union[str, pathlib.Path] = ".repro-cache") -> None:
-        self.root = pathlib.Path(root)
-
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.root / self.SCHEMA / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> Optional[Certificate]:
-        path = self.path_for(key)
-        try:
-            data = json.loads(path.read_text())
-            if data.get("schema") != RACE_SCHEMA or data.get("key") != key:
-                return None
-            return Certificate.from_dict(data["certificate"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def put(self, key: str, cert: Certificate) -> pathlib.Path:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(
-                    {"schema": RACE_SCHEMA, "key": key, "certificate": cert.to_dict()},
-                    fh,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
-
-
-def certificate_key(exp_id: str, k: int, base_seed: int) -> str:
-    """Content key: the result's cache key + race parameters."""
-    from repro.runner.fingerprint import cache_key_for
-
-    document = canonical_json(
-        {
-            "race_schema": RACE_SCHEMA,
-            "result_key": cache_key_for(exp_id),
-            "k": int(k),
-            "base_seed": int(base_seed),
-        }
-    )
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
-
-
-# -- execution ---------------------------------------------------------------
 
 def _clear_module_memoization(module) -> None:
     """Reset every ``functools`` memo cache defined at module level.
@@ -220,59 +96,24 @@ def first_divergence(
     return None
 
 
-def _shorten(value: Any, limit: int = 160) -> str:
-    text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
 def certify_driver(
-    exp_id: str,
-    k: int = DEFAULT_PERMUTATIONS,
-    base_seed: int = DEFAULT_SEED,
-    cache: Optional[CertificateCache] = None,
-    force: bool = False,
-) -> Certificate:
-    """Certify one driver; consults/updates ``cache`` when given."""
-    from repro.core.registry import experiment_title
-
-    key = certificate_key(exp_id, k, base_seed)
-    if cache is not None and not force:
-        hit = cache.get(key)
-        if hit is not None:
-            hit.from_cache = True
-            return hit
-
-    seeds = permutation_seeds(base_seed, k)
+    exp_id: str, k: int = DEFAULT_PERMUTATIONS
+) -> Optional[Dict[str, Any]]:
+    """Certify one driver: ``None`` if it is schedule-invariant, else the
+    first divergence as ``{"seed", "path", "baseline", "permuted"}``."""
+    seeds = permutation_seeds(k=k)
     with tie_break_permutation(None):  # identity baseline, explicit
         baseline = _execution_blob(exp_id)
     baseline_json = canonical_json(baseline)
-
-    divergence: Optional[Dict[str, Any]] = None
     for seed in seeds:
         with tie_break_permutation(seed):
             permuted = _execution_blob(exp_id)
         if canonical_json(permuted) != baseline_json:
-            hit = first_divergence(baseline, permuted)
-            assert hit is not None
-            path, base_val, perm_val = hit
-            divergence = {
+            path, base_val, perm_val = first_divergence(baseline, permuted)
+            return {
                 "seed": seed,
                 "path": path,
-                "baseline": _shorten(base_val),
-                "permuted": _shorten(perm_val),
+                "baseline": base_val,
+                "permuted": perm_val,
             }
-            break
-
-    cert = Certificate(
-        exp_id=exp_id,
-        title=experiment_title(exp_id),
-        schedule_invariant=divergence is None,
-        k=k,
-        base_seed=base_seed,
-        seeds=seeds,
-        divergence=divergence,
-        fingerprint=key,
-    )
-    if cache is not None:
-        cache.put(key, cert)
-    return cert
+    return None

@@ -51,9 +51,6 @@ def test_diff_modes(traces, capsys):
     assert "trace diff (A -> B)" in out
     assert "span totals by |delta|" in out
     assert "counter finals by |delta|" in out
-    # summary --diff is the same comparison.
-    assert main(["summary", traces["SN"], "--diff", traces["VN"]]) == 0
-    assert "trace diff (A -> B)" in capsys.readouterr().out
 
 
 def test_diff_fail_over_gates_on_counter_drift(traces, capsys):

@@ -133,3 +133,38 @@ def test_missing_store_is_empty_not_an_error(tmp_path):
     cache = ResultCache(tmp_path / "nope")
     assert scan(cache).scanned == 0
     assert evict_older_than(cache, max_age_days=1.0).scanned == 0
+
+
+def test_retired_stores_are_reclaimed_and_nothing_else(tmp_path, capsys):
+    """Whole stores of an earlier schema (``v1`` results, ``race-v<N>``
+    certificates) are never read again: gc evicts them at any age and
+    ``verify --delete`` removes them. Only top-level directories with
+    exactly those names qualify."""
+    cache = _seeded_cache(tmp_path)
+    root = cache.root
+    long_ago = time.time() - 6 * 365 * 86400  # simlint: ignore[SL201]
+    retired = [root / "v1" / "aa" / "x.json", root / "race-v2" / "bb" / "y.json"]
+    kept = [
+        root / name / "aa" / "z.json"
+        for name in ("v1x", "race", "version", "xv1", "notes", "race-v")
+    ] + [root / "z.json"]
+    for path in retired + kept:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("{}")
+        os.utime(path, (long_ago, long_ago))
+
+    report = evict_older_than(cache, max_age_days=30.0)
+    assert report.evicted == 2
+    assert not any(p.exists() for p in retired)
+    assert all(p.exists() for p in kept)
+    assert cache.get(KEY_A) is not None and cache.get(KEY_B) is not None
+
+    for path in retired:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("{}")
+    assert main(["verify", "--cache-dir", str(root)]) == 1
+    assert "stale: v1/aa/x.json" in capsys.readouterr().out
+    assert main(["verify", "--delete", "--cache-dir", str(root)]) == 0
+    assert not any(p.exists() for p in retired)
+    assert all(p.exists() for p in kept)
+    assert main(["verify", "--cache-dir", str(root)]) == 0
