@@ -9,7 +9,6 @@ Usage::
     python -m repro all --profile profiles/              # + cProfile .pstats
     python -m repro cache verify [--delete]              # result-store hygiene
     python -m repro cache gc --max-age-days 30
-    python -m repro lint src/ tests/                     # simlint passthrough
 """
 
 from __future__ import annotations
@@ -308,12 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         add_help=False,
     )
     p_cache.add_argument("cache_args", nargs=argparse.REMAINDER)
-    p_lint = sub.add_parser(
-        "lint",
-        help="run simlint (see `repro lint -- --help` for its options)",
-        add_help=False,
-    )
-    p_lint.add_argument("lint_args", nargs=argparse.REMAINDER)
     p_mach = sub.add_parser("machine", help="inspect or export a machine config")
     p_mach.add_argument("name", nargs="?", default="xt4",
                         help="xt3 | xt3-dc | xt4 | xt4-qc | xt3/4")
@@ -334,13 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if cache_args and cache_args[0] == "--":
             cache_args = cache_args[1:]
         return cache_main(cache_args)
-    if args.command == "lint":
-        from repro.lint.cli import main as lint_main
-
-        lint_args = args.lint_args
-        if lint_args and lint_args[0] == "--":
-            lint_args = lint_args[1:]
-        return lint_main(lint_args)
     if args.command == "machine":
         return cmd_machine(args)
     return cmd_all(args)

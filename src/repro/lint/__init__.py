@@ -2,76 +2,39 @@
 
 The generator-based discrete-event MPI makes certain bugs *silent*: a
 ``comm.send(...)`` without ``yield from`` never runs, never advances the
-simulated clock, and produces a plausible-looking wrong number in a paper
-figure. ``repro.lint`` is an AST-based checker suite that machine-checks
-the conventions the simulator's correctness rests on:
+simulated clock, and produces a plausible-looking wrong number. ``repro.lint``
+is an AST-based checker suite that machine-checks the conventions the
+simulator's correctness rests on:
 
 * ``yield-from`` — process-helper results must be consumed
   (:mod:`repro.lint.check_yieldfrom`);
 * ``nondet`` — no wall-clock time, no unseeded global RNG, no
   set-iteration ordering (:mod:`repro.lint.check_determinism`);
-* ``units`` — the ``_bytes`` / ``_gib`` / ``_gbps`` / ``_us`` / ``_s`` /
-  ``_flops`` suffix convention is dimensionally consistent
-  (:mod:`repro.lint.check_units`);
-* ``collective`` — collectives are not guarded by rank-dependent
-  conditionals (:mod:`repro.lint.check_collectives`);
 * ``resource-safety`` — resource grants are released in a ``finally`` so
   an interrupted process cannot leak slots
   (:mod:`repro.lint.check_resource_safety`);
 * ``perf`` (SL901, :mod:`repro.lint.check_perf`) — no per-event
   closures handed to the scheduler from process functions.
 
-Every rule is per-file: a checker sees one module at a time, and
-``repro-lint`` parses and checks each file once, with no cross-module
-index and no result cache. The rule set is what a mutation audit kept
-(``docs/LINT.md``, "Audit"); schedule-order bugs are the job of the
-runtime certifier (:mod:`repro.simrace`), which tier-1 runs over every
-driver.
+Every rule is per-file: a checker sees one module at a time, with no
+cross-module index and no result cache. The rule set is what a mutation
+audit kept (``docs/LINT.md``, "Audit"): each family caught a seeded bug
+that tier-1 misses. Schedule-order bugs are the job of the runtime
+certifier (:mod:`repro.simrace`), which tier-1 runs over every driver.
 
-Run it as ``python -m repro.lint [paths]``, ``repro-lint`` or
-``repro lint``; suppress a deliberate violation with
+Run it as ``python -m repro.lint [PATH ...]``; ``tests/test_lint_clean.py``
+runs it over the tree in tier-1. Suppress a deliberate violation with
 ``# simlint: ignore[RULE]`` on the offending statement (any line of it)
-or ``# simlint: ignore-file[RULE]`` for a whole module. Mechanical
-violations are repairable with ``--fix`` / ``--fix --write``
-(:mod:`repro.lint.fixes`). Each rule is documented in ``docs/LINT.md``.
+or ``# simlint: ignore-file[RULE]`` for a whole module. Each rule is
+documented in ``docs/LINT.md``.
 """
 
-from repro.lint.core import (
-    Checker,
-    Edit,
-    Finding,
-    Fix,
-    all_checkers,
-    all_rules,
-    expand_paths,
-    lint_file,
-    lint_paths,
-    lint_source,
-    register,
-)
+from repro.lint.core import Finding, lint_file, lint_paths, lint_source, register
 
 # Importing the checker modules registers them with the framework.
-from repro.lint import check_collectives  # noqa: F401  (registration)
-from repro.lint import check_determinism  # noqa: F401
+from repro.lint import check_determinism  # noqa: F401  (registration)
+from repro.lint import check_perf  # noqa: F401
 from repro.lint import check_resource_safety  # noqa: F401
-from repro.lint import check_units  # noqa: F401
 from repro.lint import check_yieldfrom  # noqa: F401
-from repro.lint import check_perf  # noqa: F401  (SL901)
 
-from repro.lint.fixes import apply_fixes, fix_files
-
-__all__ = [
-    "Checker",
-    "Edit",
-    "Finding",
-    "Fix",
-    "all_checkers",
-    "all_rules",
-    "apply_fixes",
-    "expand_paths",
-    "fix_files",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "register",
-]
+__all__ = ["Finding", "lint_file", "lint_paths", "lint_source", "register"]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.core import Finding, Fix, insert, register
+from repro.lint.core import Finding, register
 
 #: attribute names on the ``time`` module that read the host clock.
 _TIME_FNS = frozenset(
@@ -135,25 +135,13 @@ class DeterminismChecker:
     # -- set iteration -------------------------------------------------------
     def _check_iter(self, iter_node: ast.AST, filename: str) -> Iterator[Finding]:
         if _is_set_expr(iter_node):
-            fix = None
-            if getattr(iter_node, "end_lineno", None) is not None:
-                fix = Fix(
-                    (
-                        insert(iter_node.lineno, iter_node.col_offset, "sorted("),
-                        insert(iter_node.end_lineno, iter_node.end_col_offset, ")"),
-                    ),
-                    "wrap in sorted(...)",
-                )
             yield self._finding(
                 "SL203", iter_node, filename,
                 "iterating a set: order is hash-seed dependent and will vary "
                 "between runs — iterate 'sorted(...)' instead",
-                fix=fix,
             )
 
-    def _finding(
-        self, rule: str, node: ast.AST, filename: str, msg: str, fix=None
-    ) -> Finding:
+    def _finding(self, rule: str, node: ast.AST, filename: str, msg: str) -> Finding:
         return Finding(
             rule=rule,
             family=self.family,
@@ -161,5 +149,4 @@ class DeterminismChecker:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=msg,
-            fix=fix,
         )

@@ -5,19 +5,16 @@ lambda handed to a deferring sink (``schedule``/``push``/``call_later``/
 ``timeout_event``/...) inside a process function (a generator) is
 re-allocated on every resumption of that process and defeats the
 engine's bound-method fast paths. Benchmarks catch such regressions
-after the fact; SL901 catches them at lint time. Autofix (where
-mechanical): ``lambda: self.meth()`` → ``self.meth``.
+after the fact; SL901 catches them at lint time.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.lint.core import (
-    Edit,
     Finding,
-    Fix,
     call_name,
     is_generator,
     iter_function_defs,
@@ -73,32 +70,4 @@ class PerfChecker:
                         f"function '{func.name}' — every resumption "
                         f"re-allocates the closure; hoist to a bound "
                         f"method or module function",
-                        fix=self._hoist_fix(arg),
                     )
-
-    @staticmethod
-    def _hoist_fix(lam: ast.Lambda) -> Optional[Fix]:
-        """``lambda: self.meth()`` → ``self.meth`` (receiver must be
-        ``self`` and the call argument-free, so re-binding is a pure
-        notation change)."""
-        if lam.args.args or lam.args.posonlyargs or lam.args.kwonlyargs \
-                or lam.args.vararg or lam.args.kwarg:
-            return None
-        body = lam.body
-        if not (isinstance(body, ast.Call) and not body.args
-                and not body.keywords):
-            return None
-        target = body.func
-        if not (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"):
-            return None
-        end_line = getattr(lam, "end_lineno", None)
-        end_col = getattr(lam, "end_col_offset", None)
-        if end_line is None or end_col is None:
-            return None
-        return Fix(
-            (Edit(lam.lineno, lam.col_offset, end_line, end_col,
-                  ast.unparse(target)),),
-            "replace the lambda with the bound method",
-        )

@@ -25,7 +25,7 @@ released in a ``finally``::
 SL501 flags any directly-yielded ``.request()`` call in a generator that
 is neither inside the body of a ``try`` whose ``finally`` performs a
 ``.release(...)`` call nor directly followed by such a ``try`` (the form
-above, which the autofix writes). The rule matches *any* receiver
+above). The rule matches *any* receiver
 (unlike the hinted SL1xx rules) because a missed cleanup is far costlier
 than an occasional false positive; a deliberate exception takes
 ``# simlint: ignore[SL501]``. The two-step form
@@ -39,14 +39,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional
 
-from repro.lint.core import (
-    Finding,
-    Fix,
-    insert,
-    is_generator,
-    iter_function_defs,
-    register,
-)
+from repro.lint.core import Finding, is_generator, iter_function_defs, register
 
 
 def _releases_in_finally(try_node: ast.Try) -> bool:
@@ -114,7 +107,6 @@ class ResourceSafetyChecker:
                     f"slot is held leaks it forever; wrap the hold in "
                     f"'try: ... finally: {recv}.release()'"
                 ),
-                fix=_try_finally_fix(node, recv, func, parents),
             )
 
     @staticmethod
@@ -146,54 +138,6 @@ class ResourceSafetyChecker:
         return False
 
 
-# -- autofix: wrap the hold in try/finally ----------------------------------
-
-def _try_finally_fix(
-    yield_node: ast.AST,
-    recv: str,
-    func: ast.FunctionDef,
-    parents: Dict[ast.AST, ast.AST],
-) -> Optional[Fix]:
-    """Mechanical SL501 repair.
-
-    The statements that follow the ``yield ...request()`` in its block
-    (up to a matching ``<recv>.release()`` if one exists, else to the end
-    of the block) move into a ``try:`` body, and the release lands in the
-    ``finally:``. Returns None when there is nothing to wrap.
-    """
-    stmt = _statement_of(yield_node, parents)
-    if stmt is None:
-        return None
-    owner = parents.get(stmt, func)
-    block = _block_containing(owner, stmt)
-    if block is None:
-        return None
-    following = block[block.index(stmt) + 1:]
-    release_idx = next(
-        (i for i, s in enumerate(following) if _is_release_of(s, recv)), None
-    )
-    try_body = following[:release_idx] if release_idx is not None else following
-    if not try_body:
-        return None
-    indent = " " * stmt.col_offset
-    stmt_end = getattr(stmt, "end_lineno", stmt.lineno) or stmt.lineno
-    edits = [insert(stmt_end + 1, 0, f"{indent}try:\n")]
-    body_end = getattr(try_body[-1], "end_lineno", try_body[-1].lineno)
-    for ln in range(try_body[0].lineno, body_end + 1):
-        edits.append(insert(ln, 0, "    "))
-    if release_idx is not None:
-        rel = following[release_idx]
-        rel_end = getattr(rel, "end_lineno", rel.lineno) or rel.lineno
-        edits.append(insert(rel.lineno, 0, f"{indent}finally:\n"))
-        for ln in range(rel.lineno, rel_end + 1):
-            edits.append(insert(ln, 0, "    "))
-    else:
-        edits.append(
-            insert(body_end + 1, 0, f"{indent}finally:\n{indent}    {recv}.release()\n")
-        )
-    return Fix(tuple(edits), "wrap hold in try/finally with release")
-
-
 def _statement_of(
     node: ast.AST, parents: Dict[ast.AST, ast.AST]
 ) -> Optional[ast.stmt]:
@@ -212,13 +156,3 @@ def _block_containing(owner: ast.AST, stmt: ast.AST) -> Optional[List[ast.stmt]]
         if stmt in handler.body:
             return handler.body
     return None
-
-
-def _is_release_of(stmt: ast.stmt, recv: str) -> bool:
-    return (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Call)
-        and isinstance(stmt.value.func, ast.Attribute)
-        and stmt.value.func.attr == "release"
-        and ast.unparse(stmt.value.func.value) == recv
-    )

@@ -30,15 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.core import (
-    Edit,
-    Finding,
-    Fix,
-    insert,
-    is_generator,
-    iter_function_defs,
-    register,
-)
+from repro.lint.core import Finding, is_generator, iter_function_defs, register
 
 #: Comm methods that return a *generator* and must be driven with
 #: ``yield from``, matched on any receiver.
@@ -168,7 +160,6 @@ class YieldFromChecker:
                 "SL101", value, filename,
                 f"result of process-helper '{name}(...)' is discarded — the "
                 f"operation never runs; use 'yield from ...{name}(...)'",
-                fix=_insert_fix(value, "yield from "),
             )
             return
         if isinstance(value.func, ast.Name) and value.func.id in EVENT_FUNCTIONS:
@@ -176,14 +167,12 @@ class YieldFromChecker:
                 "SL101", value, filename,
                 f"event '{value.func.id}(...)' is discarded — nothing waits "
                 f"on it; use 'yield {value.func.id}(...)'",
-                fix=_insert_fix(value, "yield "),
             )
         elif isinstance(value.func, ast.Attribute) and value.func.attr == "timeout_event":
             yield self._finding(
                 "SL101", value, filename,
                 "event 'timeout_event(...)' is discarded — nothing waits on "
                 "it; use 'yield ...timeout_event(...)'",
-                fix=_insert_fix(value, "yield "),
             )
 
     def _check_assign(self, value: ast.AST, filename: str) -> Iterator[Finding]:
@@ -196,7 +185,6 @@ class YieldFromChecker:
                 f"'{name}(...)' assigned without 'yield from' — the target "
                 f"binds a generator object, not the operation's result; use "
                 f"'x = yield from ...{name}(...)'",
-                fix=_insert_fix(value, "yield from "),
             )
 
     def _check_yield(self, node: ast.AST, filename: str) -> Iterator[Finding]:
@@ -207,7 +195,6 @@ class YieldFromChecker:
                     "SL103", node, filename,
                     f"'yield {name}(...)' hands the simulator a generator "
                     f"object, not a command; use 'yield from {name}(...)'",
-                    fix=_keyword_fix(node, "yield", "yield from"),
                 )
         elif isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call):
             name = _event_helper_name(node.value)
@@ -216,12 +203,9 @@ class YieldFromChecker:
                     "SL104", node, filename,
                     f"'yield from {name}(...)' iterates an event (TypeError "
                     f"at run time); events take a plain 'yield {name}(...)'",
-                    fix=_keyword_fix(node, "yield from", "yield"),
                 )
 
-    def _finding(
-        self, rule: str, node: ast.AST, filename: str, msg: str, fix=None
-    ) -> Finding:
+    def _finding(self, rule: str, node: ast.AST, filename: str, msg: str) -> Finding:
         return Finding(
             rule=rule,
             family=self.family,
@@ -229,23 +213,4 @@ class YieldFromChecker:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=msg,
-            fix=fix,
         )
-
-
-def _insert_fix(call: ast.Call, prefix: str) -> Fix:
-    """Prepend ``prefix`` (e.g. ``"yield from "``) to the call expression."""
-    return Fix(
-        (insert(call.lineno, call.col_offset, prefix),),
-        f"insert '{prefix.strip()}'",
-    )
-
-
-def _keyword_fix(node: ast.AST, old: str, new: str) -> Fix:
-    """Rewrite the leading ``yield`` / ``yield from`` keyword of ``node``."""
-    line = getattr(node, "lineno", 1)
-    col = getattr(node, "col_offset", 0)
-    return Fix(
-        (Edit(line, col, line, col + len(old), new),),
-        f"{old} → {new}",
-    )

@@ -1,14 +1,9 @@
-"""simlint framework: findings, fixes, the checker registries, pragmas.
+"""simlint framework: findings, the checker registry, pragmas, drivers.
 
 A *checker* is a class with a ``family`` name, a ``rules`` table
 (rule id → one-line description) and a ``check(tree, filename)`` method
 yielding :class:`Finding` objects; it sees one module at a time and
 registers with :func:`register`.
-
-Findings may carry a :class:`Fix`: a list of source edits that
-mechanically repair the violation. ``repro-lint --fix`` previews the
-edits as a unified diff and ``--fix --write`` applies them (see
-:mod:`repro.lint.fixes`).
 
 Suppression pragmas:
 
@@ -23,27 +18,16 @@ Suppression pragmas:
 * file pragma, conventionally near the top of the module, silencing the
   named rules/families for the entire file::
 
-      # simlint: ignore-file[SL303] — tests pass raw literals by design
+      # simlint: ignore-file[SL501] — these tests hold slots bare on purpose
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    Type,
-)
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Type
 
 _PRAGMA_RE = re.compile(r"#\s*simlint:\s*ignore(?!-file)(?:\[([^\]]*)\])?", re.IGNORECASE)
 _FILE_PRAGMA_RE = re.compile(r"#\s*simlint:\s*ignore-file(?:\[([^\]]*)\])?", re.IGNORECASE)
@@ -51,51 +35,6 @@ _FILE_PRAGMA_RE = re.compile(r"#\s*simlint:\s*ignore-file(?:\[([^\]]*)\])?", re.
 #: Sentinel in the per-line suppression map: every rule is ignored.
 _ALL = "*"
 
-
-# -- fixes ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Edit:
-    """One textual replacement: span ``(line, col)``–``(end_line, end_col)``
-    (1-based lines, 0-based columns, end-exclusive) becomes ``text``.
-    A zero-width span is an insertion."""
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    text: str
-
-    def to_dict(self) -> dict:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-            "text": self.text,
-        }
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical repair: an ordered tuple of non-overlapping edits."""
-
-    edits: Tuple[Edit, ...]
-    description: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "edits": [e.to_dict() for e in self.edits],
-            "description": self.description,
-        }
-
-
-def insert(line: int, col: int, text: str) -> Edit:
-    """Zero-width edit: insert ``text`` at ``(line, col)``."""
-    return Edit(line, col, line, col, text)
-
-
-# -- findings ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Finding:
@@ -107,32 +46,9 @@ class Finding:
     line: int
     col: int
     message: str
-    fix: Optional[Fix] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} [{self.family}] {self.message}"
-
-    def to_dict(self) -> dict:
-        d = {
-            "rule": self.rule,
-            "family": self.family,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-        if self.fix is not None:
-            d["fix"] = self.fix.to_dict()
-        return d
-
-
-class Checker(Protocol):
-    """Interface every registered checker class implements."""
-
-    family: str
-    rules: Dict[str, str]
-
-    def check(self, tree: ast.Module, filename: str) -> Iterator[Finding]: ...
 
 
 _REGISTRY: List[Type] = []
@@ -145,51 +61,6 @@ def register(cls: Type) -> Type:
             raise TypeError(f"checker {cls.__name__} lacks {attr!r}")
     _REGISTRY.append(cls)
     return cls
-
-
-def all_checkers() -> List[Type]:
-    """Every registered checker class, in registration order."""
-    return list(_REGISTRY)
-
-
-#: Rules implemented by the framework itself rather than a checker class.
-FRAMEWORK_RULES = {"SL001": "file does not parse (syntax error)"}
-
-#: Family of the framework's parse rule.
-FRAMEWORK_FAMILIES = {"parse"}
-
-
-def all_rules() -> Dict[str, str]:
-    """rule id → description across every registered checker."""
-    table: Dict[str, str] = dict(FRAMEWORK_RULES)
-    for cls in all_checkers():
-        table.update(cls.rules)
-    return table
-
-
-def known_selectors() -> Set[str]:
-    """Every valid ``--select`` token: rule ids and family names."""
-    known: Set[str] = set(FRAMEWORK_RULES) | set(FRAMEWORK_FAMILIES)
-    for cls in all_checkers():
-        known.add(cls.family)
-        known.update(cls.rules)
-    return known
-
-
-_RULE_PREFIX_RE = re.compile(r"^SL\d{1,2}$")
-
-
-def matching_rules(token: str) -> Set[str]:
-    """Rule ids selected by a rule-id *prefix* token.
-
-    ``--select SL2`` selects every registered ``SL2xx`` rule (``SL20``
-    would select only ``SL20x``). Returns the empty set when ``token``
-    is not a rule prefix or matches nothing — exact ids and family
-    names are handled by :func:`known_selectors`.
-    """
-    if not _RULE_PREFIX_RE.match(token):
-        return set()
-    return {rule for rule in all_rules() if rule.startswith(token)}
 
 
 # -- suppression -----------------------------------------------------------
@@ -326,28 +197,27 @@ class NotAPythonFileError(ValueError):
     """An explicitly named, existing path that simlint cannot lint."""
 
 
-#: Directory-expansion components that are skipped by default.
-DEFAULT_EXCLUDES = ("fixtures",)
+#: Directory expansion skips any path with this component (the
+#: deliberately bad lint fixtures).
+_EXCLUDED = "fixtures"
 
 
-def expand_paths(
-    paths: Iterable["str | Path"], excludes: Sequence[str] = DEFAULT_EXCLUDES
-) -> List[Path]:
+def expand_paths(paths: Iterable["str | Path"]) -> List[Path]:
     """Expand files and directories into a sorted, deduplicated file list.
 
     Raises :class:`FileNotFoundError` for a missing path and
     :class:`NotAPythonFileError` for an explicitly named existing
     non-``.py`` file — both are usage errors, not silent clean passes.
     """
-    return sorted(set(_expand(paths, tuple(excludes))))
+    return sorted(set(_expand(paths)))
 
 
-def _expand(paths: Iterable["str | Path"], excludes: Tuple[str, ...]) -> Iterator[Path]:
+def _expand(paths: Iterable["str | Path"]) -> Iterator[Path]:
     for path in paths:
         p = Path(path)
         if p.is_dir():
             for f in p.rglob("*.py"):
-                if not (excludes and set(excludes) & set(f.parts)):
+                if _EXCLUDED not in f.parts:
                     yield f
         elif p.suffix == ".py" and p.exists():
             yield p

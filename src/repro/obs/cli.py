@@ -3,15 +3,13 @@
 Usage::
 
     repro-trace summary TRACE [--top K] [--counters PREFIX]
-    repro-trace diff A B [--top K] [--fail-over PCT]
+    repro-trace diff A B [--top K]
     python -m repro.obs summary results/s3d.trace.json
 
 ``summary`` prints the top-k spans by self time, the link-hotspot table
 and per-counter statistics; ``diff`` compares two traces the way the
 paper's tables compare SN and VN mode — per-operation totals side by
-side with the delta that explains the gap. ``diff --fail-over PCT``
-additionally exits nonzero when any counter's final value drifted by
-more than PCT percent, so CI can gate on trace-counter drift.
+side with the delta that explains the gap.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.obs.analyze import (
 )
 from repro.obs.export import TraceData, load_trace
 
-__all__ = ["drifted_counters", "main", "render_diff", "render_summary"]
+__all__ = ["main", "render_diff", "render_summary"]
 
 
 def render_summary(
@@ -97,33 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("trace_b")
     p_diff.add_argument("--top", type=int, default=10,
                         help="rows per ranking table (default 10)")
-    p_diff.add_argument(
-        "--fail-over", type=float, default=None, metavar="PCT",
-        help="exit 1 if any counter's final value drifted by more than "
-        "PCT percent between A and B (counters absent from A count as "
-        "drifted when nonzero in B)",
-    )
     return parser
-
-
-def drifted_counters(a: TraceData, b: TraceData, pct: float) -> List[str]:
-    """Counters whose final value moved A→B by more than ``pct`` percent.
-
-    A counter that appears on only one side with a nonzero final value is
-    infinite drift and always fails; matching zeros never fail.
-    """
-    failing = []
-    for row in diff_counter_rows(a, b):
-        va, vb = row["a_last"], row["b_last"]
-        if va == vb:
-            continue
-        if va == 0.0:
-            failing.append(f"{row['counter']} (0 -> {vb:g})")
-        elif 100.0 * abs(vb - va) / abs(va) > pct:
-            failing.append(
-                f"{row['counter']} ({100.0 * (vb - va) / abs(va):+.1f}%)"
-            )
-    return failing
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -139,16 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             a = load_trace(args.trace_a)
             b = load_trace(args.trace_b)
             print(render_diff(a, b, top=args.top))
-            if args.fail_over is not None:
-                failing = drifted_counters(a, b, args.fail_over)
-                if failing:
-                    print(
-                        f"FAIL: {len(failing)} counter(s) drifted beyond "
-                        f"{args.fail_over:g}%: " + ", ".join(failing[:10])
-                        + (" ..." if len(failing) > 10 else "")
-                    )
-                    return 1
-                print(f"ok: no counter drifted beyond {args.fail_over:g}%")
     except (OSError, ValueError) as exc:
         print(f"repro-trace: {exc}", file=sys.stderr)
         return 2

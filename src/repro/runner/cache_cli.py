@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import re
 import time
@@ -40,8 +41,8 @@ __all__ = ["main", "scan", "evict_older_than"]
 _STORE_DIR = re.compile(r"(race-)?v[0-9]+")
 
 
-def _stale_files(root: pathlib.Path) -> List[pathlib.Path]:
-    """Every file under a retired store of ``root``.
+def _retired_stores(root: pathlib.Path) -> List[pathlib.Path]:
+    """Every retired store directory of ``root``.
 
     A retired store is a top-level directory named ``v<N>`` or
     ``race-v<N>`` other than the current ``SCHEMA``; no reader ever
@@ -51,15 +52,41 @@ def _stale_files(root: pathlib.Path) -> List[pathlib.Path]:
     if not root.is_dir():
         return []
     return [
-        path
+        store
         for store in sorted(root.iterdir())
         if store.name != SCHEMA
         and _STORE_DIR.fullmatch(store.name)
         and store.is_dir()
         and not store.is_symlink()
+    ]
+
+
+def _stale_files(root: pathlib.Path) -> List[pathlib.Path]:
+    """Every file under a retired store of ``root``."""
+    return [
+        path
+        for store in _retired_stores(root)
         for path in sorted(store.rglob("*"))
         if path.is_file()
     ]
+
+
+def _prune_retired(root: pathlib.Path) -> None:
+    """Remove the emptied directories of every retired store, the store
+    itself included; a directory that still holds anything stays.
+
+    Only retired stores are pruned: ``ResultCache.put`` does ``mkdir``
+    then ``mkstemp`` in a fan-out directory of the current store, so
+    removing an empty one there could break a concurrent writer.
+    """
+    for store in _retired_stores(root):
+        # Bottom-up, not following symlinks: a symlinked directory is
+        # never descended into, and rmdir refuses to remove one.
+        for dirpath, _, _ in os.walk(store, topdown=False):
+            try:
+                os.rmdir(dirpath)
+            except OSError:
+                pass  # not empty
 
 
 @dataclass
@@ -116,6 +143,7 @@ def scan(cache: ResultCache, delete: bool = False) -> ScanReport:
                 report.deleted += 1
             except OSError:
                 pass
+        _prune_retired(cache.root)
     tracer = current_tracer()
     if tracer is not None:
         totals = {
@@ -186,6 +214,8 @@ def evict_older_than(
                 path.unlink()
             except OSError:
                 pass
+    if not dry_run:
+        _prune_retired(cache.root)
     tracer = current_tracer()
     if tracer is not None:
         tracer.add("cache.gc.scanned", 0.0, float(report.scanned))

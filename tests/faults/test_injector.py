@@ -1,7 +1,4 @@
 """FaultInjector + fault-aware SimNetwork: retransmit, detour, stalls."""
-# Tests feed literal fault times/durations on purpose: the values ARE
-# the test vectors.
-# simlint: ignore-file[SL303]
 
 import pytest
 

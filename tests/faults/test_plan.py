@@ -1,7 +1,4 @@
 """FaultPlan: validation, serialization, deterministic MTBF sampling."""
-# Tests feed literal seconds into plan/event constructors on purpose:
-# the values ARE the test vectors.
-# simlint: ignore-file[SL302,SL303]
 
 import pytest
 

@@ -2,7 +2,7 @@
 
 Seeded violation (see tests/lint/test_perf_rules.py):
 
-* SL901 — per-event lambda scheduled in a process function (fixable)
+* SL901 — per-event lambda scheduled in a process function
 """
 
 

@@ -157,7 +157,7 @@ def test_ior_validation():
 
 
 def test_ior_bandwidth_saturates_at_oss_limit():
-    config = LustreConfig(num_oss=4, osts_per_oss=4, oss_bandwidth_GBs=0.35)  # simlint: ignore[SL303] — test vector
+    config = LustreConfig(num_oss=4, osts_per_oss=4, oss_bandwidth_GBs=0.35)
     bench = IORBenchmark(config)
     r = bench.run(num_clients=16, bytes_per_client=32 << 20)
     assert r.aggregate_GBs <= config.peak_bandwidth_GBs * 1.01

@@ -70,4 +70,4 @@ def test_platform_from_machine_sn_vs_vn():
 def test_xt3_dual_core_upgrade_kept_memory():
     assert xt3_dc().node.memory == xt3().node.memory
     assert xt3_dc().node.nic == xt3().node.nic
-    assert xt3_dc().node.processor.clock_ghz == 2.6  # simlint: ignore[SL302] — published spec value
+    assert xt3_dc().node.processor.clock_ghz == 2.6

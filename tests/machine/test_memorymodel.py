@@ -141,4 +141,4 @@ def test_rate_decreases_with_bytes_per_flop(beta):
     hi = WorkloadProfile("hi", bytes_per_flop=beta + 0.5, compute_efficiency=0.5)
     assert mem.workload_rate_gflops(hi, 5.2, 1) < mem.workload_rate_gflops(
         lo, 5.2, 1
-    ) + 1e-12  # simlint: ignore[SL302] — literal rate is the test vector
+    ) + 1e-12

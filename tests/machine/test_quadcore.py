@@ -13,7 +13,7 @@ def test_quadcore_spec():
     m = xt4_quadcore()
     assert m.node.cores == 4
     assert m.node.processor.peak_gflops_per_core == pytest.approx(8.4)
-    assert m.node.memory.peak_bw_GBs == 12.8  # simlint: ignore[SL302] — DDR2-800, quoted in §2
+    assert m.node.memory.peak_bw_GBs == 12.8
     assert m.node.nic.name == "SeaStar2"
 
 

@@ -1,7 +1,4 @@
 """Tests for hardware spec dataclasses and Machine derived quantities."""
-# Tests compare spec fields against the paper's published numbers as
-# literals on purpose.
-# simlint: ignore-file[SL302]
 
 import pytest
 

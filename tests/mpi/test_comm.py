@@ -303,9 +303,9 @@ def test_alltoallv_heavier_rank_costs_more():
 def test_collective_mismatch_detected():
     def main(comm):
         if comm.rank == 0:
-            yield from comm.barrier()  # simlint: ignore[SL401] — mismatch is the subject under test
+            yield from comm.barrier()
         else:
-            yield from comm.allreduce(1)  # simlint: ignore[SL401] — mismatch is the subject under test
+            yield from comm.allreduce(1)
 
     with pytest.raises(RuntimeError, match="mismatch"):
         run(xt4("SN"), 2, main)

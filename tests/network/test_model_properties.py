@@ -55,4 +55,4 @@ def test_bisection_positive_and_bounded(job_nodes):
 def test_bandwidth_never_exceeds_injection(which, mode):
     net = NetworkModel(xt4(mode))
     bw = net.pingpong_bandwidth_GBs(which)
-    assert 0 < bw <= net.nic.mpi_bw_GBs + 1e-12  # simlint: ignore[SL302] — float tolerance
+    assert 0 < bw <= net.nic.mpi_bw_GBs + 1e-12

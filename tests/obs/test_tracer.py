@@ -1,6 +1,4 @@
 """Unit tests for the tracing core: spans, counters, installation."""
-# Literal durations are trace test vectors, not model constants.
-# simlint: ignore-file[SL302]
 
 import pytest
 

@@ -1,6 +1,4 @@
 """The content-addressed result store: round-trips, misses, corruption."""
-# Fabricated wall_s literals are test fixtures, not model constants.
-# simlint: ignore-file[SL302,SL303]
 
 import json
 

@@ -1,6 +1,4 @@
 """``repro cache verify|gc``: classification, deletion, eviction."""
-# Fabricated ages/sizes below are test fixtures, not model constants.
-# simlint: ignore-file[SL302,SL303]
 
 import os
 import shutil
@@ -156,6 +154,8 @@ def test_retired_stores_are_reclaimed_and_nothing_else(tmp_path, capsys):
     report = evict_older_than(cache, max_age_days=30.0)
     assert report.evicted == 2
     assert not any(p.exists() for p in retired)
+    # The emptied stores go with their files; the cache root stays.
+    assert not (root / "v1").exists() and not (root / "race-v2").exists()
     assert all(p.exists() for p in kept)
     assert cache.get(KEY_A) is not None and cache.get(KEY_B) is not None
 
@@ -166,5 +166,6 @@ def test_retired_stores_are_reclaimed_and_nothing_else(tmp_path, capsys):
     assert "stale: v1/aa/x.json" in capsys.readouterr().out
     assert main(["verify", "--delete", "--cache-dir", str(root)]) == 0
     assert not any(p.exists() for p in retired)
+    assert not (root / "v1").exists() and not (root / "race-v2").exists()
     assert all(p.exists() for p in kept)
     assert main(["verify", "--cache-dir", str(root)]) == 0

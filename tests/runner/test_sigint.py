@@ -1,6 +1,4 @@
 """SIGINT safety: deferral semantics and interrupt-proof publishes."""
-# Fabricated wall_s literals are test fixtures, not model constants.
-# simlint: ignore-file[SL302,SL303]
 
 import os
 import signal

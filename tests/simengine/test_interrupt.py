@@ -393,7 +393,7 @@ def test_retry_backs_off_deterministically_then_succeeds():
 
     def proc():
         result = yield from retry(
-            flaky, attempts=4, base_backoff_s=1.0, backoff_factor=2.0  # simlint: ignore[SL303] — backoff is the test vector
+            flaky, attempts=4, base_backoff_s=1.0, backoff_factor=2.0
         )
         return result
 
@@ -414,7 +414,7 @@ def test_retry_exhaustion_chains_last_error():
 
     def proc():
         try:
-            yield from retry(always_fails, attempts=3, base_backoff_s=0.1)  # simlint: ignore[SL303] — backoff is the test vector
+            yield from retry(always_fails, attempts=3, base_backoff_s=0.1)
         except RetryExhausted as exc:
             failures["attempts"] = exc.attempts
             failures["cause"] = str(exc.__cause__)

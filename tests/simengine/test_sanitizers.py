@@ -51,10 +51,10 @@ def test_mismatched_collective_reports_blocked_ranks_and_stores():
     and what it waits on (the collective rendezvous / rank 0's inbox)."""
 
     def main(comm):
-        if comm.rank == 0:  # simlint: ignore[collective] — deliberate bug under test
+        if comm.rank == 0:
             data = yield from comm.recv(source=1, tag=99)  # never sent
             return data
-        total = yield from comm.allreduce(comm.rank)  # simlint: ignore[SL402] — deliberate bug under test
+        total = yield from comm.allreduce(comm.rank)
         return total
 
     with pytest.raises(SimDeadlockError) as exc:
@@ -67,9 +67,9 @@ def test_mismatched_collective_reports_blocked_ranks_and_stores():
 
 def test_unsanitized_job_keeps_generic_deadlock_error():
     def main(comm):
-        if comm.rank == 0:  # simlint: ignore[collective] — deliberate bug under test
+        if comm.rank == 0:
             return None
-        yield from comm.barrier()  # simlint: ignore[collective]
+        yield from comm.barrier()
         return None
 
     with pytest.raises(RuntimeError, match="job deadlocked"):
