@@ -1,8 +1,9 @@
 """Executes a :class:`~repro.faults.plan.FaultPlan` against a live sim.
 
 The injector schedules one cancellable simulator callback per plan event
-(plus link-restoration callbacks for finite outages). Every injection
-bumps the ``faults.injected`` tracer counter and drops a zero-duration
+(plus link-restoration callbacks for finite outages), pushed one time
+group at a time (see :meth:`FaultInjector.arm`). Every injection bumps
+the ``faults.injected`` tracer counter and drops a zero-duration
 ``fault.<kind>`` instant on the ``faults`` track, so exported traces show
 exactly when and where the machine was perturbed.
 
@@ -14,6 +15,8 @@ permanently failing the node's outgoing links.
 
 from __future__ import annotations
 
+from collections import deque
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -44,6 +47,8 @@ class FaultInjector:
             node_states if node_states is not None else {}
         )
         self._handles: List[Any] = []
+        self._unarmed: deque = deque()  # (time arm() would push, event)
+        self._freezes_seen = 0  # len(sim.freeze_log) at arm()
         self.injected = 0
 
     def state(self, node: int) -> NodeFaultState:
@@ -54,14 +59,33 @@ class FaultInjector:
 
     # -- lifecycle ---------------------------------------------------------
     def arm(self) -> None:
-        """Schedule every not-yet-past plan event as a simulator callback."""
-        for ev in self.plan:
-            delay = ev.t_s - self.sim.now
-            if delay < 0:
-                continue
+        """Schedule the not-yet-past plan events one time group at a time,
+        each group's first entry pushing the next at ``now + (t_s - now)``
+        plus every freeze since ``arm()``, added left to right as
+        :meth:`EventQueue.shift_all` does: bit for bit where an entry
+        pending all along would be."""
+        now = self.sim.now
+        self._freezes_seen = len(self.sim.freeze_log)
+        self._unarmed = deque([
+            (now + (ev.t_s - now), ev) for ev in self.plan if ev.t_s >= now
+        ])
+        self._arm_next_group()
+
+    def _arm_next_group(self) -> None:
+        unarmed = self._unarmed
+        if not unarmed:
+            return
+        sim = self.sim
+        group_t = t = unarmed[0][0]
+        for d in sim.freeze_log[self._freezes_seen:]:
+            t += d
+        first = True
+        while unarmed and unarmed[0][0] == group_t:
+            ev = unarmed.popleft()[1]
             self._handles.append(
-                self.sim.schedule(delay, lambda ev=ev: self._fire(ev))
+                sim.schedule_at(t, partial(self._fire, ev, first))
             )
+            first = False
 
     def cancel_pending(self) -> None:
         """Cancel all not-yet-fired injections (and pending restorations).
@@ -72,9 +96,12 @@ class FaultInjector:
         for h in self._handles:
             self.sim.cancel(h)
         self._handles.clear()
+        self._unarmed.clear()
 
     # -- dispatch ----------------------------------------------------------
-    def _fire(self, ev: FaultEvent) -> None:
+    def _fire(self, ev: FaultEvent, arms_next: bool = False) -> None:
+        if arms_next:
+            self._arm_next_group()
         self.injected += 1
         now = self.sim.now
         tracer = self.sim.tracer
@@ -109,13 +136,13 @@ class FaultInjector:
         self.state(ev.node).add_noise(ev.factor, self.sim.now + ev.duration_s)
 
     def _inject_node_crash(self, ev: FaultEvent) -> None:
-        st = self.state(ev.node)
-        if st.crashed:
-            return  # a node only dies once
         if self.on_node_crash is not None:
             # The job decides: abort, or rewind to checkpoint and degrade.
             self.on_node_crash(ev.node)
             return
+        st = self.state(ev.node)
+        if st.crashed:
+            return  # a node only dies once
         # No job attached: model the crash as the node falling off the
         # network — all its outgoing links fail permanently.
         st.crashed = True

@@ -50,35 +50,6 @@ class _File:
         self.size = 0
 
 
-class _Chunk:
-    """One stripe chunk's pass through its OSS pipe, as a callback chain:
-    :meth:`start` requests the OSS, the grant schedules the end of the
-    ``hold``, and :meth:`finish` releases the OSS and counts ``left`` (a
-    one-item list shared by the transfer's chunks) down, succeeding
-    ``done`` with the last. It pushes the same queue entries, at the same
-    times, as a process running ``Resource.use(hold)``."""
-
-    __slots__ = ("oss", "hold", "left", "done")
-
-    def __init__(self, oss: Resource, hold: float, left: list, done: Event) -> None:
-        self.oss = oss
-        self.hold = hold
-        self.left = left
-        self.done = done
-
-    def start(self) -> None:
-        self.oss.request().add_callback(self._granted)
-
-    def _granted(self, _grant: Event) -> None:
-        self.oss.sim.schedule(self.hold, self.finish)
-
-    def finish(self) -> None:
-        self.oss.release()
-        self.left[0] -= 1
-        if not self.left[0]:
-            self.done.succeed()
-
-
 class LustreFilesystem:
     """Server-side state living inside a simulation.
 
@@ -86,17 +57,16 @@ class LustreFilesystem:
     ``oss_bandwidth_GBs`` — concurrent chunks destined to the same OSS
     queue behind each other. Metadata service: the single MDS is a serial
     resource with a fixed per-operation latency; its queueing is the
-    "bottleneck in metadata operations at large scales" of paper §2.
+    "bottleneck in metadata operations at large scales" of paper §2. A
+    process waits on the MDS, so it is a :class:`Resource` that an
+    interrupted waiter gives back; an OSS pipe is the time it is next free.
     """
 
     def __init__(self, sim: Simulator, config: Optional[LustreConfig] = None) -> None:
         self.sim = sim
         self.config = config or LustreConfig()
         self.mds = Resource(sim, capacity=1, name="MDS")
-        self.oss = [
-            Resource(sim, capacity=1, name=f"OSS{i}")
-            for i in range(self.config.num_oss)
-        ]
+        self._oss_free_at: List[float] = [0.0] * self.config.num_oss
         self._files: Dict[str, _File] = {}
         self._next_ost = 0
         #: Completed metadata operations (diagnostics).
@@ -140,32 +110,40 @@ class LustreFilesystem:
         return self._files[name]
 
     # -- data ---------------------------------------------------------------
-    def oss_of_ost(self, ost: int) -> int:
-        """OST index → serving OSS: round-robin, so consecutive OSTs (and
-        hence a file's stripe set) spread across servers."""
-        return ost % self.config.num_oss
-
     def transfer(self, file: _File, offset: int, nbytes: int, write: bool):
         """Process-helper: move ``nbytes`` at ``offset`` through the OSSes.
 
-        Each per-OST chunk holds its OSS pipe for ``chunk / bandwidth``;
-        chunks to distinct OSSes proceed concurrently, each a
-        :class:`_Chunk` chain started at the current time, and the caller
-        resumes when the last one finishes.
+        OST ``i`` is served by OSS ``i % num_oss``, so a file's stripe set
+        spreads across servers. Each chunk holds its OSS pipe for
+        ``chunk / bandwidth`` from when the pipe is next free (a FIFO queue
+        in closed form); the caller resumes through one queue entry at the
+        last chunk's end.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         chunks = file.layout.chunks(offset, nbytes)
         if chunks:
             sim = self.sim
-            done = Event(sim, "transfer")
-            left = [len(chunks)]
+            now = sim.now
+            tracer = sim.tracer
             rate = self.config.oss_bandwidth_GBs * GIGA
+            num_oss = self.config.num_oss
+            free_at = self._oss_free_at
+            last = now
             for ost, chunk in chunks:
-                oss_idx = self.oss_of_ost(ost)
+                oss_idx = ost % num_oss
                 self.oss_bytes[oss_idx] += chunk
-                step = _Chunk(self.oss[oss_idx], chunk / rate, left, done)
-                sim.schedule(0.0, step.start)
+                start = free_at[oss_idx]
+                start = start if start > now else now
+                free_at[oss_idx] = end = start + chunk / rate
+                last = end if end > last else last
+                if tracer is not None:
+                    track = f"res/OSS{oss_idx}"
+                    if start > now:
+                        tracer.complete(track, "res.acquire", now, start)
+                    tracer.complete(track, "res.hold", start, end)
+            done = Event(sim, "transfer")
+            sim.schedule_at(last, done.succeed)
             yield done
         else:
             # No chunks: still resume through a queue entry at this time.

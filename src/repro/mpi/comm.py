@@ -381,9 +381,9 @@ class Comm:
         t0 = self.job.sim.now
         seq = self._coll_seq
         self._coll_seq += 1
-        ctx = self.job.collective_ctx(self._group_key, seq, kind, self.size)
-        ctx.values[self.rank] = value
-        ctx.count += 1
+        ctx = self.job.join_collective(
+            self._group_key, seq, kind, self.size, self.rank, value
+        )
         if ctx.count == self.size:
             ctx.result = combine(ctx.values)
             cost = cost_fn(ctx.values)

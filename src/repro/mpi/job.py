@@ -52,14 +52,13 @@ class JobResult:
 
 
 class _CollCtx:
-    __slots__ = ("kind", "values", "event", "count", "expected", "result")
+    __slots__ = ("kind", "values", "event", "count", "result")
 
-    def __init__(self, sim: Simulator, kind: str, expected: int) -> None:
+    def __init__(self, sim: Simulator, kind: str) -> None:
         self.kind = kind
         self.values: Dict[int, Any] = {}
         self.event = sim.event(name=f"coll:{kind}")
         self.count = 0
-        self.expected = expected
         self.result: Any = None
 
     def fire(self) -> None:
@@ -134,7 +133,8 @@ class MPIJob:
         #: active cores → streaming bytes per second.
         self._stream_rate: Dict[int, float] = {}
         self.comms: List[Comm] = [Comm(self, r) for r in range(ntasks)]
-        self._coll: Dict[Tuple[Any, int, str], _CollCtx] = {}
+        #: Open collective rendezvous by (group, sequence number).
+        self._coll: Dict[Tuple[Any, int], _CollCtx] = {}
         self._node_last_tx: Dict[int, float] = {}
         # (src_rank, dst_rank) → static latency terms. Placement is fixed
         # at job start, so hops / NIC sharing / both contention prices are
@@ -146,10 +146,13 @@ class MPIJob:
             faults = current_plan()
         self.fault_policy = fault_policy
         self._injector: Optional[FaultInjector] = None
+        # The injector's per-node slowdowns: none, no dilation.
+        self._node_states: Dict[int, Any] = {}
         if faults is not None and len(faults):
             self._injector = FaultInjector(
                 self.sim, self.network, faults,
                 on_node_crash=self._on_node_crash,
+                node_states=self._node_states,
             )
         self._rank_procs: List[Process] = []
         self._job_done = False
@@ -241,7 +244,7 @@ class MPIJob:
             rate = self.core_model.rate_gflops(prof, active) * 1.0e9
             self._flop_rate[(profile, active)] = rate
         t = flops / rate
-        return t * self._dilation(rank, memory=False) if self._injector else t
+        return t * self._dilation(rank, memory=False) if self._node_states else t
 
     def stream_time_s(self, rank: int, nbytes: float) -> float:
         if nbytes < 0:
@@ -253,13 +256,13 @@ class MPIJob:
             rate = memory.per_core_bandwidth_GBs(active) * 1.0e9
             self._stream_rate[active] = rate
         t = nbytes / rate
-        return t * self._dilation(rank, memory=True) if self._injector else t
+        return t * self._dilation(rank, memory=True) if self._node_states else t
 
     def _dilation(self, rank: int, memory: bool) -> float:
         """Fault-induced slowdown multiplier for work issued now on
         ``rank``'s node (memory throttles, OS noise, post-crash
         degradation). 1.0 whenever the node is untouched."""
-        st = self._injector.node_states.get(self.placement.node_of(rank))
+        st = self._node_states.get(self.placement.node_of(rank))
         if st is None:
             return 1.0
         now = self.sim.now
@@ -308,25 +311,25 @@ class MPIJob:
             tracer.add(f"machine.core[rank{rank}].stall_s", t1, stall_s)
 
     # -- collectives -----------------------------------------------------------
-    def collective_ctx(
-        self, group_key: Any, seq: int, kind: str, size: int
+    def join_collective(
+        self, group_key: Any, seq: int, kind: str, size: int, rank: int,
+        value: Any,
     ) -> _CollCtx:
-        """Rendezvous context for collective #``seq`` of a communicator
-        group (the world communicator or a :func:`Comm.split` product)."""
-        key = (group_key, seq, kind)
+        """Add ``rank``'s ``value`` to the rendezvous of collective
+        #``seq`` of a communicator group (the world communicator or a
+        :func:`Comm.split` product), dropped once all ``size`` joined."""
+        key = (group_key, seq)
         ctx = self._coll.get(key)
         if ctx is None:
-            # Detect mismatched collective ordering across the group.
-            for (other_group, other_seq, other_kind) in self._coll:
-                if other_group == group_key and other_seq == seq and other_kind != kind:
-                    raise RuntimeError(
-                        f"collective mismatch at sequence {seq}: "
-                        f"{other_kind} vs {kind}"
-                    )
-            ctx = _CollCtx(self.sim, kind, size)
-            self._coll[key] = ctx
-        if ctx.expected != size:  # pragma: no cover - defensive
-            raise RuntimeError("collective group size mismatch")
+            ctx = self._coll[key] = _CollCtx(self.sim, kind)
+        elif ctx.kind != kind:
+            raise RuntimeError(
+                f"collective mismatch at sequence {seq}: {ctx.kind} vs {kind}"
+            )
+        ctx.values[rank] = value
+        ctx.count += 1
+        if ctx.count == size:
+            del self._coll[key]
         return ctx
 
     # -- resilience ------------------------------------------------------------

@@ -166,8 +166,6 @@ class EventQueue:
         :meth:`~repro.simengine.simulator.Simulator.freeze` to model a
         global machine pause (coordinated checkpoint, crash recovery).
         """
-        if delta == 0.0:
-            return
         # In place: the run loop and outstanding handles hold these very
         # lists.
         for item in self._heap:

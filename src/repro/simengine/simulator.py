@@ -87,6 +87,7 @@ class Simulator:
         #: default — untraced runs pay only ``is None`` checks).
         self.tracer = tracer
         self._queue = EventQueue()
+        self.freeze_log: List[float] = []
         self._running = False
         self._processes: List[Process] = []
         self._resources: "List[Resource]" = []
@@ -153,6 +154,13 @@ class Simulator:
             raise ValueError(f"negative delay {delay!r}")
         return self._queue.push(self.now + delay, callback, key=key)
 
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> Any:
+        """:meth:`schedule` at an absolute ``time``, for a caller that
+        computed it (``now + (time - now)`` need not round to ``time``)."""
+        if time < self.now:
+            raise ValueError(f"time {time!r} is before now {self.now!r}")
+        return self._queue.push(time, callback)
+
     def timeout_event(
         self,
         delay: float,
@@ -177,12 +185,13 @@ class Simulator:
         stop-the-world episodes — a coordinated checkpoint, or the
         rollback-and-redo window after a node crash — without touching any
         individual process. Callbacks scheduled *after* the freeze are not
-        shifted.
+        shifted. :attr:`freeze_log` keeps each nonzero duration.
         """
         if duration < 0:
             raise ValueError(f"negative freeze duration {duration!r}")
         if duration:
             self._queue.shift_all(float(duration))
+            self.freeze_log.append(float(duration))
 
     # -- sanitizer registries ----------------------------------------------
     def _register_process(self, proc: Process) -> None:

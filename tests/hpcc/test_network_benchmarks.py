@@ -51,12 +51,45 @@ def test_ring_orderings():
 
 
 def test_ring_des_runs_and_orders():
+    # Exact one-iteration times in microseconds (float.hex), so a unit
+    # slip, a receive that is not waited on or an unseeded permutation
+    # shows. Seed 1 of six SN ranks happens to time like the natural
+    # ring; seed 2 and the 16-rank VN ring do not.
     ring = RingBenchmark(xt4("SN"))
     nat = ring.run_des_natural(ntasks=6, nbytes=1024)
+    assert nat.hex() == "0x1.a007cd49a166ep+2"
     rand = ring.run_des_random(ntasks=6, nbytes=1024, seed=1)
-    assert nat > 0 and rand > 0
+    assert rand.hex() == "0x1.a007cd49a166ep+2"
+    rand2 = ring.run_des_random(ntasks=6, nbytes=1024, seed=2)
+    assert rand2.hex() == "0x1.de721a54d880bp+2"
     # Random permutation spans more hops: should not be faster than natural.
-    assert rand >= nat * 0.9
+    assert rand2 > nat
+    vn = RingBenchmark(xt4("VN"))
+    assert vn.run_des_natural(ntasks=6, nbytes=1024).hex() == "0x1.a6cfb9c869536p+3"
+    assert vn.run_des_random(ntasks=16, nbytes=1024, seed=1).hex() == (
+        "0x1.223989ff0656dp+4"
+    )
+
+
+def test_ring_des_receives_every_message(monkeypatch):
+    # Every rank receives from both neighbours. A receive that is called
+    # but not driven (a dropped ``yield from``) times the same, since the
+    # rank also waits for its own sends, so count completed receives.
+    from repro.mpi.comm import Comm
+
+    received = []
+    recv = Comm.recv
+
+    def counted(self, *args, **kwargs):
+        obj = yield from recv(self, *args, **kwargs)
+        received.append(self.rank)
+        return obj
+
+    monkeypatch.setattr(Comm, "recv", counted)
+    ring = RingBenchmark(xt4("SN"))
+    ring.run_des_natural(ntasks=6, nbytes=1024)
+    ring.run_des_random(ntasks=6, nbytes=1024, seed=2)
+    assert sorted(received) == sorted(list(range(6)) * 4)
 
 
 def test_ring_validation():

@@ -311,6 +311,44 @@ def test_collective_mismatch_detected():
         run(xt4("SN"), 2, main)
 
 
+def test_finished_collectives_are_not_kept():
+    def main(comm):
+        total = 0
+        for i in range(1000):
+            total += yield from comm.allreduce(i)
+        sub = yield from comm.split(color=comm.rank % 2)
+        yield from sub.barrier()
+        return total
+
+    job = MPIJob(xt4("SN"), 4)
+    res = job.run(main)
+    assert res.returns == [4 * sum(range(1000))] * 4
+    # Every rank joined every collective, so no rendezvous is left.
+    assert job._coll == {}
+
+
+# ------------------------------------------------------- VN NIC activity
+@pytest.mark.parametrize("gap_s,contended", [
+    (0.0, True),  # simultaneous injection from the sharing core
+    (20.0e-6, True),  # the window's edge is inside it
+    (20.5e-6, False),
+    (1.0e-3, False),
+])
+def test_vn_latency_pays_contention_within_activity_window(gap_s, contended):
+    # Ranks 0 and 1 share node 0, ranks 2 and 3 node 1. Rank 1 injects at
+    # t=0; rank 0's message ``gap_s`` later pays the interrupt surcharge
+    # only while that activity is at most 20 us old.
+    job = MPIJob(xt4("VN"), 4)
+    first, second = job.latency_terms(1, 3), job.latency_terms(0, 2)
+    sharing, _, _, idle_s, contended_s = second
+    assert sharing == 2 and contended_s > idle_s
+    priced = []
+    job.sim.schedule(0.0, lambda: priced.append(job.price_latency_s(first)))
+    job.sim.schedule(gap_s, lambda: priced.append(job.price_latency_s(second)))
+    job.sim.run()
+    assert priced == [idle_s, contended_s if contended else idle_s]
+
+
 # --------------------------------------------------------------- compute
 def test_compute_charges_kernel_time():
     def main(comm):

@@ -473,8 +473,10 @@ def test_freeze_postpones_everything_uniformly():
     sim.spawn(worker("a", 1.0), name="a")
     sim.spawn(worker("b", 2.0), name="b")
     sim.schedule(0.5, lambda: sim.freeze(10.0))
+    sim.schedule(0.7, lambda: sim.freeze(0.0))
     sim.run()
     assert times == {"a": 11.0, "b": 12.0}
+    assert sim.freeze_log == [10.0]  # a zero freeze is not logged
 
 
 def test_freeze_preserves_fifo_tie_order():

@@ -30,6 +30,20 @@ def test_schedule_callback_advances_clock():
     assert sim.now == 2.5
 
 
+def test_schedule_at_fires_at_the_given_time_bit_for_bit():
+    # now + (t - now) rounds away from t here, so schedule(t - now)
+    # would miss it by an ulp.
+    now, t = 54.141247279349656, 206.68174964614397
+    assert now + (t - now) != t
+    sim = Simulator()
+    hits = []
+    sim.schedule(now, lambda: sim.schedule_at(t, lambda: hits.append(sim.now)))
+    sim.run()
+    assert hits == [t]
+    with pytest.raises(ValueError, match="before now"):
+        sim.schedule_at(t - 1.0, lambda: None)
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
