@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.state import NodeFaultState
@@ -46,7 +46,10 @@ class FaultInjector:
         self.node_states: Dict[int, NodeFaultState] = (
             node_states if node_states is not None else {}
         )
-        self._handles: List[Any] = []
+        #: Entry number → handle of every pushed entry not yet fired; an
+        #: entry leaves when it fires, so only live ones get cancelled.
+        self._handles: Dict[int, Any] = {}
+        self._entries = 0  # entry numbers handed out
         self._unarmed: deque = deque()  # (time arm() would push, event)
         self._freezes_seen = 0  # len(sim.freeze_log) at arm()
         self.injected = 0
@@ -82,8 +85,9 @@ class FaultInjector:
         first = True
         while unarmed and unarmed[0][0] == group_t:
             ev = unarmed.popleft()[1]
-            self._handles.append(
-                sim.schedule_at(t, partial(self._fire, ev, first))
+            entry = self._entries = self._entries + 1
+            self._handles[entry] = sim.schedule_at(
+                t, partial(self._fire, ev, first, entry)
             )
             first = False
 
@@ -93,13 +97,16 @@ class FaultInjector:
         Called when the observed job completes, so leftover fault events
         cannot keep the simulation clock running past the job's end.
         """
-        for h in self._handles:
+        for h in self._handles.values():
             self.sim.cancel(h)
         self._handles.clear()
         self._unarmed.clear()
 
     # -- dispatch ----------------------------------------------------------
-    def _fire(self, ev: FaultEvent, arms_next: bool = False) -> None:
+    def _fire(
+        self, ev: FaultEvent, arms_next: bool = False, entry: int = 0
+    ) -> None:
+        self._handles.pop(entry, None)
         if arms_next:
             self._arm_next_group()
         self.injected += 1
@@ -120,9 +127,14 @@ class FaultInjector:
     def _inject_link_down(self, ev: FaultEvent) -> None:
         self.network.fail_link(ev.link)
         if ev.duration_s:
-            self._handles.append(self.sim.schedule(
-                ev.duration_s, lambda: self.network.restore_link(ev.link)
-            ))
+            entry = self._entries = self._entries + 1
+            self._handles[entry] = self.sim.schedule(
+                ev.duration_s, partial(self._restore, ev.link, entry)
+            )
+
+    def _restore(self, link: Any, entry: int) -> None:
+        del self._handles[entry]
+        self.network.restore_link(link)
 
     def _inject_nic_stall(self, ev: FaultEvent) -> None:
         self.network.stall_nic(ev.node, self.sim.now + ev.duration_s)

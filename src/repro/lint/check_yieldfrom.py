@@ -15,14 +15,15 @@ mis-consumption shapes inside generator functions:
 * SL104 — ``yield from helper()`` where ``helper`` returns an *event*
   (events are not iterable; must be a plain ``yield``).
 
-Helper tables mirror the public process-helper APIs:
-:class:`repro.mpi.comm.Comm`, :class:`repro.simengine.resource.Resource`
-/ :class:`~repro.simengine.resource.Store`, ``Delay`` and the network
+Helper tables mirror the process-helper APIs:
+:class:`repro.mpi.comm.Comm` (its process-helpers, and ``_post_recv``,
+the event a receive waits on when no arrived message matches),
+:class:`repro.simengine.resource.Resource`, ``Delay`` and the network
 transfer helper. Names that collide with common stdlib methods
-(``split``, ``get``, ``reduce``, ``use``, ``request``, ``transfer``) are
-only matched when the receiver expression names a comm / store / resource
-/ network object, so ``line.split(",")`` or ``d.get(k)`` never trip the
-rule; the heuristic and its escape hatch are documented in docs/LINT.md.
+(``split``, ``reduce``, ``use``, ``request``, ``transfer``) are only
+matched when the receiver expression names a comm / resource / network
+object, so ``line.split(",")`` never trips the rule; the heuristic and
+its escape hatch are documented in docs/LINT.md.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ GEN_METHODS = frozenset(
 )
 
 _COMM_HINTS = ("comm", "world", "cart", "mpi")
-_STORE_HINTS = ("store", "inbox", "queue", "mailbox", "box", "fifo")
 _RESOURCE_HINTS = ("resource", "port", "link", "channel", "slot", "server",
                    "nic", "controller", "ost", "disk")
 _NET_HINTS = ("network", "net", "fabric", "torus")
@@ -61,7 +61,7 @@ GEN_METHODS_HINTED = {
 #: Calls that return an *event*: consumed with a plain ``yield`` (possibly
 #: after assignment), never with ``yield from``.
 EVENT_METHODS_HINTED = {
-    "get": _STORE_HINTS,
+    "_post_recv": (),  # unambiguous
     "request": _RESOURCE_HINTS,
     "timeout_event": (),  # unambiguous
 }

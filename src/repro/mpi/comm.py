@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.machine.specs import MICRO
-from repro.mpi.datatypes import payload_nbytes, reduce_values
+from repro.mpi.datatypes import WORD_TYPES, payload_nbytes, reduce_values
 from repro.mpi.request import Request
 from repro.network.simnet import INTRA_NODE_LATENCY_US
-from repro.simengine import Delay, Event, Store
+from repro.simengine import Delay, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.job import MPIJob
@@ -17,18 +17,19 @@ if TYPE_CHECKING:  # pragma: no cover
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-
-class _Msg:
-    __slots__ = ("source", "tag", "obj")
-
-    def __init__(self, source: int, tag: int, obj: Any) -> None:
-        self.source = source
-        self.tag = tag
-        self.obj = obj
+#: Fixed latency of an intra-node copy, in seconds.
+_INTRA_NODE_S = INTRA_NODE_LATENCY_US * MICRO
 
 
 class _Transfer:
-    """One message from ``comm``'s rank to ``dest``, in flight.
+    """One message from world rank ``source`` to world rank ``dest``:
+    first in flight, then the message a receive takes from ``dest``'s
+    mailbox.
+
+    Its envelope is ``(context, source, tag)``. ``context`` is the
+    sending communicator's group key — ``"world"``, or the key of a
+    :meth:`Comm.split` product — so a receive only ever matches messages
+    of its own communicator.
 
     :meth:`run` is the full-DES reference: a process pricing the latency
     and running :meth:`SimNetwork.transfer`. When the network's fast path
@@ -42,26 +43,32 @@ class _Transfer:
       end of the hold; a busy route, or a network that has meanwhile
       gained fault state, continues in :meth:`SimNetwork.carry` as a
       process started synchronously (no extra queue entry);
-    * :meth:`finish` charges the links, releases and delivers.
+    * :meth:`finish` settles the route (charge, release, count) and
+      delivers.
 
     Intra-node messages hold no resources: :meth:`start` → :meth:`copy`
-    (after the fixed copy latency) → :meth:`copied`.
+    (after the fixed copy latency) → :meth:`copied`. The chain pushes
+    straight onto the event queue at ``now + delay``, the sum
+    :meth:`Simulator.schedule` would compute.
 
     The completion :class:`Event` is made only when a sender waits on a
     message still in flight (:meth:`completion`); ``delivered`` tells
     whether it has arrived.
     """
 
-    __slots__ = ("comm", "dest", "tag", "obj", "nbytes", "key", "done",
-                 "delivered", "terms", "route", "ordered", "hold")
+    __slots__ = ("comm", "source", "dest", "tag", "context", "obj",
+                 "nbytes", "key", "terms", "done", "delivered", "path",
+                 "hold")
 
     def __init__(
-        self, comm: "Comm", dest: int, tag: Any, obj: Any, nbytes: int,
-        peer: tuple,
+        self, comm: "Comm", dest: int, tag: Any, context: Any, obj: Any,
+        nbytes: int, peer: tuple,
     ) -> None:
         self.comm = comm
+        self.source = comm.rank
         self.dest = dest
         self.tag = tag
+        self.context = context
         self.obj = obj
         self.nbytes = nbytes
         self.key = peer[2]
@@ -81,10 +88,12 @@ class _Transfer:
 
     # -- keyed callback chain ----------------------------------------------
     def post(self) -> None:
-        sim = self.comm.job.sim
+        comm = self.comm
+        now = comm._sim.now
         sharing = self.terms[0]
-        if sharing > 1 or self.comm._in_flight[self.dest] > 1:
-            sim.schedule(0.0, self.start, key=self.key)
+        if sharing > 1 or comm._in_flight[self.dest] > 1:
+            # ``now + 0.0`` is ``now``.
+            comm._push(now, self.start, self.key)
         # Static-latency fusion: an unshared or intra-node pair's price
         # reads no clock state, so ``start`` would only push the next
         # step at now + latency — push it here instead. The pushed entry
@@ -92,67 +101,80 @@ class _Transfer:
         # among same-time entries of its own key, i.e. of this pair's
         # other transfers; with none in flight there are none to reorder.
         elif sharing:
-            sim.schedule(self.terms[3], self.arrive, key=self.key)
+            comm._push(now + self.terms[3], self.arrive, self.key)
         else:
-            sim.schedule(INTRA_NODE_LATENCY_US * MICRO, self.copy, key=self.key)
+            comm._push(now + _INTRA_NODE_S, self.copy, self.key)
 
     def start(self) -> None:
-        job = self.comm.job
+        comm = self.comm
         terms = self.terms
         if terms[0] == 0:
-            job.sim.schedule(INTRA_NODE_LATENCY_US * MICRO, self.copy, key=self.key)
+            comm._push(comm._sim.now + _INTRA_NODE_S, self.copy, self.key)
         else:
-            job.sim.schedule(job.price_latency_s(terms), self.arrive, key=self.key)
+            latency = comm.job.price_latency_s(terms)
+            comm._push(comm._sim.now + latency, self.arrive, self.key)
 
     def arrive(self) -> None:
-        job = self.comm.job
-        net = job.network
-        src_node, dst_node = self.terms[1], self.terms[2]
-        claimed = net.claim_idle(src_node, dst_node)
+        comm = self.comm
+        terms = self.terms
+        claimed = comm._net.claim_idle(terms[1], terms[2], self.nbytes)
         if claimed is None:
-            job.sim._continue(
-                self._carry(), f"xfer {self.comm.rank}->{self.dest}", self.key
+            comm._sim._continue(
+                self._carry(), f"xfer {comm.rank}->{self.dest}", self.key
             )
             return
-        self.route, self.ordered = claimed
+        self.path, self.hold = claimed
         if self.nbytes:
-            self.hold = net.hold_s(self.nbytes)
-            job.sim.schedule(self.hold, self.finish, key=self.key)
+            comm._push(comm._sim.now + self.hold, self.finish, self.key)
         else:
             self.finish()
 
     def _carry(self):
         terms = self.terms
-        yield from self.comm.job.network.carry(terms[1], terms[2], self.nbytes)
+        yield from self.comm._net.carry(terms[1], terms[2], self.nbytes)
         self.deliver()
 
     def finish(self) -> None:
-        net = self.comm.job.network
-        if self.nbytes:
-            net.charge(
-                self.terms[1], self.terms[2], self.route, self.nbytes, self.hold
-            )
-        net.release(self.ordered)
-        net.count_transfer()
+        terms = self.terms
+        self.comm._net.settle(
+            terms[1], terms[2], self.path, self.nbytes, self.hold
+        )
         self.deliver()
 
     def copy(self) -> None:
         if self.nbytes:
-            job = self.comm.job
-            job.sim.schedule(
-                job.network.copy_s(self.nbytes), self.copied, key=self.key
+            comm = self.comm
+            comm._push(
+                comm._sim.now + comm._net.copy_s(self.nbytes),
+                self.copied,
+                self.key,
             )
         else:
             self.copied()
 
     def copied(self) -> None:
-        self.comm.job.network.count_transfer()
+        node = self.terms[1]
+        self.comm._net.settle(node, node)
         self.deliver()
 
     def deliver(self) -> None:
+        """Hand the message to the first posted receive it matches, or
+        leave it in the receiver's mailbox; then complete the send."""
         comm = self.comm
         comm._in_flight[self.dest] -= 1
-        comm.job.comms[self.dest]._inbox.put(_Msg(comm.rank, self.tag, self.obj))
+        box = comm.job.comms[self.dest]
+        waiting = box._waiting
+        for i, (evt, context, source, tag, payload) in enumerate(waiting):
+            if (
+                context == self.context
+                and (source == ANY_SOURCE or source == self.source)
+                and (tag == ANY_TAG or tag == self.tag)
+            ):
+                del waiting[i]
+                evt.succeed(self.obj if payload else self)
+                break
+        else:
+            box._arrived.append(self)
         self.delivered = True
         if self.done is not None:
             self.done.succeed(None)
@@ -162,7 +184,7 @@ class _Transfer:
         done = self.done
         if done is None:
             comm = self.comm
-            done = self.done = Event(comm.job.sim, comm._peers[self.dest][0])
+            done = self.done = Event(comm._sim, comm._peers[self.dest][0])
             if self.delivered:
                 done.succeed(None)
         return done
@@ -174,23 +196,37 @@ class Comm:
     All communication methods are process-helpers: call them with
     ``yield from`` inside a rank generator. Payloads are delivered intact;
     the simulated wall clock advances by the modelled cost.
+
+    Each world rank has one mailbox: ``_arrived``, the messages delivered
+    and not yet received, oldest first, and ``_waiting``, the receives
+    posted and not yet matched, oldest first. A sub-communicator shares
+    its rank's mailbox and matches on its own context.
     """
 
     def __init__(self, job: "MPIJob", rank: int) -> None:
         self.job = job
         self.rank = rank
         self.size = job.ntasks
-        self._inbox = Store(job.sim, name=f"inbox[{rank}]")
         self._coll_seq = 0
         self._group_key: Any = "world"
+        #: Group rank → world rank (the identity here; see SubComm).
+        self._ranks: Sequence[int] = range(job.ntasks)
+        #: The world communicator of this rank: it sends every message.
+        self._world: "Comm" = self
+        self._sim = job.sim
+        self._push = job.sim._queue.push
+        self._net = job.network
+        # The mailbox (see the class docstring); a waiting receive is
+        # (event, context, world source, tag, payload only).
+        self._arrived: List[_Transfer] = []
+        self._waiting: List[tuple] = []
+        self._get_name = f"inbox[{rank}].get"
         # Destination → (isend name, transfer name, tie-break key, latency
         # terms), built once: a rank sends to the same few torus
         # neighbours thousands of times.
         self._peers: dict = {}
         # Destination → transfers from this rank not yet delivered.
         self._in_flight: Dict[int, int] = defaultdict(int)
-        # (source, tag) → (inbox, match predicate), built once per pair.
-        self._mailboxes: dict = {}
         # The job's tracer, looked up once: an untraced operation pays one
         # ``is None`` test. Every operation records on the world rank's
         # track, sub-communicator calls included.
@@ -201,29 +237,23 @@ class Comm:
     def _costs(self):
         return self.job.costs
 
-    def _root_comm(self) -> "Comm":
-        return self
-
-    def _world_rank_of(self, rank: int) -> int:
-        return rank
-
     # -- clock ----------------------------------------------------------------
     def wtime(self) -> float:
         """Current simulated time (MPI_Wtime)."""
-        return self.job.sim.now
+        return self._sim.now
 
     # -- tracing ----------------------------------------------------------------
     def _span(self, op: str, t0: float, nbytes: float) -> None:
         """Record ``mpi.<op>`` from ``t0`` to now, tagged with its bytes."""
         self._tracer.complete(
-            self._track, f"mpi.{op}", t0, self.job.sim.now, bytes=nbytes
+            self._track, f"mpi.{op}", t0, self._sim.now, bytes=nbytes
         )
 
     # -- local compute ----------------------------------------------------------
     def compute(self, flops: float, profile: str = "dgemm"):
         """Charge local computation time for ``flops`` of the given kernel,
         under this rank's static memory-sharing environment."""
-        rank = self._world_rank_of(self.rank)
+        rank = self._world.rank
         dt = self.job.compute_time_s(rank, flops, profile)
         if self._tracer is not None:
             self.job.trace_local_phase(rank, dt, profile=profile)
@@ -232,7 +262,7 @@ class Comm:
 
     def stream(self, nbytes: float):
         """Charge local streaming-memory time for ``nbytes`` of traffic."""
-        rank = self._world_rank_of(self.rank)
+        rank = self._world.rank
         dt = self.job.stream_time_s(rank, nbytes)
         if self._tracer is not None:
             self.job.trace_local_phase(rank, dt)
@@ -251,99 +281,130 @@ class Comm:
         n = payload_nbytes(obj) if nbytes is None else int(nbytes)
         req = Request(self._isend(obj, dest, tag, n).completion())
         if self._tracer is not None:
-            self._tracer.instant(self._track, "mpi.isend", self.job.sim.now, bytes=n)
+            self._tracer.instant(self._track, "mpi.isend", self._sim.now, bytes=n)
         return req
 
     def _isend(self, obj: Any, dest: int, tag: Any, n: int) -> _Transfer:
-        """Untraced send of ``n`` bytes; returns the message in flight
-        (overridden by SubComm)."""
-        peer = self._peers.get(dest)
+        """Untraced send of ``n`` bytes to group rank ``dest``; returns
+        the message in flight."""
+        if not 0 <= dest < self.size:
+            self._check_peer(dest)  # raises
+        if n < 0:
+            raise ValueError("nbytes must be >= 0")
+        world = self._world
+        dest = self._ranks[dest]
+        peer = world._peers.get(dest)
         if peer is None:
-            self._check_peer(dest)
             # The tie-break key makes same-time transfer wakeups — and
             # hence NIC/link arbitration among simultaneous messages —
             # follow rank order deterministically instead of queue
             # insertion order, which is a schedule race (two exchanging
             # pairs in VN mode would otherwise pipeline differently per
             # tie-break permutation).
-            peer = self._peers[dest] = (
-                f"isend {self.rank}->{dest}",
-                f"xfer {self.rank}->{dest}",
-                f"xfer:{self.rank:06d}->{dest:06d}",
-                self.job.latency_terms(self.rank, dest),
+            rank = world.rank
+            peer = world._peers[dest] = (
+                f"isend {rank}->{dest}",
+                f"xfer {rank}->{dest}",
+                f"xfer:{rank:06d}->{dest:06d}",
+                self.job.latency_terms(rank, dest),
             )
-        if n < 0:
-            raise ValueError("nbytes must be >= 0")
-        job = self.job
-        xfer = _Transfer(self, dest, tag, obj, n, peer)
-        if job.network.fast_path_open():
+        xfer = _Transfer(world, dest, tag, self._group_key, obj, n, peer)
+        if world._net.fast_path_open():
             xfer.post()
         else:
-            job.sim.spawn(xfer.run(), name=peer[1], key=peer[2])
+            self._sim.spawn(xfer.run(), name=peer[1], key=peer[2])
         return xfer
 
     def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         """Blocking send: returns once the message is fully injected and
         delivered (conservative synchronous semantics)."""
-        t0 = self.job.sim.now
-        n = payload_nbytes(obj) if nbytes is None else int(nbytes)
+        t0 = self._sim.now
+        if nbytes is not None:
+            n = int(nbytes)
+        else:
+            n = 8 if type(obj) in WORD_TYPES else payload_nbytes(obj)
         xfer = self._isend(obj, dest, tag, n)
         if not xfer.delivered:
             yield xfer.completion()
         if self._tracer is not None:
             self._span("send", t0, n)
 
-    def _mailbox(self, source: int, tag: Any) -> Tuple[Store, Callable]:
-        """The inbox holding messages from ``source`` with ``tag``, and
-        the predicate that matches them (overridden by SubComm)."""
-        box = self._mailboxes.get((source, tag))
-        if box is None:
-            if source != ANY_SOURCE:
-                self._check_peer(source)
-            box = self._mailboxes[(source, tag)] = (
-                self._inbox,
-                lambda m: (source == ANY_SOURCE or m.source == source)
-                and (tag == ANY_TAG or m.tag == tag),
-            )
-        return box
+    def _world_source(self, source: int) -> int:
+        """World rank of group rank ``source``; ``ANY_SOURCE`` stays."""
+        if source == ANY_SOURCE:
+            return source
+        if not 0 <= source < self.size:
+            self._check_peer(source)  # raises
+        return self._ranks[source]
+
+    def _take(self, source: int, tag: Any) -> Optional[_Transfer]:
+        """Remove and return the oldest arrived message of this
+        communicator from world rank ``source`` with ``tag`` (either may
+        be a wildcard), or ``None``."""
+        context = self._group_key
+        arrived = self._arrived
+        for i, msg in enumerate(arrived):
+            if (
+                msg.context == context
+                and (source == ANY_SOURCE or msg.source == source)
+                and (tag == ANY_TAG or msg.tag == tag)
+            ):
+                del arrived[i]
+                return msg
+        return None
+
+    def _post_recv(self, source: int, tag: Any, payload: bool = False) -> Event:
+        """Post a receive no arrived message matches: an event that the
+        first matching delivery succeeds with the message (with just its
+        payload when ``payload``). An interrupted waiter withdraws it."""
+        evt = Event(self._sim, self._get_name)
+        evt.on_abandon(self._withdraw)
+        self._waiting.append((evt, self._group_key, source, tag, payload))
+        return evt
+
+    def _withdraw(self, evt: Event) -> None:
+        """Drop the posted receive of an interrupted waiter."""
+        waiting = self._waiting
+        for i, posted in enumerate(waiting):
+            if posted[0] is evt:
+                del waiting[i]
+                return
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Start a nonblocking receive; the request's value is the payload."""
-        inbox, match = self._mailbox(source, tag)
-        done = self.job.sim.event(name=f"irecv @{self.rank}")
-        # A message that has already arrived completes the request now.
-        msg = inbox.take(match)
+        source = self._world_source(source)
+        msg = self._take(source, tag) if self._arrived else None
         if msg is None:
-            inbox.get(match).add_callback(lambda e: done.succeed(e.value.obj))
+            done = self._post_recv(source, tag, payload=True)
         else:
-            done.succeed(msg.obj)
+            # Already arrived: the request completes now.
+            done = Event(self._sim, f"irecv @{self.rank}").succeed(msg.obj)
         if self._tracer is not None:
-            self._tracer.instant(self._track, "mpi.irecv", self.job.sim.now, bytes=0)
+            self._tracer.instant(self._track, "mpi.irecv", self._sim.now, bytes=0)
         return Request(done)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload object."""
-        t0 = self.job.sim.now
-        inbox, match = self._mailbox(source, tag)
+        t0 = self._sim.now
+        source = self._world_source(source)
         # A message that has already arrived is taken without an event.
-        msg = inbox.take(match)
+        msg = self._take(source, tag) if self._arrived else None
         if msg is None:
-            msg = yield inbox.get(match)
+            msg = yield self._post_recv(source, tag)
         if self._tracer is not None:
             self._span("recv", t0, 0)
         return msg.obj
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns ``(payload, source, tag)``."""
-        t0 = self.job.sim.now
-        inbox, match = self._mailbox(source, tag)
-        # A message that has already arrived is taken without an event.
-        msg = inbox.take(match)
+        t0 = self._sim.now
+        source = self._world_source(source)
+        msg = self._take(source, tag) if self._arrived else None
         if msg is None:
-            msg = yield inbox.get(match)
+            msg = yield self._post_recv(source, tag)
         if self._tracer is not None:
             self._span("recv", t0, 0)
-        return msg.obj, msg.source, msg.tag
+        return msg.obj, self._ranks.index(msg.source), msg.tag
 
     def sendrecv(
         self,
@@ -354,13 +415,19 @@ class Comm:
         nbytes: Optional[int] = None,
     ):
         """Simultaneous exchange; returns the received payload."""
-        t0 = self.job.sim.now
-        n = payload_nbytes(obj) if nbytes is None else int(nbytes)
+        t0 = self._sim.now
+        if nbytes is not None:
+            n = int(nbytes)
+        else:
+            n = 8 if type(obj) in WORD_TYPES else payload_nbytes(obj)
         xfer = self._isend(obj, dest, tag, n)
-        inbox, match = self._mailbox(dest if source is None else source, tag)
-        msg = inbox.take(match)
+        if source is None or source == dest:
+            source = xfer.dest  # ``dest`` passed _isend's check
+        else:
+            source = self._world_source(source)
+        msg = self._take(source, tag) if self._arrived else None
         if msg is None:
-            msg = yield inbox.get(match)
+            msg = yield self._post_recv(source, tag)
         if not xfer.delivered:
             yield xfer.completion()
         if self._tracer is not None:
@@ -378,7 +445,7 @@ class Comm:
         """Rendezvous the group on collective ``kind``; every collective
         (but the untimed ``split``) records its ``mpi.<kind>`` span here,
         tagged with the bytes of this rank's ``value``."""
-        t0 = self.job.sim.now
+        t0 = self._sim.now
         seq = self._coll_seq
         self._coll_seq += 1
         ctx = self.job.join_collective(
@@ -425,8 +492,8 @@ class Comm:
             key=lambda r: (mapping[r][1], r),
         )
         group_key = (self._group_key, "split", seq, color)
-        world_ranks = [self._world_rank_of(r) for r in members]
-        return SubComm(self._root_comm(), group_key, world_ranks)
+        world_ranks = [self._ranks[r] for r in members]
+        return SubComm(self._world, group_key, world_ranks)
 
     def barrier(self):
         """MPI_Barrier."""

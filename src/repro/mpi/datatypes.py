@@ -15,6 +15,12 @@ from typing import Any, Iterable, List, Sequence
 _DEFAULT_OBJ_NBYTES = 64
 
 
+#: Builtin scalars that travel as one 8-byte word. Exact types only:
+#: numpy scalars subclass float and int and report their own size. The
+#: communicator sizes these without calling :func:`payload_nbytes`.
+WORD_TYPES = frozenset((float, int, bool))
+
+
 def payload_nbytes(obj: Any) -> int:
     """Wire size in bytes of a message payload.
 
@@ -23,10 +29,7 @@ def payload_nbytes(obj: Any) -> int:
     Anything else falls back to its pickle length (mirroring mpi4py's
     pickle path for generic objects).
     """
-    cls = type(obj)
-    if cls is float or cls is int or cls is bool:
-        # Exact builtins first (numpy scalars subclass float and int, and
-        # report their own buffer size below).
+    if type(obj) in WORD_TYPES:
         return 8
     if obj is None:
         return 0

@@ -75,7 +75,7 @@ class MPIJob:
     :param placement: ``contiguous`` or ``random`` rank layout.
     :param sanitize: enable the simulator's runtime sanitizers — on
         deadlock, a :class:`~repro.simengine.SimDeadlockError` names each
-        blocked rank and the store/collective it waits on (instead of the
+        blocked rank and the receive/collective it waits on (instead of the
         generic "job deadlocked" error).
     :param tracer: attach a :class:`~repro.obs.tracer.Tracer` — every
         rank's MPI operations (``mpi.<op>`` spans, folded into per-rank

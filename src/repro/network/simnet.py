@@ -18,9 +18,11 @@ Catamount implements them as a memory copy (paper §2).
 
 That process is the full-DES reference (:meth:`SimNetwork.transfer`). In
 hybrid mode the MPI layer runs an uncontended message as a keyed
-callback chain over the same steps (:class:`repro.mpi.comm.Comm`), using
-this module's idle test, slot claim, charge, release and counting
-methods, and continues a busy or faulted one in :meth:`SimNetwork.carry`.
+callback chain over the same steps (:class:`repro.mpi.comm.Comm`): it
+claims an idle route with :meth:`SimNetwork.claim_idle`, completes with
+:meth:`SimNetwork.settle` (charge, release, count; :meth:`SimNetwork.carry`
+completes with it too), and continues a busy or faulted message in
+:meth:`SimNetwork.carry`.
 
 When the simulator carries a :class:`~repro.obs.tracer.Tracer`, every
 transfer is recorded as a span tagged ``src``/``dst``/``bytes``, and the
@@ -47,6 +49,10 @@ from repro.simengine import (
     Simulator,
     retry,
 )
+
+#: A route, its resources in canonical acquisition order, and its links'
+#: ``[bytes, busy seconds]`` load lists.
+Path = Tuple[List[Link], List[Resource], List[List[float]]]
 
 #: CAL: latency of the Catamount intra-socket memory-copy message path.
 INTRA_NODE_LATENCY_US = 0.8
@@ -179,13 +185,11 @@ class SimNetwork:
         self.hybrid = _HYBRID_DEFAULT
         #: Transfers completed via the hybrid fast path (diagnostics).
         self.fast_transfers = 0
-        #: (src, dst) → (dimension-order route, resources in canonical
-        #: acquisition order). Fault-free routes are static, so both
-        #: paths reuse them instead of re-routing and re-sorting per
-        #: message.
-        self._path_cache: Dict[
-            Tuple[int, int], Tuple[List[Link], List[Resource]]
-        ] = {}
+        #: (src, dst) → path: (dimension-order route, resources in
+        #: canonical acquisition order, the route's link loads).
+        #: Fault-free routes are static, so both paths reuse them instead
+        #: of re-routing and re-sorting per message.
+        self._path_cache: Dict[Tuple[int, int], Path] = {}
         self._nic_tx: Dict[int, Resource] = {}
         self._nic_rx: Dict[int, Resource] = {}
         self._links: Dict[Link, Resource] = {}
@@ -197,11 +201,11 @@ class SimNetwork:
         self._traced_links: Dict[Link, str] = {}
         #: Count of completed transfers (diagnostics).
         self.transfers_completed = 0
-        #: Bytes carried per directed link (hotspot diagnostics;
-        #: byte-accounting fallback — empty when tracing is on).
-        self.link_bytes: Dict[Link, float] = {}
-        #: Accumulated busy seconds per directed link (fallback, as above).
-        self.link_busy_s: Dict[Link, float] = {}
+        #: Directed link → its load, ``[bytes carried, busy seconds]``:
+        #: the untraced accounting behind :attr:`link_bytes` and
+        #: :attr:`link_busy_s`. A path holds its links' load lists, so a
+        #: completed transfer adds to them without a lookup.
+        self._link_load: Dict[Link, List[float]] = {}
         #: Fault state; ``None`` until the first link or NIC fault fires
         #: (:meth:`fail_link`, :meth:`stall_nic`). Until then transfers
         #: keep the cached route and the fast path: node crashes, memory
@@ -273,19 +277,14 @@ class SimNetwork:
 
     # -- tracing ---------------------------------------------------------------
     def _charge_link(self, ln: Link, nbytes: float, hold_s: float) -> None:
-        """Account one link's share of a completed hold, on whichever
-        backend (tracer counters or the in-memory dicts) is active."""
+        """Record one link's share of a completed hold on the tracer."""
         tracer = self._tracer
-        if tracer is not None:
-            label = self._traced_links.get(ln)
-            if label is None:
-                label = self._traced_links[ln] = link_label(ln)
-            now = self.sim.now
-            tracer.add(f"net.link[{label}].bytes", now, nbytes)
-            tracer.add(f"net.link[{label}].busy_s", now, hold_s)
-        else:
-            self.link_bytes[ln] = self.link_bytes.get(ln, 0.0) + nbytes
-            self.link_busy_s[ln] = self.link_busy_s.get(ln, 0.0) + hold_s
+        label = self._traced_links.get(ln)
+        if label is None:
+            label = self._traced_links[ln] = link_label(ln)
+        now = self.sim.now
+        tracer.add(f"net.link[{label}].bytes", now, nbytes)
+        tracer.add(f"net.link[{label}].busy_s", now, hold_s)
 
     def _charge_nics(
         self, src_node: int, dst_node: int, nbytes: float, hold_s: float
@@ -306,11 +305,12 @@ class SimNetwork:
         return self.hybrid and self._tracer is None and self.faults is None
 
     def claim_idle(
-        self, src_node: int, dst_node: int
-    ) -> Optional[Tuple[List[Link], List[Resource]]]:
+        self, src_node: int, dst_node: int, nbytes: float
+    ) -> Optional[Tuple[Path, float]]:
         """Claim every slot of the fault-free route at once and return
-        ``(route, resources)``; ``None`` (nothing claimed) when the
-        network has fault state or any resource is held or has waiters.
+        its path with how long a transfer of ``nbytes`` holds it;
+        ``None`` (nothing claimed) when the network has fault state or
+        any resource is held or has waiters.
 
         An uncontended DES transfer resumes synchronously from each
         ``request()`` (no queue pushes), so claiming directly schedules
@@ -331,7 +331,7 @@ class SimNetwork:
             r._grants += 1
         self.fast_transfers += 1
         _FAST_TRANSFERS += 1
-        return path
+        return path, nbytes / self._path_bw_Bs
 
     def hold_s(self, nbytes: float) -> float:
         """How long an inter-node transfer holds its route."""
@@ -342,46 +342,40 @@ class SimNetwork:
         its fixed :data:`INTRA_NODE_LATENCY_US`."""
         return nbytes / self._intra_bw_Bs
 
-    def charge(
+    def settle(
         self,
         src_node: int,
         dst_node: int,
-        route: List[Link],
-        nbytes: float,
-        hold_s: float,
+        path: Optional[Path] = None,
+        nbytes: float = 0,
+        hold_s: float = 0.0,
     ) -> None:
-        """Account a completed hold of ``hold_s`` on every route link
-        (and, traced, on both NICs)."""
-        if self._tracer is None:
-            # Untraced, every message: the in-memory byte accounting of
-            # ``_charge_link``, inlined.
-            link_bytes = self.link_bytes
-            link_busy_s = self.link_busy_s
-            for ln in route:
-                link_bytes[ln] = link_bytes.get(ln, 0.0) + nbytes
-                link_busy_s[ln] = link_busy_s.get(ln, 0.0) + hold_s
-            return
-        for ln in route:
-            self._charge_link(ln, nbytes, hold_s)
-        self._charge_nics(src_node, dst_node, nbytes, hold_s)
-
-    @staticmethod
-    def release(held: List[Resource]) -> None:
-        """Release held slots in reverse acquisition order — in DES
-        order, so a waiter that queued mid-hold gets its slot exactly as
-        in full DES."""
-        for r in reversed(held):
-            if r._waiters or r._tracer is not None or r._in_use <= 0:
-                r.release()
-            else:
-                # Untraced and nobody queued: all that Resource.release
-                # would do.
-                r._releases += 1
-                r._in_use -= 1
-
-    def count_transfer(self) -> None:
-        """Count one completed transfer, here and in :func:`transfer_totals`."""
+        """Complete a transfer: when it carried bytes, charge a hold of
+        ``hold_s`` to every link of ``path`` (and, traced, to both NICs);
+        release the path's resources; count the transfer, here and in
+        :func:`transfer_totals`. An intra-node copy has no path."""
         global _TRANSFERS
+        if path is not None:
+            route, held, loads = path
+            if nbytes:
+                if self._tracer is None:
+                    for load in loads:
+                        load[0] += nbytes
+                        load[1] += hold_s
+                else:
+                    for ln in route:
+                        self._charge_link(ln, nbytes, hold_s)
+                    self._charge_nics(src_node, dst_node, nbytes, hold_s)
+            # Release in reverse acquisition order — in DES order, so a
+            # waiter that queued mid-hold gets its slot as in full DES.
+            for r in reversed(held):
+                if r._waiters or r._tracer is not None or r._in_use <= 0:
+                    r.release()
+                else:
+                    # Untraced and nobody queued: all that
+                    # Resource.release would do.
+                    r._releases += 1
+                    r._in_use -= 1
         self.transfers_completed += 1
         _TRANSFERS += 1
 
@@ -413,7 +407,7 @@ class SimNetwork:
             yield Delay(INTRA_NODE_LATENCY_US * MICRO)
             if nbytes:
                 yield Delay(self.copy_s(nbytes))
-            self.count_transfer()
+            self.settle(src_node, dst_node)
             if span is not None:
                 tracer.end(span, self.sim.now, intra_node=True)
             return self.sim.now
@@ -430,51 +424,52 @@ class SimNetwork:
         acquire its resources in canonical order, hold them for
         ``nbytes / bandwidth``, release, count. Returns the route."""
         if self.faults is None:
-            route, ordered = self._path(src_node, dst_node)
+            path = self._path(src_node, dst_node)
         else:
             route = yield from self._resolve_route(src_node, dst_node)
-            resources: List[Tuple[tuple, Resource]] = [
-                (("nic_tx", src_node), self.nic_tx(src_node)),
-                (("nic_rx", dst_node), self.nic_rx(dst_node)),
-            ]
-            for ln in route:
-                resources.append((("link", ln), self.link(ln)))
-            # Global canonical acquisition order => no circular waits.
-            resources.sort(key=lambda kv: repr(kv[0]))
-            ordered = [res for _, res in resources]
+            path = self._new_path(src_node, dst_node, route)
         acquired: List[Resource] = []
         try:
-            for res in ordered:
+            for res in path[1]:
                 yield res.request()
                 acquired.append(res)
+            hold = 0.0
             if nbytes:
                 hold = self.hold_s(nbytes)
                 yield Delay(hold)
-                self.charge(src_node, dst_node, route, nbytes, hold)
+            acquired = []  # settle releases them
+            self.settle(src_node, dst_node, path, nbytes, hold)
         finally:
-            self.release(acquired)
-        self.count_transfer()
-        return route
+            # Only what an interrupt left held.
+            for res in reversed(acquired):
+                res.release()
+        return path[0]
 
-    def _path(self, src_node: int, dst_node: int):
-        """Cached fault-free route + resources in canonical acquisition
-        order (the ``repr``-sort makes acquisition deadlock-free by
-        construction; caching it removes per-message routing and sorting)."""
+    def _path(self, src_node: int, dst_node: int) -> Path:
+        """The cached fault-free path from ``src_node`` to ``dst_node``
+        (caching removes per-message routing and sorting)."""
         cached = self._path_cache.get((src_node, dst_node))
         if cached is None:
-            route = self.torus.route(src_node, dst_node)
-            resources: List[Tuple[tuple, Resource]] = [
-                (("nic_tx", src_node), self.nic_tx(src_node)),
-                (("nic_rx", dst_node), self.nic_rx(dst_node)),
-            ]
-            for ln in route:
-                resources.append((("link", ln), self.link(ln)))
-            resources.sort(key=lambda kv: repr(kv[0]))
-            cached = self._path_cache[(src_node, dst_node)] = (
-                route,
-                [res for _, res in resources],
+            cached = self._path_cache[(src_node, dst_node)] = self._new_path(
+                src_node, dst_node, self.torus.route(src_node, dst_node)
             )
         return cached
+
+    def _new_path(self, src_node: int, dst_node: int, route: List[Link]) -> Path:
+        """``route`` with its NIC ports and links in the global canonical
+        acquisition order (the ``repr``-sort makes acquisition
+        deadlock-free by construction: no circular waits) and its links'
+        load lists."""
+        resources: List[Tuple[tuple, Resource]] = [
+            (("nic_tx", src_node), self.nic_tx(src_node)),
+            (("nic_rx", dst_node), self.nic_rx(dst_node)),
+        ]
+        for ln in route:
+            resources.append((("link", ln), self.link(ln)))
+        resources.sort(key=lambda kv: repr(kv[0]))
+        load = self._link_load
+        loads = [load.setdefault(ln, [0.0, 0.0]) for ln in route]
+        return route, [res for _, res in resources], loads
 
     def _resolve_route(self, src_node: int, dst_node: int):
         """Process-helper: find a usable route under the active fault state.
@@ -537,6 +532,17 @@ class SimNetwork:
         counter = self._tracer.counters.get(name)
         return counter.total if counter is not None else 0.0
 
+    @property
+    def link_bytes(self) -> Dict[Link, float]:
+        """Bytes carried per directed link that carried any (hotspot
+        diagnostics; untraced accounting — empty when tracing is on)."""
+        return {ln: load[0] for ln, load in self._link_load.items() if load[0]}
+
+    @property
+    def link_busy_s(self) -> Dict[Link, float]:
+        """Accumulated busy seconds per directed link (as above)."""
+        return {ln: load[1] for ln, load in self._link_load.items() if load[0]}
+
     def hotspot_report(self, top: int = 5) -> List[Tuple[Link, float]]:
         """The ``top`` busiest directed links by carried bytes.
 
@@ -565,5 +571,6 @@ class SimNetwork:
         if self._tracer is not None:
             busy = self._counter_total(f"net.link[{link_label(link)}].busy_s")
         else:
-            busy = self.link_busy_s.get(link, 0.0)
+            load = self._link_load.get(link)
+            busy = load[1] if load is not None else 0.0
         return busy / self.sim.now

@@ -18,7 +18,7 @@ runs of the same model produce identical traces.
 from repro.simengine.event import AllOf, AnyOf, Delay, Event, Interrupt
 from repro.simengine.process import Process, ProcessKilled
 from repro.simengine.queue import EventQueue
-from repro.simengine.resource import Resource, Store
+from repro.simengine.resource import Resource
 from repro.simengine.rng import fork, seeded_rng
 from repro.simengine.simulator import (
     ResourceLeakError,
@@ -47,7 +47,6 @@ __all__ = [
     "SimDeadlockError",
     "SimTimeout",
     "Simulator",
-    "Store",
     "fork",
     "retry",
     "seeded_rng",

@@ -84,9 +84,9 @@ class Event:
         """Register a hook run if the waiter abandons this pending event.
 
         Producers that queue state per waiter (a :class:`Resource` grant,
-        a :class:`Store` getter) use the hook to drop their bookkeeping,
-        so an interrupted process never receives a slot or a message it
-        can no longer consume.
+        a posted MPI receive) use the hook to drop their bookkeeping, so
+        an interrupted process never receives a slot or a message it can
+        no longer consume.
         """
         self._abandon_cb = cb
 

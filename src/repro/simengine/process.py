@@ -131,7 +131,7 @@ class Process:
     @property
     def waiting_on(self) -> Optional[str]:
         """Description of the command currently suspending this process
-        (an event/store/resource name), or None when runnable/finished.
+        (an event or resource name), or None when runnable/finished.
         Maintained for the sanitizers' deadlock reports."""
         cmd = self._waiting_cmd
         return None if cmd is None else _describe(cmd)
@@ -249,7 +249,7 @@ class Process:
         waited, self._waiting_event = self._waiting_event, None
         if waited is not None:
             # The process is diverted away from this wait: tell the
-            # producer (a resource's grant queue, a store's getter list)
+            # producer (a resource's grant queue, a posted MPI receive)
             # that nothing will ever consume the event.
             waited.abandon()
         self._step(None, exc)

@@ -1,15 +1,15 @@
-"""Contended resources and buffered stores for the simulation kernel.
+"""Contended resources for the simulation kernel.
 
 ``Resource`` models a fixed number of identical service slots with a FIFO
 wait queue — we use it for NIC injection ports, memory-controller channels
-and Lustre server service threads. ``Store`` is an unbounded FIFO of
-items with blocking ``get`` — the building block for MPI receive queues.
+and the Lustre metadata server. (MPI receive queues are the
+communicator's own mailboxes: :class:`repro.mpi.comm.Comm`.)
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque
 
 from repro.simengine.event import Event
 
@@ -183,71 +183,3 @@ class Resource:
             f"<Resource {self.name!r} {self._in_use}/{self.capacity}"
             f" q={len(self._waiters)}>"
         )
-
-
-class Store:
-    """Unbounded FIFO of items with blocking ``get`` and optional filtering.
-
-    ``put`` never blocks. ``get(match)`` returns an event that succeeds
-    with the first item satisfying ``match`` (FIFO order among matches),
-    waiting if none is present yet.
-    """
-
-    __slots__ = ("sim", "name", "_items", "_getters", "_get_name")
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[tuple] = deque()  # (event, match)
-        self._get_name = f"{name}.get"
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the first compatible waiting getter."""
-        for idx, (evt, match) in enumerate(self._getters):
-            if match is None or match(item):
-                del self._getters[idx]
-                evt.succeed(item)
-                return
-        self._items.append(item)
-
-    def take(self, match: Optional[Callable[[Any], bool]] = None) -> Any:
-        """Remove and return the first matching item without waiting, or
-        ``None`` if there is none (so stores that use it never hold
-        ``None`` items)."""
-        for idx, item in enumerate(self._items):
-            if match is None or match(item):
-                del self._items[idx]
-                return item
-        return None
-
-    def get(self, match: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Return an event yielding the first matching item.
-
-        If the getter's process is interrupted while waiting, the pending
-        get is withdrawn (via the event's abandon hook) so a later ``put``
-        cannot hand an item to a process that will never consume it.
-        """
-        evt = Event(self.sim, self._get_name)
-        for idx, item in enumerate(self._items):
-            if match is None or match(item):
-                del self._items[idx]
-                evt.succeed(item)
-                return evt
-        evt.on_abandon(self._abandon_getter)
-        self._getters.append((evt, match))
-        return evt
-
-    def _abandon_getter(self, evt: Event) -> None:
-        """Drop a waiting getter whose process was interrupted."""
-        for idx, (pending, _match) in enumerate(self._getters):
-            if pending is evt:
-                del self._getters[idx]
-                return
-
-    def peek_all(self) -> list:
-        """Snapshot of queued items (for diagnostics/tests)."""
-        return list(self._items)

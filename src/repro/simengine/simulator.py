@@ -60,7 +60,7 @@ class Simulator:
 
     * a **deadlock detector** — if the event queue drains while spawned
       processes are still alive, :class:`SimDeadlockError` reports each
-      blocked process and the store/resource/event it waits on;
+      blocked process and the event it waits on (a receive, a grant);
     * a **resource-conservation check** — if every process finished but a
       resource still has slots in use, :class:`ResourceLeakError` names
       the leaking resource (an acquire without a matching release).

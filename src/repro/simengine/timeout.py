@@ -6,7 +6,7 @@ MPI eager/rendezvous fallbacks) share two primitives:
 * :func:`with_timeout` — wait on an event for at most ``timeout_s``; the
   losing side of the race is cleaned up (the timer is cancelled, or the
   event is :meth:`~repro.simengine.event.Event.abandon`-ed so a queued
-  resource grant / store getter cannot leak);
+  resource grant / posted receive cannot leak);
 * :func:`retry` — drive an attempt, and on a retryable failure back off
   deterministically (exponential by default) before trying again.
 
@@ -56,7 +56,7 @@ def with_timeout(sim, event: Event, timeout_s: float, what: str = ""):
 
     Returns ``(True, value)`` if the event triggered in time, else
     ``(False, None)``. On timeout the event is abandoned, so a pending
-    resource grant or store getter is withdrawn rather than leaked; when
+    resource grant or posted receive is withdrawn rather than leaked; when
     the event wins, the internal timer is cancelled so it cannot stretch
     the run's quiescence time. Use as::
 

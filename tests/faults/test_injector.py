@@ -1,13 +1,24 @@
 """FaultInjector + fault-aware SimNetwork: retransmit, detour, stalls."""
 
+from functools import partial
+
 import pytest
 
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.experiments import ext_resilience as er
+from repro.faults import (
+    FaultEvent,
+    FaultInjector,
+    FaultPlan,
+    FaultPolicy,
+    daly_optimal_interval_s,
+)
 from repro.machine import xt4
+from repro.mpi.job import MPIJob
 from repro.network import NetworkModel, SimNetwork
 from repro.network.simnet import NetworkUnreachableError
 from repro.obs import Tracer
 from repro.simengine import Simulator
+from repro.simengine.queue import CB, DEAD
 
 #: The +x link out of node 0: the only link on the 0 -> 1 dimension-order route.
 LINK_0_PX = ((0, 0, 0), 0, 1)
@@ -206,6 +217,54 @@ def test_cancel_pending_stops_future_injections():
     sim.run()
     assert sim.now == 1.0  # the armed crash at t=10 never fired
     assert inj.injected == 0
+
+
+def test_cancel_pending_cancels_only_entries_still_pending():
+    """At the end of a crash-only ext_resilience job the injector cancels
+    exactly its entries that are still pending, none that already fired
+    (a fired entry leaves the injector's list when it fires)."""
+    t_solve = er._run_once(FaultPlan([]), None)
+    mtbf = t_solve / 12
+    plan = FaultPlan.sample(
+        horizon_s=4.0 * t_solve, num_nodes=er.NTASKS,
+        node_mtbf_s=mtbf * er.NTASKS, seed=1,
+    )
+    policy = FaultPolicy(
+        checkpoint_interval_s=daly_optimal_interval_s(t_solve / 200.0, mtbf),
+        checkpoint_cost_s=t_solve / 200.0,
+        restart_cost_s=t_solve / 100.0,
+        max_restarts=10_000,
+    )
+    job = MPIJob(xt4("SN"), er.NTASKS, faults=plan, fault_policy=policy)
+    sim, inj = job.sim, job._injector
+    sweeps = []
+
+    def own(item):
+        cb = item[CB]
+        return isinstance(cb, partial) and getattr(cb.func, "__self__", None) is inj
+
+    def recording_cancel_pending(original=inj.cancel_pending):
+        pending = [i for i in sim._queue._heap if not i[DEAD] and own(i)]
+        cancelled = []
+
+        def cancel(handle):
+            cancelled.append((handle, handle[DEAD]))
+            Simulator.cancel(sim, handle)
+
+        sim.cancel = cancel
+        try:
+            original()
+        finally:
+            del sim.cancel
+        sweeps.append((pending, cancelled))
+
+    inj.cancel_pending = recording_cancel_pending
+    result = job.run(er._workload)
+    assert result.restarts > 1  # several crash groups fired
+    [(pending, cancelled)] = sweeps
+    assert pending  # the next crash group was armed
+    assert sorted(id(h) for h, _ in cancelled) == sorted(map(id, pending))
+    assert not any(fired for _, fired in cancelled)
 
 
 def test_arm_skips_events_already_in_the_past():

@@ -3,11 +3,11 @@
 from repro.simengine import Delay
 
 
-def rank_main(comm, store):
+def rank_main(comm):
     comm.send(b"x", dest=1)                    # line 7: SL101 (discarded send)
     data = comm.recv(source=0)                 # line 8: SL102 (assigned generator)
     yield comm.barrier()                       # line 9: SL103 (yield, not yield from)
-    msg = yield from store.get()               # line 10: SL104 (yield from an event)
+    msg = yield from comm._post_recv(0, 5)     # line 10: SL104 (yield from an event)
     Delay(1.0)                                 # line 11: SL101 (discarded event)
     ok = yield from comm.allreduce(1.0)        # clean
     suppressed = comm.recv(source=1)           # simlint: ignore[SL102]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine import xt4
-from repro.mpi import ANY_SOURCE, MPIJob
+from repro.mpi import ANY_SOURCE, ANY_TAG, MPIJob
 from repro.obs import Tracer
 
 
@@ -92,9 +92,10 @@ def test_subgroup_recv_any_source_only_sees_group_traffic():
     assert res.returns[2] == ("group", 0, 7, "world")
 
 
-def test_subgroup_mailbox_is_cached_and_group_scoped():
-    """Receives from one peer and tag reuse one predicate, which still
-    rejects world and sibling-group messages in the shared inbox."""
+def test_subgroup_receives_match_their_own_context():
+    """World, group and sibling-group messages from one peer on one tag
+    share the rank's mailbox; each receive takes only its own
+    communicator's, in arrival order, wildcards included."""
 
     def main(comm):
         pairs = yield from comm.split(comm.rank % 2)  # [0, 2] and [1, 3]
@@ -107,18 +108,15 @@ def test_subgroup_mailbox_is_cached_and_group_scoped():
             yield from halves.send("sibling", dest=0, tag=5)  # to world rank 2
         elif comm.rank == 2:
             yield from comm.compute(1e9)  # every message lands meanwhile
-            box = pairs._mailbox(0, 5)
-            first = yield from pairs.recv(source=0, tag=5)
+            first = yield from pairs.recv(source=ANY_SOURCE, tag=ANY_TAG)
             second = yield from pairs.recv(source=0, tag=5)
-            assert pairs._mailbox(0, 5) is box
-            assert pairs._mailbox(ANY_SOURCE, 5)[1] is not box[1]
-            world = yield from comm.recv(source=0, tag=5)
-            sibling = yield from halves.recv(source=1, tag=5)
-            return first, second, world, sibling
+            sibling = yield from halves.recv_with_status()
+            world = yield from comm.recv(source=ANY_SOURCE, tag=ANY_TAG)
+            return first, second, sibling, world
         return None
 
     res = run(main, ntasks=4)
-    assert res.returns[2] == ("group 1", "group 2", "world", "sibling")
+    assert res.returns[2] == ("group 1", "group 2", ("sibling", 1, 5), "world")
 
 
 def test_subgroup_gather_bcast_scatter():

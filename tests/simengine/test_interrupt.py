@@ -12,6 +12,10 @@ leans on.
 
 import pytest
 
+from repro.faults import FaultEvent, FaultPlan
+from repro.machine import xt4
+from repro.mpi import MPIJob
+from repro.mpi.job import JobFailedError
 from repro.simengine import (
     Delay,
     Interrupt,
@@ -19,7 +23,6 @@ from repro.simengine import (
     RetryExhausted,
     SimTimeout,
     Simulator,
-    Store,
     retry,
     with_timeout,
 )
@@ -74,20 +77,16 @@ def test_interrupt_while_queued_on_resource_does_not_leak_slots():
 
 
 def test_only_queued_waits_carry_an_abandon_hook():
-    """An immediate grant or item can never be abandoned, so it carries no
-    hook; a queued requester or getter does, and interrupting it while
-    queued still withdraws it."""
+    """An immediate grant can never be abandoned, so it carries no hook;
+    a queued requester does, and interrupting it while queued still
+    withdraws it. (Receives: tests/mpi/test_mailbox.py.)"""
     sim = Simulator(sanitize=True)
     res = Resource(sim, capacity=1, name="nic")
-    store = Store(sim, name="inbox")
-    store.put("ready")
     queued = {}
 
     def holder():
         grant = res.request()
-        item = store.get()
         assert grant.triggered and grant._abandon_cb is None
-        assert item.triggered and item._abandon_cb is None
         yield grant
         try:
             yield Delay(2.0)
@@ -96,13 +95,11 @@ def test_only_queued_waits_carry_an_abandon_hook():
 
     def victim():
         queued["grant"] = res.request()
-        queued["item"] = store.get()
         assert queued["grant"]._abandon_cb is not None
-        assert queued["item"]._abandon_cb is not None
         try:
-            yield queued["item"]
+            yield queued["grant"]
         except Interrupt:
-            queued["grant"].abandon()
+            pass
 
     sim.spawn(holder(), name="holder")
     vproc = sim.spawn(victim(), name="victim")
@@ -114,10 +111,8 @@ def test_only_queued_waits_carry_an_abandon_hook():
 
     sim.spawn(interrupter(), name="interrupter")
     sim.run()
-    assert queued["grant"].abandoned and queued["item"].abandoned
+    assert queued["grant"].abandoned
     assert res.in_use == 0 and res.queue_length == 0
-    store.put("late")
-    assert store.peek_all() == ["late"]
 
 
 def test_interrupt_while_holding_slot_releases_via_finally():
@@ -300,40 +295,33 @@ def test_interrupt_scheduled_before_natural_finish_at_same_time():
     assert not proc.alive
 
 
-# -- interrupt while waiting on a store ---------------------------------------
+# -- interrupt while waiting on a receive -------------------------------------
 
 def test_interrupt_while_waiting_on_store_does_not_eat_messages():
-    """The abandoned getter is withdrawn, so a later put goes to the next
-    live consumer instead of vanishing into a dead process."""
-    sim = Simulator(sanitize=True)
-    store = Store(sim, name="inbox")
+    """A rank interrupted in a blocking receive (its job aborted by a
+    crash) withdraws the receive, so a message delivered later goes to
+    the next live receive instead of vanishing into a dead process."""
+    def main(comm):
+        if comm.rank == 0:
+            got = yield from comm.recv(source=1)
+            return got
+        yield from comm.compute(1e9)  # still computing at the crash
+        return None
+
+    plan = FaultPlan([FaultEvent(t_s=1e-4, kind="node_crash", node=1)])
+    job = MPIJob(xt4("SN"), 2, faults=plan)
+    with pytest.raises(JobFailedError):
+        job.run(main)
     got = []
 
-    def victim():
-        try:
-            yield store.get()
-            pytest.fail("victim should have been interrupted")
-        except Interrupt:
-            pass
-
     def survivor():
-        yield Delay(2.0)
-        msg = yield store.get()
+        msg = yield from job.comms[0].recv(source=1)
         got.append(msg)
 
-    vproc = sim.spawn(victim(), name="victim")
-    sim.spawn(survivor(), name="survivor")
-
-    def driver():
-        yield Delay(1.0)
-        vproc.interrupt()
-        yield Delay(2.0)
-        store.put("payload")
-
-    sim.spawn(driver(), name="driver")
-    sim.run()
+    job.sim.spawn(survivor(), name="survivor")
+    job.sim.spawn(job.comms[1].send("payload", dest=0), name="late sender")
+    job.sim.run()
     assert got == ["payload"]
-    assert len(store) == 0
 
 
 # -- with_timeout / retry helpers ---------------------------------------------

@@ -1,11 +1,11 @@
-"""Tests for Resource and Store."""
+"""Tests for Resource (MPI receive matching: tests/mpi/test_mailbox.py)."""
 # FIFO grant-order tests use minimal holders without try/finally on
 # purpose; no interrupts are in play.
 # simlint: ignore-file[SL501]
 
 import pytest
 
-from repro.simengine import Delay, Resource, Simulator, Store
+from repro.simengine import Delay, Resource, Simulator
 
 
 def test_resource_capacity_validation():
@@ -89,69 +89,3 @@ def test_queue_length_reporting():
     sim.run(until=1.0)
     assert res.in_use == 1
     assert res.queue_length == 2
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = []
-
-    def getter():
-        item = yield store.get()
-        got.append(item)
-
-    sim.spawn(getter())
-    sim.run()
-    assert got == ["x"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter():
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    sim.spawn(getter())
-    sim.schedule(3.0, lambda: store.put("late"))
-    sim.run()
-    assert got == [(3.0, "late")]
-
-
-def test_store_match_filter_fifo_among_matches():
-    sim = Simulator()
-    store = Store(sim)
-    for item in [("a", 1), ("b", 2), ("a", 3)]:
-        store.put(item)
-    got = []
-
-    def getter():
-        item = yield store.get(match=lambda it: it[0] == "a")
-        got.append(item)
-        item = yield store.get(match=lambda it: it[0] == "a")
-        got.append(item)
-
-    sim.spawn(getter())
-    sim.run()
-    assert got == [("a", 1), ("a", 3)]
-    assert store.peek_all() == [("b", 2)]
-
-
-def test_store_waiting_getter_with_filter_skips_nonmatching_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter():
-        item = yield store.get(match=lambda it: it == "wanted")
-        got.append((sim.now, item))
-
-    sim.spawn(getter())
-    sim.schedule(1.0, lambda: store.put("other"))
-    sim.schedule(2.0, lambda: store.put("wanted"))
-    sim.run()
-    assert got == [(2.0, "wanted")]
-    assert store.peek_all() == ["other"]

@@ -10,35 +10,35 @@ from repro.simengine import (
     ResourceLeakError,
     SimDeadlockError,
     Simulator,
-    Store,
 )
 
 
 # -- deadlock detector -------------------------------------------------------
 
 def test_blocked_store_get_is_reported():
-    sim = Simulator(sanitize=True)
-    store = Store(sim, name="mailbox")
+    """A rank blocked in a receive no message matches is reported by
+    its posted receive, ``inbox[<rank>].get``."""
 
-    def consumer():
-        msg = yield store.get()
-        return msg
+    def main(comm):
+        if comm.rank == 0:
+            msg = yield from comm.recv(source=1)  # never sent
+            return msg
+        return None
 
-    sim.spawn(consumer(), name="consumer")
     with pytest.raises(SimDeadlockError) as exc:
-        sim.run()
-    assert exc.value.blocked == {"consumer": "mailbox.get"}
-    assert "consumer" in str(exc.value) and "mailbox.get" in str(exc.value)
+        MPIJob(xt4("SN"), 2, sanitize=True).run(main)
+    assert exc.value.blocked == {"rank0": "inbox[0].get"}
+    assert "rank0" in str(exc.value) and "inbox[0].get" in str(exc.value)
     assert "at t=0" in str(exc.value)  # simulated time of the deadlock
 
 
 def test_deadlock_error_reports_simulated_time():
     sim = Simulator(sanitize=True)
-    store = Store(sim, name="mailbox")
+    never = sim.event(name="mailbox.get")
 
     def consumer():
         yield Delay(2.5)
-        msg = yield store.get()
+        msg = yield never
         return msg
 
     sim.spawn(consumer(), name="consumer")
