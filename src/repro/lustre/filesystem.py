@@ -76,9 +76,17 @@ class LustreFilesystem:
 
     # -- metadata ---------------------------------------------------------
     def metadata_op(self):
-        """Process-helper: serialize one operation through the MDS."""
-        yield from self.mds.use(self.config.mds_op_latency_us * MICRO)
+        """Process-helper: serialize one operation through the MDS.
+        Traced, it records its wait and hold on track ``res/MDS``, as a
+        data chunk does on its OSS track."""
+        t0 = self.sim.now
+        granted = yield from self.mds.use(self.config.mds_op_latency_us * MICRO)
         self.mds_ops += 1
+        tracer = self.sim.tracer
+        if tracer is not None:
+            if granted > t0:
+                tracer.complete("res/MDS", "res.acquire", t0, granted)
+            tracer.complete("res/MDS", "res.hold", granted, self.sim.now)
 
     def create(self, name: str, stripe_count: Optional[int] = None):
         """Process-helper: create a file (one MDS op), allocating objects

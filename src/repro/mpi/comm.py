@@ -54,11 +54,15 @@ class _Transfer:
     The completion :class:`Event` is made only when a sender waits on a
     message still in flight (:meth:`completion`); ``delivered`` tells
     whether it has arrived.
+
+    Traced, every path records the message's ``net.xfer`` span here, from
+    the send to :meth:`deliver`, so a trace reads the same whichever path
+    carried the message.
     """
 
     __slots__ = ("comm", "source", "dest", "tag", "context", "obj",
-                 "nbytes", "key", "terms", "done", "delivered", "path",
-                 "hold")
+                 "nbytes", "key", "terms", "done", "reply", "delivered",
+                 "path", "hold", "span")
 
     def __init__(
         self, comm: "Comm", dest: int, tag: Any, context: Any, obj: Any,
@@ -75,16 +79,26 @@ class _Transfer:
         #: The pair's static latency terms (``MPIJob.latency_terms``).
         self.terms = peer[3]
         self.done: Optional[Event] = None
+        #: What ``done`` succeeds with: ``None``, or the message a
+        #: ``sendrecv`` matched while this, its own send, was in flight.
+        self.reply: Optional["_Transfer"] = None
         self.delivered = False
         comm._in_flight[dest] += 1
+        tracer = comm._tracer
+        self.span = None if tracer is None else tracer.begin(
+            f"net/node{self.terms[1]}", "net.xfer", comm._sim.now,
+            src=self.terms[1], dst=self.terms[2], bytes=nbytes,
+        )
 
     # -- full DES ----------------------------------------------------------
     def run(self):
         job = self.comm.job
         terms = self.terms
         latency = job.price_latency_s(terms)
-        yield from job.network.transfer(terms[1], terms[2], self.nbytes, latency)
-        self.deliver()
+        route = yield from job.network.transfer(
+            terms[1], terms[2], self.nbytes, latency
+        )
+        self.deliver(route)
 
     # -- keyed callback chain ----------------------------------------------
     def post(self) -> None:
@@ -131,15 +145,15 @@ class _Transfer:
 
     def _carry(self):
         terms = self.terms
-        yield from self.comm._net.carry(terms[1], terms[2], self.nbytes)
-        self.deliver()
+        route = yield from self.comm._net.carry(terms[1], terms[2], self.nbytes)
+        self.deliver(route)
 
     def finish(self) -> None:
         terms = self.terms
         self.comm._net.settle(
             terms[1], terms[2], self.path, self.nbytes, self.hold
         )
-        self.deliver()
+        self.deliver(self.path[0])
 
     def copy(self) -> None:
         if self.nbytes:
@@ -157,27 +171,39 @@ class _Transfer:
         self.comm._net.settle(node, node)
         self.deliver()
 
-    def deliver(self) -> None:
-        """Hand the message to the first posted receive it matches, or
-        leave it in the receiver's mailbox; then complete the send."""
+    def deliver(self, route: Optional[list] = None) -> None:
+        """Close the ``net.xfer`` span (``route`` is the route taken,
+        ``None`` for an intra-node copy); hand the message to the first
+        posted receive it matches, or leave it in the receiver's mailbox;
+        then complete the send."""
         comm = self.comm
+        if self.span is not None:
+            if route is None:
+                comm._tracer.end(self.span, comm._sim.now, intra_node=True)
+            else:
+                comm._tracer.end(self.span, comm._sim.now, hops=len(route))
         comm._in_flight[self.dest] -= 1
         box = comm.job.comms[self.dest]
         waiting = box._waiting
-        for i, (evt, context, source, tag, payload) in enumerate(waiting):
+        for i, (evt, context, source, tag, payload, send) in enumerate(waiting):
             if (
                 context == self.context
                 and (source == ANY_SOURCE or source == self.source)
                 and (tag == ANY_TAG or tag == self.tag)
             ):
                 del waiting[i]
-                evt.succeed(self.obj if payload else self)
+                if send is None or send.delivered:
+                    evt.succeed(self.obj if payload else self)
+                else:
+                    # A sendrecv whose own send is still in flight: that
+                    # send's delivery resumes the rank, once.
+                    send.done, send.reply = evt, self
                 break
         else:
             box._arrived.append(self)
         self.delivered = True
         if self.done is not None:
-            self.done.succeed(None)
+            self.done.succeed(self.reply)
 
     def completion(self) -> Event:
         """The event that succeeds on delivery, made on first request."""
@@ -353,13 +379,21 @@ class Comm:
                 return msg
         return None
 
-    def _post_recv(self, source: int, tag: Any, payload: bool = False) -> Event:
+    def _post_recv(
+        self,
+        source: int,
+        tag: Any,
+        payload: bool = False,
+        send: Optional[_Transfer] = None,
+    ) -> Event:
         """Post a receive no arrived message matches: an event that the
         first matching delivery succeeds with the message (with just its
-        payload when ``payload``). An interrupted waiter withdraws it."""
+        payload when ``payload``) — or, when ``send`` (a ``sendrecv``'s
+        own message) is still in flight at the match, that send's
+        delivery does. An interrupted waiter withdraws it."""
         evt = Event(self._sim, self._get_name)
         evt.on_abandon(self._withdraw)
-        self._waiting.append((evt, self._group_key, source, tag, payload))
+        self._waiting.append((evt, self._group_key, source, tag, payload, send))
         return evt
 
     def _withdraw(self, evt: Event) -> None:
@@ -427,8 +461,9 @@ class Comm:
             source = self._world_source(source)
         msg = self._take(source, tag) if self._arrived else None
         if msg is None:
-            msg = yield self._post_recv(source, tag)
-        if not xfer.delivered:
+            # Resumes once both the receive and the send are done.
+            msg = yield self._post_recv(source, tag, send=xfer)
+        elif not xfer.delivered:
             yield xfer.completion()
         if self._tracer is not None:
             self._span("sendrecv", t0, n)

@@ -22,16 +22,16 @@ callback chain over the same steps (:class:`repro.mpi.comm.Comm`): it
 claims an idle route with :meth:`SimNetwork.claim_idle`, completes with
 :meth:`SimNetwork.settle` (charge, release, count; :meth:`SimNetwork.carry`
 completes with it too), and continues a busy or faulted message in
-:meth:`SimNetwork.carry`.
+:meth:`SimNetwork.carry`. A tracer leaves the fast path open: traced and
+untraced runs execute the same events.
 
-When the simulator carries a :class:`~repro.obs.tracer.Tracer`, every
-transfer is recorded as a span tagged ``src``/``dst``/``bytes``, and the
-per-link / per-NIC accounting moves onto tracer counters
-(``net.link[x,y,z.+d].bytes`` / ``.busy_s``, ``net.nic[n].tx_bytes`` /
-``.rx_bytes`` / ``.busy_s``) — :meth:`SimNetwork.hotspot_report` and
-:meth:`SimNetwork.utilization` then read those counters, so the trace
-file and the in-process diagnostics can never disagree. Without a
-tracer, the original in-memory byte accounting is used.
+:meth:`SimNetwork.settle` charges every completed hold to its links'
+in-memory ``[bytes, busy seconds]`` loads, which
+:meth:`SimNetwork.hotspot_report` and :meth:`SimNetwork.utilization`
+read. When the simulator carries a :class:`~repro.obs.tracer.Tracer`,
+it also adds the hold to the tracer counters ``net.link[x,y,z.+d].bytes``
+/ ``.busy_s`` and ``net.nic[n].tx_bytes`` / ``.rx_bytes`` / ``.busy_s``.
+The MPI layer records each message's ``net.xfer`` span.
 """
 
 from __future__ import annotations
@@ -166,6 +166,15 @@ def link_label(link: Link) -> str:
     return f"{x},{y},{z}.{'+' if direction > 0 else '-'}{'xyz'[dim]}"
 
 
+class _Port(Resource):
+    """A NIC port or directed link. The transfer chain claims and
+    releases it without :meth:`Resource.request`, so it samples no
+    ``engine.resource`` counters: ``net.link`` / ``net.nic`` describe it."""
+
+    __slots__ = ()
+    sampled = False
+
+
 class SimNetwork:
     """Message-granularity discrete-event network for a machine."""
 
@@ -190,20 +199,20 @@ class SimNetwork:
         #: Fault-free routes are static, so both paths reuse them instead
         #: of re-routing and re-sorting per message.
         self._path_cache: Dict[Tuple[int, int], Path] = {}
-        self._nic_tx: Dict[int, Resource] = {}
-        self._nic_rx: Dict[int, Resource] = {}
-        self._links: Dict[Link, Resource] = {}
+        self._nic_tx: Dict[int, _Port] = {}
+        self._nic_rx: Dict[int, _Port] = {}
+        self._links: Dict[Link, _Port] = {}
         # Machine-static path bandwidths in bytes/s, computed once: the
         # per-transfer hold time is nbytes / bandwidth.
         self._path_bw_Bs = self.bottleneck_bw_GBs() * GIGA
         self._intra_bw_Bs = self.intranode_bw_GBs() * GIGA
-        #: Links seen by traced transfers (tracer mode's ranking domain).
-        self._traced_links: Dict[Link, str] = {}
+        #: Directed link → its tracer counter label (:func:`link_label`).
+        self._link_labels: Dict[Link, str] = {}
         #: Count of completed transfers (diagnostics).
         self.transfers_completed = 0
         #: Directed link → its load, ``[bytes carried, busy seconds]``:
-        #: the untraced accounting behind :attr:`link_bytes` and
-        #: :attr:`link_busy_s`. A path holds its links' load lists, so a
+        #: the accounting behind :attr:`link_bytes`, :attr:`link_busy_s`
+        #: and the diagnostics. A path holds its links' load lists, so a
         #: completed transfer adds to them without a lookup.
         self._link_load: Dict[Link, List[float]] = {}
         #: Fault state; ``None`` until the first link or NIC fault fires
@@ -250,17 +259,17 @@ class SimNetwork:
     # -- resources (lazily created: machines have thousands of nodes) -------
     def nic_tx(self, node: int) -> Resource:
         if node not in self._nic_tx:
-            self._nic_tx[node] = Resource(self.sim, 1, name=f"nic_tx[{node}]")
+            self._nic_tx[node] = _Port(self.sim, 1, name=f"nic_tx[{node}]")
         return self._nic_tx[node]
 
     def nic_rx(self, node: int) -> Resource:
         if node not in self._nic_rx:
-            self._nic_rx[node] = Resource(self.sim, 1, name=f"nic_rx[{node}]")
+            self._nic_rx[node] = _Port(self.sim, 1, name=f"nic_rx[{node}]")
         return self._nic_rx[node]
 
     def link(self, link: Link) -> Resource:
         if link not in self._links:
-            self._links[link] = Resource(self.sim, 1, name=f"link{link}")
+            self._links[link] = _Port(self.sim, 1, name=f"link{link}")
         return self._links[link]
 
     # -- bandwidths -----------------------------------------------------------
@@ -279,9 +288,9 @@ class SimNetwork:
     def _charge_link(self, ln: Link, nbytes: float, hold_s: float) -> None:
         """Record one link's share of a completed hold on the tracer."""
         tracer = self._tracer
-        label = self._traced_links.get(ln)
+        label = self._link_labels.get(ln)
         if label is None:
-            label = self._traced_links[ln] = link_label(ln)
+            label = self._link_labels[ln] = link_label(ln)
         now = self.sim.now
         tracer.add(f"net.link[{label}].bytes", now, nbytes)
         tracer.add(f"net.link[{label}].busy_s", now, hold_s)
@@ -300,9 +309,8 @@ class SimNetwork:
     # -- transfers ------------------------------------------------------------
     def fast_path_open(self) -> bool:
         """Whether a new transfer may run as a hybrid fast-path chain:
-        hybrid mode on, and nothing needs to observe the holds (no
-        tracer) or reroute them (no fault state)."""
-        return self.hybrid and self._tracer is None and self.faults is None
+        hybrid mode on, and no fault state that could reroute it."""
+        return self.hybrid and self.faults is None
 
     def claim_idle(
         self, src_node: int, dst_node: int, nbytes: float
@@ -351,29 +359,28 @@ class SimNetwork:
         hold_s: float = 0.0,
     ) -> None:
         """Complete a transfer: when it carried bytes, charge a hold of
-        ``hold_s`` to every link of ``path`` (and, traced, to both NICs);
-        release the path's resources; count the transfer, here and in
-        :func:`transfer_totals`. An intra-node copy has no path."""
+        ``hold_s`` to every link of ``path`` (and, traced, to the link and
+        NIC counters); release the path's resources; count the transfer,
+        here and in :func:`transfer_totals`. An intra-node copy has no
+        path."""
         global _TRANSFERS
         if path is not None:
             route, held, loads = path
             if nbytes:
-                if self._tracer is None:
-                    for load in loads:
-                        load[0] += nbytes
-                        load[1] += hold_s
-                else:
+                for load in loads:
+                    load[0] += nbytes
+                    load[1] += hold_s
+                if self._tracer is not None:
                     for ln in route:
                         self._charge_link(ln, nbytes, hold_s)
                     self._charge_nics(src_node, dst_node, nbytes, hold_s)
             # Release in reverse acquisition order — in DES order, so a
             # waiter that queued mid-hold gets its slot as in full DES.
             for r in reversed(held):
-                if r._waiters or r._tracer is not None or r._in_use <= 0:
+                if r._waiters or r._in_use <= 0:
                     r.release()
                 else:
-                    # Untraced and nobody queued: all that
-                    # Resource.release would do.
+                    # Nobody queued: all that Resource.release would do.
                     r._releases += 1
                     r._in_use -= 1
         self.transfers_completed += 1
@@ -384,39 +391,23 @@ class SimNetwork:
 
         ``latency_s`` is the end-to-end zero-byte latency (caller supplies
         it, including any VN surcharge). Use as
-        ``yield from net.transfer(a, b, n, lat)``; returns the completion
-        time. This is the full-DES path: every hold is a resource
-        request, and the hybrid fast path is the MPI layer's transfer
-        chain (:class:`repro.mpi.comm.Comm`), which falls back to
-        :meth:`carry` when a route is busy.
+        ``yield from net.transfer(a, b, n, lat)``; returns the route taken
+        (``None`` for an intra-node copy). This is the full-DES path:
+        every hold is a resource request, and the hybrid fast path is the
+        MPI layer's transfer chain (:class:`repro.mpi.comm.Comm`), which
+        falls back to :meth:`carry` when a route is busy.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        tracer = self._tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                f"net/node{src_node}",
-                "net.xfer",
-                self.sim.now,
-                src=src_node,
-                dst=dst_node,
-                bytes=nbytes,
-            )
         if src_node == dst_node:
             yield Delay(INTRA_NODE_LATENCY_US * MICRO)
             if nbytes:
                 yield Delay(self.copy_s(nbytes))
             self.settle(src_node, dst_node)
-            if span is not None:
-                tracer.end(span, self.sim.now, intra_node=True)
-            return self.sim.now
-
+            return None
         yield Delay(latency_s)
         route = yield from self.carry(src_node, dst_node, nbytes)
-        if span is not None:
-            tracer.end(span, self.sim.now, hops=len(route))
-        return self.sim.now
+        return route
 
     def carry(self, src_node: int, dst_node: int, nbytes: float):
         """Process-helper: the part of an inter-node transfer after its
@@ -528,37 +519,20 @@ class SimNetwork:
         return route
 
     # -- diagnostics ---------------------------------------------------------
-    def _counter_total(self, name: str) -> float:
-        counter = self._tracer.counters.get(name)
-        return counter.total if counter is not None else 0.0
-
     @property
     def link_bytes(self) -> Dict[Link, float]:
         """Bytes carried per directed link that carried any (hotspot
-        diagnostics; untraced accounting — empty when tracing is on)."""
+        diagnostics)."""
         return {ln: load[0] for ln, load in self._link_load.items() if load[0]}
 
     @property
     def link_busy_s(self) -> Dict[Link, float]:
-        """Accumulated busy seconds per directed link (as above)."""
+        """Accumulated busy seconds per directed link that carried any."""
         return {ln: load[1] for ln, load in self._link_load.items() if load[0]}
 
     def hotspot_report(self, top: int = 5) -> List[Tuple[Link, float]]:
-        """The ``top`` busiest directed links by carried bytes.
-
-        Computed from tracer counters when tracing is on, from the
-        in-memory byte accounting otherwise — the two backends agree
-        exactly for identical runs.
-        """
-        if self._tracer is not None:
-            ranked = sorted(
-                (
-                    (ln, self._counter_total(f"net.link[{label}].bytes"))
-                    for ln, label in self._traced_links.items()
-                ),
-                key=lambda kv: (-kv[1], repr(kv[0])),
-            )
-            return ranked[:top]
+        """The ``top`` busiest directed links by carried bytes, ties in
+        ``repr`` order."""
         ranked = sorted(
             self.link_bytes.items(), key=lambda kv: (-kv[1], repr(kv[0]))
         )
@@ -568,9 +542,6 @@ class SimNetwork:
         """Fraction of elapsed simulated time the link was busy."""
         if self.sim.now <= 0:
             return 0.0
-        if self._tracer is not None:
-            busy = self._counter_total(f"net.link[{link_label(link)}].busy_s")
-        else:
-            load = self._link_load.get(link)
-            busy = load[1] if load is not None else 0.0
+        load = self._link_load.get(link)
+        busy = load[1] if load is not None else 0.0
         return busy / self.sim.now

@@ -4,11 +4,11 @@ tracer.
 A :class:`Tracer` collects two kinds of telemetry from a simulation run:
 
 * **spans** — named intervals of simulated time on a *track* (one track
-  per rank, link, resource, process, ...), optionally tagged with
+  per rank, sending node, Lustre server, ...), optionally tagged with
   arguments (``src``/``dst``/``bytes`` on a network transfer);
 * **counters** — named time series following the
   ``layer.object.metric`` naming scheme (``net.link[0,0,0.+x].bytes``,
-  ``engine.resource[nic_tx[0]].queue_depth``,
+  ``engine.resource[MDS].queue_depth``,
   ``machine.mem[node0].bw_GBs``). A counter is either *sampled*
   (absolute values via :meth:`Counter.record`) or *accumulating*
   (deltas via :meth:`Counter.add`); the two styles cannot be mixed on
@@ -136,19 +136,11 @@ class Counter:
 class Tracer:
     """Collects spans and counters from an instrumented simulation.
 
-    :param wait_spans: also record a span for every process suspension
-        (what each process waits on, from suspend to resume). Off by
-        default — it is the highest-volume instrumentation.
     :param meta: free-form metadata embedded in exported traces (the
         experiment id, machine name, seed, ...).
     """
 
-    def __init__(
-        self,
-        wait_spans: bool = False,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.wait_spans = bool(wait_spans)
+    def __init__(self, meta: Optional[Dict[str, Any]] = None) -> None:
         self.meta: Dict[str, Any] = dict(meta or {})
         self.spans: List[Span] = []
         self.counters: Dict[str, Counter] = {}

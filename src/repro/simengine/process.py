@@ -37,7 +37,7 @@ def _all_outcome(events: "list[Event]") -> tuple:
 def _describe(command: Any) -> str:
     """Deadlock-report description of a wait command (computed lazily —
     the hot path stores the command object and formats only when a
-    sanitizer report or a wait span actually needs the string)."""
+    sanitizer report actually needs the string)."""
     if type(command) is Delay:
         return f"Delay({command.dt:g})"
     if isinstance(command, Event):
@@ -60,8 +60,7 @@ class Process:
     """
 
     __slots__ = ("sim", "name", "key", "_gen", "done", "_waiting_cmd",
-                 "_life_span", "_wait_span", "_epoch", "_waiting_event",
-                 "_wait_handle")
+                 "_epoch", "_waiting_event", "_wait_handle")
 
     def __init__(
         self,
@@ -100,8 +99,6 @@ class Process:
         #: The command currently suspending this process (None when
         #: runnable/finished); :attr:`waiting_on` formats it on demand.
         self._waiting_cmd: Any = None
-        self._life_span = None
-        self._wait_span = None
         # Resumption epoch: every resume/throw bumps it, and every pending
         # wakeup carries the epoch it was armed under. A wakeup whose epoch
         # is stale (the process was interrupted and moved on) is dropped,
@@ -115,13 +112,6 @@ class Process:
         #: an interrupt diverts the process (so a dead sleep does not keep
         #: the simulation clock running).
         self._wait_handle = None
-        tracer = sim.tracer
-        if tracer is not None:
-            # Process-lifetime span: spawn → completion (or kill).
-            self._life_span = tracer.begin(
-                f"proc/{self.name}", "proc.lifetime", sim.now
-            )
-            self.done.add_callback(self._end_life_span)
 
     # -- public ----------------------------------------------------------
     @property
@@ -150,15 +140,6 @@ class Process:
             return
         self._throw(ProcessKilled())
 
-    # -- tracing ----------------------------------------------------------
-    def _end_life_span(self, _event: Event) -> None:
-        self.sim.tracer.end(self._life_span, self.sim.now)
-
-    def _close_wait_span(self) -> None:
-        if self._wait_span is not None:
-            self.sim.tracer.end(self._wait_span, self.sim.now)
-            self._wait_span = None
-
     # -- stepping ---------------------------------------------------------
     def _start(self) -> None:
         """Queue callback for the initial step (no epoch guard needed —
@@ -173,14 +154,12 @@ class Process:
         finished process, a decided ``AllOf``/``AnyOf`` — resumes the
         generator in this loop, not through a callback, so a process
         taking many already-satisfied waits in a row runs at constant
-        stack depth and records no wait span for them.
+        stack depth.
         """
         if self.done._triggered:
             return
         self._epoch += 1
         self._waiting_event = None
-        if self._wait_span is not None:
-            self._close_wait_span()
         self._waiting_cmd = None
         gen = self._gen
         while True:
@@ -229,15 +208,6 @@ class Process:
                     value, exc = ready
                     continue
             break
-        tracer = self.sim.tracer
-        if (
-            tracer is not None
-            and tracer.wait_spans
-            and self._waiting_cmd is not None
-        ):
-            self._wait_span = tracer.begin(
-                f"proc/{self.name}", f"wait:{self.waiting_on}", self.sim.now
-            )
 
     def _throw(self, exc: BaseException) -> None:
         if not self.alive:

@@ -9,7 +9,7 @@ communicator's own mailboxes: :class:`repro.mpi.comm.Comm`.)
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque
+from typing import TYPE_CHECKING, Deque
 
 from repro.simengine.event import Event
 
@@ -29,9 +29,14 @@ class Resource:
     """
 
     __slots__ = ("sim", "name", "capacity", "_in_use", "_waiters",
-                 "_grants", "_releases", "_hold_spans", "_acquire_spans",
-                 "_tracer", "_track", "_ctr_queue", "_ctr_in_use",
-                 "_grant_name")
+                 "_grants", "_releases", "_tracer", "_ctr_queue",
+                 "_ctr_in_use", "_grant_name")
+
+    #: Whether a traced run samples this resource's
+    #: ``engine.resource[<name>].queue_depth`` / ``.in_use`` counters.
+    #: Only a resource that every grant and release passes through
+    #: :meth:`request` / :meth:`release` can sample them faithfully.
+    sampled = True
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -46,14 +51,9 @@ class Resource:
         self._waiters: Deque[Event] = deque()
         self._grants = 0
         self._releases = 0
-        # Tracing state (unused when the simulator has no tracer): open
-        # hold spans oldest-first, and each queued waiter's acquire span.
-        self._hold_spans: Deque[Any] = deque()
-        self._acquire_spans: "dict[Event, Any]" = {}
-        self._tracer = sim.tracer
+        self._tracer = sim.tracer if self.sampled else None
         if self._tracer is not None:
             ident = name or f"anon{sim._next_anon_resource()}"
-            self._track = f"res/{ident}"
             self._ctr_queue = sim.tracer.counter(
                 f"engine.resource[{ident}].queue_depth"
             )
@@ -78,22 +78,17 @@ class Resource:
         is never handed to a process that can no longer consume it.
         """
         evt = Event(self.sim, self._grant_name)
-        tracer = self._tracer
         if self._in_use < self.capacity:
             self._in_use += 1
             self._grants += 1
-            if tracer is not None:
-                self._trace_grant(waited_from=None)
+            if self._tracer is not None:
+                self._ctr_in_use.record(self.sim.now, self._in_use)
             evt.succeed(self)
         else:
             evt.on_abandon(self._abandon_waiter)
             self._waiters.append(evt)
-            if tracer is not None:
-                now = self.sim.now
-                self._acquire_spans[evt] = tracer.begin(
-                    self._track, "res.acquire", now
-                )
-                self._ctr_queue.record(now, len(self._waiters))
+            if self._tracer is not None:
+                self._ctr_queue.record(self.sim.now, len(self._waiters))
         return evt
 
     def _abandon_waiter(self, evt: Event) -> None:
@@ -102,28 +97,8 @@ class Resource:
             self._waiters.remove(evt)
         except ValueError:  # pragma: no cover - defensive
             return
-        tracer = self._tracer
-        if tracer is not None:
-            now = self.sim.now
-            acq = self._acquire_spans.pop(evt, None)
-            if acq is not None:
-                tracer.end(acq, now)
-            self._ctr_queue.record(now, len(self._waiters))
-
-    def _trace_grant(self, waited_from) -> None:
-        """Record a slot grant: close the acquire span (if the grantee
-        queued), open its hold span, and sample occupancy."""
-        tracer = self._tracer
-        now = self.sim.now
-        if waited_from is not None:
-            acq = self._acquire_spans.pop(waited_from, None)
-            if acq is not None:
-                tracer.end(acq, now)
-            self._ctr_queue.record(now, len(self._waiters))
-        self._hold_spans.append(
-            tracer.begin(self._track, "res.hold", now)
-        )
-        self._ctr_in_use.record(now, self._in_use)
+        if self._tracer is not None:
+            self._ctr_queue.record(self.sim.now, len(self._waiters))
 
     def release(self) -> None:
         """Free one slot, waking the longest-waiting requester if any.
@@ -141,15 +116,14 @@ class Resource:
             )
         self._releases += 1
         tracer = self._tracer
-        if tracer is not None and self._hold_spans:
-            # Slots are identical, so holds retire oldest-first.
-            tracer.end(self._hold_spans.popleft(), self.sim.now)
         if self._waiters:
             # Hand the slot directly to the next waiter: in_use stays put.
             self._grants += 1
             waiter = self._waiters.popleft()
             if tracer is not None:
-                self._trace_grant(waited_from=waiter)
+                now = self.sim.now
+                self._ctr_queue.record(now, len(self._waiters))
+                self._ctr_in_use.record(now, self._in_use)
             waiter.succeed(self)
         else:
             self._in_use -= 1
@@ -164,19 +138,22 @@ class Resource:
     def use(self, hold_time: float):
         """Process-helper: acquire, hold for ``hold_time``, release.
 
-        Use as ``yield from resource.use(dt)``.
+        Use as ``yield from resource.use(dt)``; returns the time the slot
+        was granted.
         """
         from repro.simengine.event import Delay
 
         grant = self.request()
         try:
             yield grant
+            granted = self.sim.now
             yield Delay(hold_time)
         finally:
             # Only release if the slot was actually granted: an interrupt
             # that lands while still queued abandons the request instead.
             if grant.triggered:
                 self.release()
+        return granted
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

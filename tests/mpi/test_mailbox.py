@@ -154,3 +154,36 @@ def test_no_per_tag_state():
         ]
 
     assert state_sizes(1000) == state_sizes(10)
+
+
+def test_sendrecv_resumes_once_when_its_receive_lands_first(monkeypatch):
+    # Rank 1's small message reaches rank 0 while rank 0's own large send
+    # still holds its route: the matched receive waits for that send's
+    # delivery instead of resuming the rank to wait a second time.
+    from repro.simengine.process import Process
+
+    steps = {}
+    step = Process._step
+
+    def counting_step(self, value, exc=None):
+        steps[self.name] = steps.get(self.name, 0) + 1
+        return step(self, value, exc)
+
+    monkeypatch.setattr(Process, "_step", counting_step)
+    iters = 3
+
+    def main(comm):
+        peer = 1 - comm.rank
+        nbytes = 1 << 20 if comm.rank == 0 else 8
+        got = []
+        for i in range(iters):
+            got.append((yield from comm.sendrecv(
+                (comm.rank, i), dest=peer, tag=i, nbytes=nbytes
+            )))
+        return got
+
+    result = run(main)
+    assert result.returns == [[(1, i) for i in range(iters)],
+                              [(0, i) for i in range(iters)]]
+    # The first step starts the rank; then one resume per sendrecv.
+    assert steps["rank0"] == 1 + iters

@@ -2,12 +2,11 @@
 
 ``SimNetwork`` prices *uncontended* transfers by the closed-form LogGP
 cost as a single scheduled completion (SMPI practice) and falls back to
-full DES the moment any shared resource is busy, a tracer or race
-tracker needs to observe the holds, or a link or NIC fault has fired
-(node crashes, memory throttles and OS noise leave the network on the
-fast path). The contract is byte-identicality: experiment rows and
-counter totals must not change by a single bit between
-``hybrid_mode(True)`` and ``hybrid_mode(False)``.
+full DES the moment any shared resource is busy or a link or NIC fault
+has fired (node crashes, memory throttles and OS noise leave the network
+on the fast path; so does a tracer). The contract is byte-identicality:
+experiment rows, counters and trace spans must not change by a single
+bit between ``hybrid_mode(True)`` and ``hybrid_mode(False)``.
 """
 
 import sys
@@ -20,7 +19,7 @@ from repro.machine.configs import xt4
 from repro.mpi.job import MPIJob
 from repro.network import simnet
 from repro.network.simnet import hybrid_mode
-from repro.obs import Tracer
+from repro.obs import Tracer, installed
 from repro.simrace.permute import permutation_seeds, tie_break_permutation
 
 
@@ -88,11 +87,28 @@ def test_hybrid_vs_des_bit_identical_counters_and_results(mode):
     assert job_fast.network.fast_transfers > 0
     assert job_fast.network.fast_transfers < job_fast.network.transfers_completed
     assert job_slow.network.fast_transfers == 0
+    # Traced, both paths record the same trace, span for span and sample
+    # for sample, and the tracer changes no result.
+    traces = []
+    for hybrid in (True, False):
+        tracer = Tracer()
+        job, result = _run(hybrid=hybrid, tracer=tracer, mode=mode)
+        assert _snapshot(job, result) == _snapshot(job_fast, res_fast)
+        traces.append((
+            [(s.name, s.track, s.t0, s.t1, s.args) for s in tracer.spans],
+            {name: c.series() for name, c in tracer.counters.items()},
+        ))
+    assert traces[0] == traces[1]
+    spans, counters = traces[0]
+    assert {"net.xfer", "mpi.send", "mpi.recv", "mpi.sendrecv"} <= {
+        s[0] for s in spans
+    }
+    assert any(name.startswith("net.link[") for name in counters)
 
 
 def test_untraced_fast_path_is_schedule_invariant():
-    # The permutation certifier installs a tracer, which closes the fast
-    # path; this shakes same-time tie-breaking with the chain running.
+    # The driver certifier shakes the fast path through whole drivers;
+    # this shakes a job mixing fast and contended transfers.
     # The transfers' keys pin VN latency pricing and NIC arbitration.
     identity_job, identity = _run(hybrid=True, mode="VN")
     assert identity_job.network.fast_transfers > 0
@@ -106,10 +122,11 @@ def test_untraced_fast_path_is_schedule_invariant():
         assert shaken == expected, f"seed {seed}"
 
 
-def test_fast_path_disables_itself_under_tracer():
-    job, _ = _run(hybrid=True, tracer=Tracer())
-    assert job.network.fast_transfers == 0
-    assert job.network.transfers_completed > 0
+def test_fast_path_stays_open_under_tracer():
+    untraced, _ = _run(hybrid=True)
+    traced, _ = _run(hybrid=True, tracer=Tracer())
+    assert traced.network.fast_transfers == untraced.network.fast_transfers
+    assert traced.network.fast_transfers > 0
 
 
 STALL_AT_S = 1e-5
@@ -205,7 +222,8 @@ def test_node_crash_keeps_the_fast_path_bit_identical(crash_at_s):
 
 def _run_driver(exp_id, hybrid):
     """Run one driver from cold memos; returns its rows and the
-    ``(fast_transfers, transfers_completed)`` totals."""
+    ``(fast_transfers, transfers_completed)`` totals. Runs under any
+    installed tracer."""
     driver = get_experiment(exp_id)
     # Driver sweeps are memoised (``lru_cache``): clear them so the
     # second run simulates again instead of serving the first run's rows.
@@ -235,6 +253,15 @@ def test_driver_rows_bit_identical_across_hybrid_modes(exp_id):
         # Node-crash plans leave the network fault-free: every transfer,
         # in every faulted run, takes the fast path.
         assert fast_transfers == transfers
+
+
+def test_traced_sweep_takes_the_shipped_path():
+    # ``repro run --trace`` and the race certifier run what ``repro all``
+    # runs: the installed tracer keeps every transfer on the fast path.
+    with installed(Tracer()) as tracer:
+        _rows, totals = _run_driver("ext_resilience", True)
+    assert totals == (17_520, 17_520)
+    assert sum(s.name == "net.xfer" for s in tracer.spans) == 17_520
 
 
 def test_fig22_des_companion_bit_identical_across_hybrid_modes():

@@ -1,9 +1,9 @@
-"""Regression: tracer-counter and byte-accounting network diagnostics agree.
+"""Regression: traced and untraced network diagnostics agree.
 
-:meth:`SimNetwork.hotspot_report` and :meth:`SimNetwork.utilization` are
-computed from tracer counters when tracing is on and from the in-memory
-dicts otherwise; identical runs must produce identical answers either
-way.
+:meth:`SimNetwork.hotspot_report` and :meth:`SimNetwork.utilization`
+read the in-memory link loads, which every run charges; a tracer adds
+``net.link``/``net.nic`` counters on top. Identical runs must produce
+identical answers either way.
 """
 
 import pytest
@@ -38,9 +38,9 @@ def test_hotspot_report_identical_across_backends():
     traced = job_traced.network.hotspot_report(top=100)
     assert dict(plain) == pytest.approx(dict(traced))
     assert plain, "ring pattern should load some links"
-    # Fallback dicts stay empty while tracing: the counters are the truth.
-    assert job_traced.network.link_bytes == {}
-    assert job_traced.network.link_busy_s == {}
+    # The in-memory loads are charged whether or not a tracer is on.
+    assert job_traced.network.link_bytes == job_plain.network.link_bytes
+    assert job_traced.network.link_busy_s == job_plain.network.link_busy_s
     assert job_plain.network.link_bytes != {}
 
 
@@ -89,9 +89,9 @@ def test_hotspot_report_tie_break_agrees_across_backends():
 
 @pytest.mark.parametrize("hybrid", [False, True])
 def test_diagnostics_agree_across_backends_in_hybrid_mode(hybrid):
-    """Counter-path (traced, always full DES) and resource-path (untraced,
-    optionally hybrid) must agree — same links, same bytes, same ORDER —
-    even when the fast path skips the resource holds entirely."""
+    """A traced run (default hybrid mode) and an untraced run, hybrid or
+    full DES, must agree — same links, same bytes, same ORDER — even when
+    the fast path skips the resource holds entirely."""
     from repro.network.simnet import hybrid_mode
 
     with hybrid_mode(hybrid):
@@ -106,6 +106,22 @@ def test_diagnostics_agree_across_backends_in_hybrid_mode(hybrid):
         assert job_plain.network.utilization(ln) == pytest.approx(
             job_traced.network.utilization(ln)
         )
+
+
+def test_link_counters_total_the_in_memory_loads():
+    # The trace file and the in-process diagnostics read one accounting.
+    tracer = Tracer()
+    job, _ = _run(tracer)
+    net = job.network
+    assert net.link_bytes
+    for ln, nbytes in net.link_bytes.items():
+        label = link_label(ln)
+        assert tracer.counters[f"net.link[{label}].bytes"].total == nbytes
+        assert tracer.counters[f"net.link[{label}].busy_s"].total == (
+            pytest.approx(net.link_busy_s[ln])
+        )
+    links = {n for n in tracer.counters if n.startswith("net.link[")}
+    assert len(links) == 2 * len(net.link_bytes)
 
 
 def test_link_label_is_stable():

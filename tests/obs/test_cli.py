@@ -27,7 +27,7 @@ def test_summary_renders_tables(traces, capsys):
     out = capsys.readouterr().out
     assert "trace summary" in out
     assert "top 5 spans by self time" in out
-    assert "proc.lifetime" in out
+    assert "mpi.send" in out
     assert "net.xfer" in out
     assert "link hotspots" in out
     assert "mode=SN" in out  # metadata surfaced
@@ -37,7 +37,7 @@ def test_summary_counter_prefix(traces, capsys):
     assert main(["summary", traces["SN"], "--counters", "net.nic"]) == 0
     out = capsys.readouterr().out
     assert "net.nic[" in out
-    assert "engine.resource" not in out.split("counters")[-1]
+    assert "net.link[" not in out.split("counters")[-1]
 
 
 def test_summary_reads_jsonl(traces, capsys):

@@ -35,12 +35,10 @@ def test_trace_has_real_content_and_stable_tracks():
     tracer = Tracer()
     _run(tracer)
     tracks = {s.track for s in tracer.spans}
-    assert {f"proc/rank{r}" for r in range(8)} <= tracks
+    assert {f"rank{r}" for r in range(8)} <= tracks
     assert any(t.startswith("net/node") for t in tracks)
-    assert any(t.startswith("res/") for t in tracks)
     assert any(n.startswith("net.link[") for n in tracer.counters)
     assert any(n.startswith("net.nic[") for n in tracer.counters)
-    assert any(n.startswith("engine.resource[") for n in tracer.counters)
 
 
 def test_tracing_does_not_perturb_the_simulation():

@@ -106,9 +106,7 @@ def test_resource_queue_counters_track_contention():
     sim.run()
     depth = tracer.counters["engine.resource[gate].queue_depth"].series()
     assert max(v for _t, v in depth) == 2.0  # two waiters behind the holder
-    holds = [s for s in tracer.spans if s.name == "res.hold"]
-    acquires = [s for s in tracer.spans if s.name == "res.acquire"]
-    assert len(holds) == 3 and len(acquires) == 2
-    assert sum(s.duration_s for s in holds) == pytest.approx(3.0)
     # The last waiter queued at t=0 and was granted at t=2.
-    assert max(s.duration_s for s in acquires) == pytest.approx(2.0)
+    assert depth[-1] == (2.0, 0.0)
+    in_use = tracer.counters["engine.resource[gate].in_use"].series()
+    assert in_use[0] == (0.0, 1.0) and in_use[-1] == (3.0, 0.0)

@@ -127,9 +127,8 @@ def test_simulator_picks_up_installed_tracer():
 
         sim.spawn(proc(), name="p")
         sim.run()
-    assert [s.name for s in tracer.spans] == ["proc.lifetime"]
-    assert tracer.spans[0].track == "proc/p"
-    assert tracer.spans[0].t1 == 1.0
+    # Engine bookkeeping records nothing: no process-lifetime span.
+    assert tracer.spans == []
     # Outside the block new simulators are untraced again.
     assert Simulator().tracer is None
 
@@ -138,23 +137,3 @@ def test_explicit_tracer_beats_installed():
     mine = Tracer()
     with installed():
         assert Simulator(tracer=mine).tracer is mine
-
-
-def test_wait_spans_opt_in():
-    tracer = Tracer(wait_spans=True)
-    sim = Simulator(tracer=tracer)
-
-    def proc():
-        yield Delay(2.0)
-
-    sim.spawn(proc(), name="w")
-    sim.run()
-    waits = [s for s in tracer.spans if s.name.startswith("wait:")]
-    assert len(waits) == 1
-    assert waits[0].t0 == 0.0 and waits[0].t1 == 2.0
-    # Off by default: the same run without the flag records no waits.
-    quiet = Tracer()
-    sim2 = Simulator(tracer=quiet)
-    sim2.spawn(proc(), name="w")
-    sim2.run()
-    assert not [s for s in quiet.spans if s.name.startswith("wait:")]

@@ -89,20 +89,3 @@ def test_failed_member_of_a_decided_allof_is_thrown():
 
     _, proc = _run(body)
     assert proc.done.value == "survived"
-
-
-def test_satisfied_wait_records_no_wait_span():
-    from repro.obs.tracer import Tracer
-
-    tracer = Tracer(wait_spans=True)
-    sim = Simulator(tracer=tracer)
-
-    def body(sim):
-        ev = sim.event("ready").succeed(None)
-        yield ev
-        yield Delay(1.0)
-
-    sim.spawn(body(sim), name="p")
-    sim.run()
-    waits = [s.name for s in tracer.spans if s.name.startswith("wait:")]
-    assert waits == ["wait:Delay(1)"]
