@@ -15,8 +15,7 @@ The benchmark decomposes into:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.hpcc.hpl import HPLModel
 from repro.machine.specs import GIGA, Machine
@@ -29,18 +28,29 @@ MEMORY_OVERHEAD_FACTOR = 2.5
 
 @dataclass
 class AORSAModel:
-    """AORSA on ``ntasks`` cores with an ``nx × ny`` spectral grid."""
+    """AORSA on ``ntasks`` cores with an ``nx × ny`` spectral grid.
+
+    The Ax=b solver model (and with it the core and network models) is
+    built once per instance.
+    """
 
     machine: Machine
     ntasks: int
     nx: int = 300
     ny: int = 300
+    _solver: HPLModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
         if min(self.nx, self.ny) < 1:
             raise ValueError("grid extents must be positive")
+        self._solver = HPLModel(
+            self.machine,
+            self.ntasks,
+            n=self.matrix_order,
+            complex_valued=True,
+        )
 
     @property
     def matrix_order(self) -> int:
@@ -61,15 +71,6 @@ class AORSAModel:
         return self.memory_required_gb() <= per_task * self.ntasks
 
     # -- phases ---------------------------------------------------------------
-    @cached_property
-    def _solver(self) -> HPLModel:
-        return HPLModel(
-            self.machine,
-            self.ntasks,
-            n=self.matrix_order,
-            complex_valued=True,
-        )
-
     def solve_minutes(self) -> float:
         """Grind time of the Ax=b phase."""
         if not self.fits_in_memory():
@@ -82,10 +83,8 @@ class AORSAModel:
 
     def ql_minutes(self) -> float:
         """Grind time of the quasi-linear operator evaluation."""
-        from repro.machine.processor import CoreModel
-
         flops = QL_FLOPS_FRACTION * self._solver.flops()
-        rate = CoreModel(self.machine).rate_gflops("hpl") * GIGA
+        rate = self._solver.core.rate_gflops("hpl") * GIGA
         return flops / (self.ntasks * rate) / 60.0
 
     def total_minutes(self) -> float:

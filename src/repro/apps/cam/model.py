@@ -18,9 +18,8 @@ VN (960) ≈ +30% throughput over SN (504).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Union
 
 from repro.apps.cam.decomp import CAMDecomposition, CAMGrid, D_GRID, decompose
 from repro.machine.platforms import Platform
@@ -72,12 +71,21 @@ OPENMP_EFFICIENCY = 0.85
 
 @dataclass
 class CAMModel:
-    """CAM D-grid benchmark on ``ntasks`` MPI tasks (× ``threads``)."""
+    """CAM D-grid benchmark on ``ntasks`` MPI tasks (× ``threads``).
+
+    The decomposition, the collective costs and (on an XT) the core model
+    are built once per instance; an illegal task count raises
+    ``ValueError`` here.
+    """
 
     target: Target
     ntasks: int
     threads: int = 1
     grid: CAMGrid = D_GRID
+    decomp: CAMDecomposition = field(init=False, repr=False, compare=False)
+    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
+    #: ``None`` on a comparison platform.
+    core: Optional[CoreModel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.threads < 1:
@@ -85,28 +93,25 @@ class CAMModel:
         if isinstance(self.target, Machine) and self.threads > 1:
             # Paper: OpenMP "is not used on the Cray systems".
             raise ValueError("OpenMP is not available on the XT systems here")
+        self.decomp = decompose(self.grid, self.ntasks)
+        if isinstance(self.target, Machine):
+            self.core = CoreModel(self.target)
+            self.costs = CollectiveCostModel.for_machine(
+                NetworkModel(self.target), self.ntasks
+            )
+        else:
+            self.core = None
+            self.costs = CollectiveCostModel.for_platform(self.target, self.ntasks)
 
     # -- shared pieces -----------------------------------------------------
-    @cached_property
-    def decomp(self) -> CAMDecomposition:
-        return decompose(self.grid, self.ntasks)
-
     @property
     def processors(self) -> int:
         return self.ntasks * self.threads
 
-    @cached_property
-    def costs(self) -> CollectiveCostModel:
-        if isinstance(self.target, Machine):
-            return CollectiveCostModel.for_machine(
-                NetworkModel(self.target), self.ntasks
-            )
-        return CollectiveCostModel.for_platform(self.target, self.ntasks)
-
     def _task_rate_gflops(self, profile: WorkloadProfile) -> float:
         """Effective compute rate of one MPI task (incl. threads)."""
-        if isinstance(self.target, Machine):
-            return CoreModel(self.target).rate_gflops(profile)
+        if self.core is not None:
+            return self.core.rate_gflops(profile)
         plat = self.target
         rate = plat.peak_gflops_per_proc * CAM_PLATFORM_EFFICIENCY[plat.name]
         vl = VECTOR_LENGTH_CONSTANT / self.processors
@@ -191,8 +196,7 @@ def best_configuration(target: Target, processors: int, grid: CAMGrid = D_GRID) 
         if ntasks >= 1:
             try:
                 cand = CAMModel(target, ntasks, threads=threads, grid=grid)
-                cand.decomp  # may raise for illegal task counts
-            except ValueError:
+            except ValueError:  # an illegal task count
                 cand = None
             if cand is not None and (
                 best is None

@@ -20,13 +20,11 @@ out of pencils; the model exposes that as ``max_useful_tasks``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine, WorkloadProfile
 from repro.network.model import NetworkModel
-from repro.network.topology import Torus3D
 
 #: CAL: force-field flops per atom per step (cutoff pairs + PME share).
 FLOPS_PER_ATOM_STEP = 42_000.0
@@ -60,15 +58,30 @@ NAMD_3M = NAMDSystem(name="3M", natoms=3_000_000, pme_grid=192)
 
 @dataclass
 class NAMDModel:
-    """NAMD on ``ntasks`` tasks of an XT machine."""
+    """NAMD on ``ntasks`` tasks of an XT machine.
+
+    The core model and the critical-path message latency are built once
+    per instance.
+    """
 
     machine: Machine
     ntasks: int
     system: NAMDSystem = NAMD_1M
+    core: CoreModel = field(init=False, repr=False, compare=False)
+    _latency_s: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
+        self.core = CoreModel(self.machine)
+        net = NetworkModel(self.machine)
+        nodes = -(-self.ntasks // self.machine.tasks_per_node)
+        vn = self.machine.tasks_per_node > 1
+        self._latency_s = net.base_latency_s(
+            hops=net.partition(nodes).hops,
+            contended_fraction=0.5 if vn else 0.0,
+            job_nodes=nodes,
+        )
 
     @property
     def max_useful_tasks(self) -> int:
@@ -76,22 +89,9 @@ class NAMDModel:
         scaling restriction at ~8k cores — paper §6.3)."""
         return self.system.pme_pencils // 2
 
-    @cached_property
-    def _latency_s(self) -> float:
-        net = NetworkModel(self.machine)
-        nodes = -(-self.ntasks // self.machine.tasks_per_node)
-        sub = Torus3D(net.torus.sub_torus_dims(min(nodes, net.torus.num_nodes)))
-        hops = max(1, round(sub.avg_hops_random_pair))
-        vn = self.machine.tasks_per_node > 1
-        return net.base_latency_s(
-            hops=hops,
-            contended_fraction=0.5 if vn else 0.0,
-            job_nodes=nodes,
-        )
-
     def seconds_per_step(self) -> float:
         p_effective = min(self.ntasks, self.max_useful_tasks)
-        rate = CoreModel(self.machine).rate_gflops(NAMD_PROFILE) * 1.0e9
+        rate = self.core.rate_gflops(NAMD_PROFILE) * 1.0e9
         compute = self.system.natoms * FLOPS_PER_ATOM_STEP / (p_effective * rate)
         rounds = MSG_ROUNDS_PER_LOG2P * max(1.0, math.log2(self.ntasks))
         comm = rounds * self._latency_s

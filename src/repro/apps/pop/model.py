@@ -15,11 +15,10 @@ Per simulated day: ``BAROCLINIC_STEPS_PER_DAY`` timesteps, each one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Union
 
-from repro.apps.pop.grid import POP_01_GRID, POPGrid, decompose
+from repro.apps.pop.grid import POP_01_GRID, POPDecomposition, POPGrid, decompose
 from repro.machine.platforms import Platform
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine, WorkloadProfile
@@ -68,43 +67,46 @@ class POPModel:
 
     :param solver: ``"cg"`` (two Allreduces/iter) or ``"cgcg"`` for the
         backported Chronopoulos–Gear variant (one fused Allreduce/iter).
+
+    The decomposition, the collective costs and (on an XT) the core model
+    are built once per instance.
     """
 
     target: Target
     ntasks: int
     solver: str = "cg"
     grid: POPGrid = POP_01_GRID
+    decomp: POPDecomposition = field(init=False, repr=False, compare=False)
+    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
+    #: ``None`` on a comparison platform.
+    core: Optional[CoreModel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.solver not in ("cg", "cgcg"):
             raise ValueError("solver must be 'cg' or 'cgcg'")
-
-    # -- shared ------------------------------------------------------------
-    @cached_property
-    def decomp(self):
-        return decompose(self.grid, self.ntasks)
-
-    @cached_property
-    def costs(self) -> CollectiveCostModel:
+        self.decomp = decompose(self.grid, self.ntasks)
         if isinstance(self.target, Machine):
-            return CollectiveCostModel.for_machine(
+            self.core = CoreModel(self.target)
+            self.costs = CollectiveCostModel.for_machine(
                 NetworkModel(self.target), self.ntasks
             )
+            return
+        self.core = None
         c = CollectiveCostModel.for_platform(self.target, self.ntasks)
         if self.target.name == "X1E":
             # CAF halo update implementation (paper §6.2).
-            return CollectiveCostModel(
+            c = CollectiveCostModel(
                 ntasks=c.ntasks,
                 latency_s=c.latency_s * X1E_CAF_LATENCY_FACTOR,
                 bw_Bs=c.bw_Bs,
                 memcpy_Bs=c.memcpy_Bs,
                 bisection_Bs=c.bisection_Bs,
             )
-        return c
+        self.costs = c
 
     def _rate_gflops(self, profile: WorkloadProfile) -> float:
-        if isinstance(self.target, Machine):
-            return CoreModel(self.target).rate_gflops(profile)
+        if self.core is not None:
+            return self.core.rate_gflops(profile)
         plat = self.target
         rate = plat.peak_gflops_per_proc * POP_PLATFORM_EFFICIENCY[plat.name]
         # Vector length on the 2D blocks: the inner (x) extent.

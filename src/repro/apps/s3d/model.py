@@ -14,8 +14,7 @@ to 12,000 cores; collectives appear only in (ignored) diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.machine.processor import CoreModel
@@ -40,26 +39,29 @@ S3D_PROFILE = WorkloadProfile("s3d", bytes_per_flop=3.69, compute_efficiency=0.1
 
 @dataclass
 class S3DModel:
-    """S3D weak scaling on ``ntasks`` tasks (50³ points each)."""
+    """S3D weak scaling on ``ntasks`` tasks (50³ points each).
+
+    The core and network models are built once per instance.
+    """
 
     machine: Machine
     ntasks: int
     points_per_side: int = POINTS_PER_TASK_SIDE
+    core: CoreModel = field(init=False, repr=False, compare=False)
+    net: NetworkModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
+        self.core = CoreModel(self.machine)
+        self.net = NetworkModel(self.machine)
 
     @property
     def points_per_task(self) -> int:
         return self.points_per_side**3
 
-    @cached_property
-    def _net(self) -> NetworkModel:
-        return NetworkModel(self.machine)
-
     def compute_seconds_per_step(self) -> float:
-        rate = CoreModel(self.machine).rate_gflops(S3D_PROFILE) * GIGA
+        rate = self.core.rate_gflops(S3D_PROFILE) * GIGA
         return RK_STAGES * self.points_per_task * FLOPS_PER_POINT_STAGE / rate
 
     def comm_seconds_per_step(self) -> float:
@@ -69,10 +71,10 @@ class S3DModel:
         face_bytes = n * n * GHOST_WIDTH * 8 * GHOST_FIELDS
         vn = self.machine.tasks_per_node > 1
         nodes = -(-self.ntasks // self.machine.tasks_per_node)
-        latency = self._net.base_latency_s(
+        latency = self.net.base_latency_s(
             hops=1, contended_fraction=0.5 if vn else 0.0, job_nodes=nodes
         )
-        bw = self._net.task_bandwidth_GBs() * GIGA
+        bw = self.net.task_bandwidth_GBs() * GIGA
         # Three dimension-pair exchanges per stage (x, y, z), overlapped
         # send/recv per face.
         per_stage = 3 * (2 * latency + face_bytes / bw)

@@ -99,18 +99,13 @@ def global_hpcc_series(
     ``metric(machine, ntasks)`` returns the benchmark value for a job of
     ``ntasks`` tasks. Series follow the paper's legend: XT3 and XT4-SN
     indexed by sockets (= cores = tasks), XT4-VN plotted both per core
-    (tasks = x) and per socket (tasks = 2x).
+    (tasks = x) and per socket (tasks = 2x). Each machine is built once.
     """
-    result.add("XT3 (5/06)", list(sweep), [metric(xt3(), p) for p in sweep])
+    m_xt3, sn, vn = xt3(), xt4("SN"), xt4("VN")
+    result.add("XT3 (5/06)", list(sweep), [metric(m_xt3, p) for p in sweep])
+    result.add("XT4-SN (2/07)", list(sweep), [metric(sn, p) for p in sweep])
+    result.add("XT4-VN (cores)", list(sweep), [metric(vn, p) for p in sweep])
     result.add(
-        "XT4-SN (2/07)", list(sweep), [metric(xt4("SN"), p) for p in sweep]
-    )
-    result.add(
-        "XT4-VN (cores)", list(sweep), [metric(xt4("VN"), p) for p in sweep]
-    )
-    result.add(
-        "XT4-VN (sockets)",
-        list(sweep),
-        [metric(xt4("VN"), 2 * p) for p in sweep],
+        "XT4-VN (sockets)", list(sweep), [metric(vn, 2 * p) for p in sweep]
     )
     return result

@@ -21,11 +21,12 @@ def run() -> ExperimentResult:
         ylabel="simulated years per day",
     )
     for mode in ("SN", "VN"):
+        machine = xt4(mode)
         result.add(
             f"XT4 {mode}",
             list(PROC_SWEEP),
             [
-                CAMModel(xt4(mode), p).throughput_years_per_day()
+                CAMModel(machine, p).throughput_years_per_day()
                 for p in PROC_SWEEP
             ],
         )

@@ -21,10 +21,11 @@ def run() -> ExperimentResult:
         xlabel="MPI tasks / processors",
         ylabel="simulated years per day",
     )
+    sn = xt4("SN")
     result.add(
         "XT4 SN",
         list(POP_SWEEP),
-        [POPModel(xt4("SN"), p).throughput_years_per_day() for p in POP_SWEEP],
+        [POPModel(sn, p).throughput_years_per_day() for p in POP_SWEEP],
     )
     comb = xt3_xt4_combined("VN")
     sweep = [10000] + list(POP_COMBINED_SWEEP)[1:]

@@ -21,11 +21,12 @@ def run() -> ExperimentResult:
     )
     for system, sys_label in ((NAMD_1M, "1M"), (NAMD_3M, "3M")):
         for mode in ("SN", "VN"):
+            machine = xt4(mode)
             result.add(
                 f"{sys_label}({mode})",
                 list(SWEEP),
                 [
-                    NAMDModel(xt4(mode), p, system).seconds_per_step()
+                    NAMDModel(machine, p, system).seconds_per_step()
                     for p in SWEEP
                 ],
             )

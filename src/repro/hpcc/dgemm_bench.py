@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
@@ -13,10 +13,11 @@ class DGEMMBench:
     """Per-core matrix-multiply rate: high temporal + spatial locality."""
 
     machine: Machine
+    #: Built once per instance.
+    core: CoreModel = field(init=False, repr=False, compare=False)
 
-    @property
-    def core(self) -> CoreModel:
-        return CoreModel(self.machine)
+    def __post_init__(self) -> None:
+        self.core = CoreModel(self.machine)
 
     def sp_gflops(self) -> float:
         """Single-process rate: one busy core per socket."""

@@ -13,7 +13,7 @@ Time model for a blocked right-looking distributed LU on a √p × √p grid:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.machine.processor import CoreModel
@@ -34,6 +34,9 @@ class HPLModel:
         job's aggregate memory (the HPL tuning convention).
     :param complex_valued: AORSA's locally-modified HPL solves a complex
         system (4× the flops, 2× the bytes per element).
+
+    The core, network and collective cost models are built once per
+    instance.
     """
 
     machine: Machine
@@ -42,12 +45,18 @@ class HPLModel:
     fill_fraction: float = 0.8
     block: int = 128
     complex_valued: bool = False
+    core: CoreModel = field(init=False, repr=False, compare=False)
+    net: NetworkModel = field(init=False, repr=False, compare=False)
+    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
         if not 0 < self.fill_fraction <= 1:
             raise ValueError("fill_fraction must be in (0, 1]")
+        self.core = CoreModel(self.machine)
+        self.net = NetworkModel(self.machine)
+        self.costs = CollectiveCostModel.for_machine(self.net, self.ntasks)
 
     # -- problem size -----------------------------------------------------
     @property
@@ -72,8 +81,7 @@ class HPLModel:
 
     # -- time ------------------------------------------------------------------
     def compute_time_s(self) -> float:
-        core = CoreModel(self.machine)
-        rate = core.rate_gflops("hpl") * 1.0e9
+        rate = self.core.rate_gflops("hpl") * 1.0e9
         return self.flops() * (1.0 + HPL_SOLVER_OVERHEAD) / (self.ntasks * rate)
 
     def comm_time_s(self) -> float:
@@ -81,14 +89,12 @@ class HPLModel:
         p = self.ntasks
         if p == 1:
             return 0.0
-        net = NetworkModel(self.machine)
-        costs = CollectiveCostModel.for_machine(net, p)
         log2p = max(1.0, math.log2(p))
         # Panel broadcasts (log2 p forwarding depth along process rows)
         # plus row swaps: ~ N²·log2(p)/√p elements per process overall.
         bw_bytes = n * n * self.itemsize * log2p / math.sqrt(p)
-        t_bw = bw_bytes / (net.task_bandwidth_GBs() * GIGA)
-        t_lat = (n / self.block) * log2p * costs.latency_s
+        t_bw = bw_bytes / (self.net.task_bandwidth_GBs() * GIGA)
+        t_lat = (n / self.block) * log2p * self.costs.latency_s
         return t_bw + t_lat
 
     def time_s(self) -> float:

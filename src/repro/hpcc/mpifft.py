@@ -9,7 +9,7 @@ mode it is much worse — the alltoalls hit the shared-NIC injection path
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.machine.processor import CoreModel
 from repro.machine.specs import GIGA, Machine
@@ -24,15 +24,24 @@ _VECTORS = 3
 
 @dataclass
 class MPIFFTModel:
-    """HPCC global FFT on ``ntasks`` tasks."""
+    """HPCC global FFT on ``ntasks`` tasks.
+
+    The core and collective cost models are built once per instance.
+    """
 
     machine: Machine
     ntasks: int
     fill_fraction: float = 0.25
+    core: CoreModel = field(init=False, repr=False, compare=False)
+    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
+        self.core = CoreModel(self.machine)
+        self.costs = CollectiveCostModel.for_machine(
+            NetworkModel(self.machine), self.ntasks
+        )
 
     def problem_size(self) -> int:
         """Largest power-of-two N fitting the working set in memory."""
@@ -51,13 +60,11 @@ class MPIFFTModel:
     def time_s(self) -> float:
         n = self.problem_size()
         p = self.ntasks
-        core = CoreModel(self.machine)
-        comp = self.flops() / (p * core.fft_gflops() * GIGA)
+        comp = self.flops() / (p * self.core.fft_gflops() * GIGA)
         if p == 1:
             return comp
-        costs = CollectiveCostModel.for_machine(NetworkModel(self.machine), p)
         per_pair = _ITEM * n / (float(p) * p)
-        return comp + 3.0 * costs.alltoall_s(per_pair)
+        return comp + 3.0 * self.costs.alltoall_s(per_pair)
 
     def gflops(self) -> float:
         return self.flops() / self.time_s() / GIGA

@@ -10,24 +10,30 @@ overwhelms all other factors", making XT4-VN slower than XT3 per core
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
 from repro.network.model import NetworkModel
-from repro.network.topology import Torus3D
 
 
 @dataclass
 class MPIRandomAccessModel:
-    """HPCC global RandomAccess (GUPS) on ``ntasks`` tasks."""
+    """HPCC global RandomAccess (GUPS) on ``ntasks`` tasks.
+
+    The core and network models are built once per instance.
+    """
 
     machine: Machine
     ntasks: int
+    core: CoreModel = field(init=False, repr=False, compare=False)
+    net: NetworkModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
+        self.core = CoreModel(self.machine)
+        self.net = NetworkModel(self.machine)
 
     def _job_nodes(self) -> int:
         return -(-self.ntasks // self.machine.tasks_per_node)
@@ -35,19 +41,16 @@ class MPIRandomAccessModel:
     def per_task_gups(self) -> float:
         """Update rate of one task: one small message per remote update."""
         if self.ntasks == 1:
-            return CoreModel(self.machine).random_access_gups()
-        net = NetworkModel(self.machine)
+            return self.core.random_access_gups()
         nodes = self._job_nodes()
-        sub = Torus3D(net.torus.sub_torus_dims(min(nodes, net.torus.num_nodes)))
-        hops = max(1, round(sub.avg_hops_random_pair))
         vn = self.machine.tasks_per_node > 1
-        latency = net.base_latency_s(
-            hops=hops,
+        latency = self.net.base_latency_s(
+            hops=self.net.partition(nodes).hops,
             contended_fraction=1.0 if vn else 0.0,
             job_nodes=nodes,
         )
         network_rate = 1.0e-9 / latency  # one update per effective latency
-        local_rate = CoreModel(self.machine).random_access_gups()
+        local_rate = self.core.random_access_gups()
         return min(network_rate, local_rate)
 
     def gups(self) -> float:

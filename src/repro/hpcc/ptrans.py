@@ -10,7 +10,7 @@ paper's headline "multi-core is not a panacea" data point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.machine.specs import GIGA, Machine
 from repro.network.model import NetworkModel
@@ -22,15 +22,20 @@ PTRANS_SCHEDULE_EFF = 0.5
 
 @dataclass
 class PTRANSModel:
-    """Distributed matrix transpose on ``ntasks`` tasks."""
+    """Distributed matrix transpose on ``ntasks`` tasks.
+
+    The network model is built once per instance.
+    """
 
     machine: Machine
     ntasks: int
     fill_fraction: float = 0.3
+    net: NetworkModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ntasks < 1:
             raise ValueError("ntasks must be >= 1")
+        self.net = NetworkModel(self.machine)
 
     def matrix_order(self) -> int:
         """N for the two N×N work matrices filling the memory budget."""
@@ -51,11 +56,10 @@ class PTRANSModel:
 
             mem = MemoryModel(self.machine.node.memory, self.machine.node.cores)
             return mem.bytes_time_s(2 * 8 * n * n, self.machine.active_cores_per_node)
-        net = NetworkModel(self.machine)
         job_nodes = -(-p // self.machine.tasks_per_node)
         cross_bytes = 8.0 * n * n / 2.0  # half the matrix crosses the bisection
-        bis_rate = net.bisection_bw_GBs(job_nodes) * GIGA * PTRANS_SCHEDULE_EFF
-        inj_rate = p * net.task_bandwidth_GBs() * GIGA / 2.0
+        bis_rate = self.net.bisection_bw_GBs(job_nodes) * GIGA * PTRANS_SCHEDULE_EFF
+        inj_rate = p * self.net.task_bandwidth_GBs() * GIGA / 2.0
         return cross_bytes / min(bis_rate, inj_rate)
 
     def gbs(self) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.machine.specs import Machine
@@ -20,10 +20,11 @@ class RingBenchmark:
 
     machine: Machine
     job_nodes: Optional[int] = None
+    #: Built once per instance.
+    model: NetworkModel = field(init=False, repr=False, compare=False)
 
-    @property
-    def model(self) -> NetworkModel:
-        return NetworkModel(self.machine)
+    def __post_init__(self) -> None:
+        self.model = NetworkModel(self.machine)
 
     # -- modelled metrics ---------------------------------------------------
     def natural_latency_us(self) -> float:

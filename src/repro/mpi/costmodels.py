@@ -21,8 +21,7 @@ so this sits well below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.machine.specs import GIGA
@@ -63,6 +62,9 @@ class CollectiveCostModel:
     #: between the processor cores" (paper §6.2) — so these collectives see
     #: almost none of the VN NIC-sharing surcharge. Defaults to latency_s.
     optimized_latency_s: Optional[float] = None
+    #: Rounds of a binomial tree, ⌈log2 p⌉ (0 for one task); derived once
+    #: per instance and not compared.
+    _log2p: int = field(init=False, repr=False, compare=False)
 
     @property
     def reduction_latency_s(self) -> float:
@@ -77,21 +79,20 @@ class CollectiveCostModel:
             raise ValueError("ntasks must be >= 1")
         if min(self.latency_s, self.bw_Bs, self.memcpy_Bs) < 0:
             raise ValueError("cost parameters must be non-negative")
+        log2p = max(1, math.ceil(math.log2(self.ntasks))) if self.ntasks > 1 else 0
+        object.__setattr__(self, "_log2p", log2p)
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def for_machine(cls, net: "NetworkModel", ntasks: int) -> "CollectiveCostModel":
         """Bind to an XT machine+mode through its network model."""
-        from repro.network.topology import Torus3D
-
         if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
         m = net.machine
         job_nodes = -(-ntasks // m.tasks_per_node)
-        sub = Torus3D(net.torus.sub_torus_dims(min(job_nodes, net.torus.num_nodes)))
-        hops = max(1, round(sub.avg_hops_random_pair))
+        part = net.partition(job_nodes)
         latency = net.base_latency_s(
-            hops=hops,
+            hops=part.hops,
             contended_fraction=VN_COLLECTIVE_CONTENTION,
             job_nodes=job_nodes,
         )
@@ -100,7 +101,7 @@ class CollectiveCostModel:
         per_core = min(mem.single_core_bw_GBs, mem.achievable_bw_GBs / active)
         # Optimized reduction path: no interrupt contention, and only a
         # sliver (CAL 0.3) of the NIC-sharing surcharge survives.
-        base = net.base_latency_s(hops=hops, contended_fraction=0.0,
+        base = net.base_latency_s(hops=part.hops, contended_fraction=0.0,
                                   job_nodes=job_nodes)
         vn_add = net.nic.vn_latency_add_us * 1.0e-6 if net.is_vn else 0.0
         optimized = base - vn_add * 0.7
@@ -109,7 +110,7 @@ class CollectiveCostModel:
             latency_s=latency,
             bw_Bs=net.task_bandwidth_GBs() * GIGA,
             memcpy_Bs=per_core / 2.0 * GIGA,
-            bisection_Bs=net.bisection_bw_GBs(job_nodes) * GIGA,
+            bisection_Bs=part.bisection_GBs * GIGA,
             optimized_latency_s=optimized,
         )
 
@@ -125,10 +126,6 @@ class CollectiveCostModel:
         )
 
     # -- helpers ---------------------------------------------------------------
-    @cached_property
-    def _log2p(self) -> int:
-        return max(1, math.ceil(math.log2(self.ntasks))) if self.ntasks > 1 else 0
-
     def _mem_copy_s(self, nbytes: float) -> float:
         """Local reduction / copy work at memory speed (read+write)."""
         return 2.0 * nbytes / self.memcpy_Bs

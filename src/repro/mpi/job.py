@@ -132,6 +132,9 @@ class MPIJob:
         self._flop_rate: Dict[Tuple[Any, int], float] = {}
         #: active cores → streaming bytes per second.
         self._stream_rate: Dict[int, float] = {}
+        #: (profile or None for streaming, active cores) → a traced
+        #: phase's span name, controller draw (GB/s) and stall fraction.
+        self._phase_terms: Dict[Tuple[Any, int], Tuple[str, float, float]] = {}
         self.comms: List[Comm] = [Comm(self, r) for r in range(ntasks)]
         #: Open collective rendezvous by (group, sequence number).
         self._coll: Dict[Tuple[Any, int], _CollCtx] = {}
@@ -291,17 +294,23 @@ class MPIJob:
         t0 = self.sim.now
         t1 = t0 + dt
         active = self._active[rank]
-        memory = self.core_model.memory
-        peak = self.core_model.peak_gflops
-        if profile is not None:
-            prof = PROFILES[profile] if isinstance(profile, str) else profile
-            name = f"compute.{prof.name}"
-            rate_GBs = memory.traffic_rate_GBs(prof, peak, active)
-            stall_s = dt * memory.stall_fraction(prof, peak, active)
-        else:
-            name = "stream"
-            rate_GBs = memory.per_core_bandwidth_GBs(active)
-            stall_s = dt  # streaming is pure memory time
+        terms = self._phase_terms.get((profile, active))
+        if terms is None:
+            memory = self.core_model.memory
+            if profile is not None:
+                prof = PROFILES[profile] if isinstance(profile, str) else profile
+                peak = self.core_model.peak_gflops
+                terms = (
+                    f"compute.{prof.name}",
+                    memory.traffic_rate_GBs(prof, peak, active),
+                    memory.stall_fraction(prof, peak, active),
+                )
+            else:
+                # Streaming is pure memory time: it stalls throughout.
+                terms = ("stream", memory.per_core_bandwidth_GBs(active), 1.0)
+            self._phase_terms[profile, active] = terms
+        name, rate_GBs, stall_fraction = terms
+        stall_s = dt * stall_fraction
         tracer.complete(f"rank{rank}", name, t0, t1)
         node = self.placement.node_of(rank)
         if rate_GBs > 0.0 and dt > 0.0:

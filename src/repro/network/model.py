@@ -16,16 +16,19 @@ with mode-dependent parameters:
 Pattern-level helpers reproduce the HPCC network metrics (ping-pong
 min/avg/max, natural ring, random ring) and expose the job-partition
 bisection bandwidth used by PTRANS/alltoall models.
+
+Every term that depends on where a job sits comes from one decision,
+:meth:`NetworkModel.partition`: ``n`` nodes → the enclosing sub-torus →
+its mean hop count, diameter and bisection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.machine.modes import Mode
-from repro.machine.specs import MICRO, Machine
+from repro.machine.specs import MICRO, Machine, NICSpec
 from repro.network.topology import Torus3D
 
 #: CAL: simultaneous bidirectional exchange overhead on ring latencies.
@@ -41,26 +44,57 @@ BISECTION_EFFICIENCY = 0.35
 
 
 @dataclass(frozen=True)
+class JobPartition:
+    """The sub-torus a job occupies, as the analytic terms read it."""
+
+    torus: Torus3D
+    #: Hops charged to a message between random distinct nodes of the job:
+    #: the partition's mean, rounded, and at least one.
+    hops: int
+    #: Realisable bisection bandwidth of the partition (GB/s).
+    bisection_GBs: float
+
+
+@dataclass(frozen=True)
 class NetworkModel:
-    """Analytic interconnect model bound to a machine + mode."""
+    """Analytic interconnect model bound to a machine + mode.
+
+    The torus and the machine terms below are read once per instance, not
+    per message cost; they are not compared, so equality and hash stay
+    those of ``machine``.
+    """
 
     machine: Machine
+    torus: Torus3D = field(init=False, repr=False, compare=False)
+    nic: NICSpec = field(init=False, repr=False, compare=False)
+    tasks_per_node: int = field(init=False, repr=False, compare=False)
+    is_vn: bool = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def torus(self) -> Torus3D:
-        return Torus3D(self.machine.torus_dims)
+    def __post_init__(self) -> None:
+        m = self.machine
+        object.__setattr__(self, "torus", Torus3D(m.torus_dims))
+        object.__setattr__(self, "nic", m.node.nic)
+        object.__setattr__(self, "tasks_per_node", m.tasks_per_node)
+        object.__setattr__(self, "is_vn", m.mode is Mode.VN and m.node.cores > 1)
 
-    @property
-    def nic(self):
-        return self.machine.node.nic
+    def partition(self, job_nodes: int | None = None) -> JobPartition:
+        """The partition a ``job_nodes``-node job occupies.
 
-    @property
-    def tasks_per_node(self) -> int:
-        return self.machine.tasks_per_node
-
-    @property
-    def is_vn(self) -> bool:
-        return self.machine.mode is Mode.VN and self.machine.node.cores > 1
+        ``None`` means the whole machine; other counts are clamped to
+        1..num_nodes. This is the one place a job's sub-torus is chosen.
+        """
+        total = self.torus.num_nodes
+        nodes = total if job_nodes is None else max(1, min(job_nodes, total))
+        sub = Torus3D(self.torus.sub_torus_dims(nodes))
+        return JobPartition(
+            torus=sub,
+            hops=max(1, round(sub.avg_hops_random_pair)),
+            bisection_GBs=(
+                sub.bisection_links()
+                * self.nic.sustained_link_bw_GBs
+                * BISECTION_EFFICIENCY
+            ),
+        )
 
     # ------------------------------------------------------------------ latency
     def _vn_contention_scale(self, job_nodes: int) -> float:
@@ -129,11 +163,6 @@ class NetworkModel:
         return latency + nbytes / bw
 
     # --------------------------------------------------- HPCC network patterns
-    def _job_subtorus(self, job_nodes: int | None) -> Torus3D:
-        nodes = self.torus.num_nodes if job_nodes is None else job_nodes
-        nodes = max(1, min(nodes, self.torus.num_nodes))
-        return Torus3D(self.torus.sub_torus_dims(nodes))
-
     def pingpong_latency_us(self, which: str = "min", job_nodes: int | None = None) -> float:
         """HPCC ping-pong latency over random task pairs (Fig. 2).
 
@@ -141,15 +170,14 @@ class NetworkModel:
         ``avg``/``max`` pairs sit at the mean/diameter distance of the job
         partition, and in VN mode see partial/full NIC-sharing contention.
         """
-        sub = self._job_subtorus(job_nodes)
-        nodes = sub.num_nodes
+        part = self.partition(job_nodes)
+        nodes = part.torus.num_nodes
         if which == "min":
             return self.base_latency_s(1, 0.0, nodes) / MICRO
         if which == "avg":
-            hops = max(1, round(sub.avg_hops_random_pair))
-            return self.base_latency_s(hops, 0.5, nodes) / MICRO
+            return self.base_latency_s(part.hops, 0.5, nodes) / MICRO
         if which == "max":
-            return self.base_latency_s(sub.diameter, 1.0, nodes) / MICRO
+            return self.base_latency_s(part.torus.diameter, 1.0, nodes) / MICRO
         raise ValueError(f"which must be min/avg/max, got {which!r}")
 
     def pingpong_bandwidth_GBs(self, which: str = "avg") -> float:
@@ -165,14 +193,14 @@ class NetworkModel:
 
     def natural_ring_latency_us(self, job_nodes: int | None = None) -> float:
         """Naturally-ordered ring latency: neighbour exchange (Fig. 2)."""
-        sub = self._job_subtorus(job_nodes)
-        return RING_LATENCY_FACTOR * self.base_latency_s(1, 0.7, sub.num_nodes) / MICRO
+        nodes = self.partition(job_nodes).torus.num_nodes
+        return RING_LATENCY_FACTOR * self.base_latency_s(1, 0.7, nodes) / MICRO
 
     def random_ring_latency_us(self, job_nodes: int | None = None) -> float:
         """Randomly-ordered ring latency: non-local exchange (Fig. 2)."""
-        sub = self._job_subtorus(job_nodes)
-        hops = max(1, round(sub.avg_hops_random_pair))
-        return RING_LATENCY_FACTOR * self.base_latency_s(hops, 1.0, sub.num_nodes) / MICRO
+        part = self.partition(job_nodes)
+        nodes = part.torus.num_nodes
+        return RING_LATENCY_FACTOR * self.base_latency_s(part.hops, 1.0, nodes) / MICRO
 
     def natural_ring_bandwidth_GBs(self) -> float:
         """Per-task naturally-ordered ring bandwidth (Fig. 3)."""
@@ -185,7 +213,7 @@ class NetworkModel:
         links: random traffic crosses ``avg_hops`` links each, sharing the
         job partition's directed links.
         """
-        sub = self._job_subtorus(job_nodes)
+        sub = self.partition(job_nodes).torus
         injection_limited = NATURAL_RING_BW_FACTOR * self.task_bandwidth_GBs()
         tasks = sub.num_nodes * self.tasks_per_node
         total_link_bw = (
@@ -210,9 +238,4 @@ class NetworkModel:
     # ------------------------------------------------------------- bisection
     def bisection_bw_GBs(self, job_nodes: int | None = None) -> float:
         """Realisable bisection bandwidth of a job partition (GB/s)."""
-        sub = self._job_subtorus(job_nodes)
-        return (
-            sub.bisection_links()
-            * self.nic.sustained_link_bw_GBs
-            * BISECTION_EFFICIENCY
-        )
+        return self.partition(job_nodes).bisection_GBs

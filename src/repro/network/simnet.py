@@ -37,7 +37,7 @@ The MPI layer records each message's ``net.xfer`` span.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.machine.specs import GIGA, MICRO, Machine
 from repro.network.topology import Link, Torus3D
@@ -49,6 +49,9 @@ from repro.simengine import (
     Simulator,
     retry,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.tracer import Counter
 
 #: A route, its resources in canonical acquisition order, and its links'
 #: ``[bytes, busy seconds]`` load lists.
@@ -206,8 +209,13 @@ class SimNetwork:
         # per-transfer hold time is nbytes / bandwidth.
         self._path_bw_Bs = self.bottleneck_bw_GBs() * GIGA
         self._intra_bw_Bs = self.intranode_bw_GBs() * GIGA
-        #: Directed link → its tracer counter label (:func:`link_label`).
-        self._link_labels: Dict[Link, str] = {}
+        #: Directed link → its ``bytes`` and ``busy_s`` tracer counters;
+        #: (node, ``"tx"``/``"rx"``) → that NIC direction's bytes counter
+        #: and the node's ``busy_s`` counter. Each is looked up on its
+        #: first charge, so counters are created in charge order and a
+        #: traced transfer formats no counter name.
+        self._link_counters: Dict[Link, Tuple[Counter, Counter]] = {}
+        self._nic_counters: Dict[Tuple[int, str], Tuple[Counter, Counter]] = {}
         #: Count of completed transfers (diagnostics).
         self.transfers_completed = 0
         #: Directed link → its load, ``[bytes carried, busy seconds]``:
@@ -287,24 +295,38 @@ class SimNetwork:
     # -- tracing ---------------------------------------------------------------
     def _charge_link(self, ln: Link, nbytes: float, hold_s: float) -> None:
         """Record one link's share of a completed hold on the tracer."""
-        tracer = self._tracer
-        label = self._link_labels.get(ln)
-        if label is None:
-            label = self._link_labels[ln] = link_label(ln)
+        counters = self._link_counters.get(ln)
+        if counters is None:
+            label = link_label(ln)
+            counters = self._link_counters[ln] = (
+                self._tracer.counter(f"net.link[{label}].bytes"),
+                self._tracer.counter(f"net.link[{label}].busy_s"),
+            )
         now = self.sim.now
-        tracer.add(f"net.link[{label}].bytes", now, nbytes)
-        tracer.add(f"net.link[{label}].busy_s", now, hold_s)
+        counters[0].add(now, nbytes)
+        counters[1].add(now, hold_s)
+
+    def _nic(self, node: int, direction: str) -> Tuple[Counter, Counter]:
+        """The ``<direction>_bytes`` and ``busy_s`` counters of a NIC."""
+        counters = self._nic_counters.get((node, direction))
+        if counters is None:
+            counters = self._nic_counters[node, direction] = (
+                self._tracer.counter(f"net.nic[{node}].{direction}_bytes"),
+                self._tracer.counter(f"net.nic[{node}].busy_s"),
+            )
+        return counters
 
     def _charge_nics(
         self, src_node: int, dst_node: int, nbytes: float, hold_s: float
     ) -> None:
-        tracer = self._tracer
         now = self.sim.now
-        tracer.add(f"net.nic[{src_node}].tx_bytes", now, nbytes)
-        tracer.add(f"net.nic[{src_node}].busy_s", now, hold_s)
-        tracer.add(f"net.nic[{dst_node}].rx_bytes", now, nbytes)
+        tx_bytes, busy = self._nic(src_node, "tx")
+        tx_bytes.add(now, nbytes)
+        busy.add(now, hold_s)
+        rx_bytes, busy = self._nic(dst_node, "rx")
+        rx_bytes.add(now, nbytes)
         if dst_node != src_node:
-            tracer.add(f"net.nic[{dst_node}].busy_s", now, hold_s)
+            busy.add(now, hold_s)
 
     # -- transfers ------------------------------------------------------------
     def fast_path_open(self) -> bool:

@@ -23,7 +23,7 @@ class Torus3D:
     dims: Tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
+        if len(self.dims) != 3 or min(self.dims) < 1:
             raise ValueError(f"invalid torus dims {self.dims}")
 
     # -- indexing -----------------------------------------------------------
@@ -82,15 +82,15 @@ class Torus3D:
         ``n/4`` for even ``n`` and ``(n² − 1)/(4n)`` for odd ``n``; summed
         over the three dimensions.
         """
-
-        def ring_mean(n: int) -> float:
+        total = 0.0
+        for n in self.dims:
             if n == 1:
-                return 0.0
+                continue
             if n % 2 == 0:
-                return n / 4.0
-            return (n * n - 1) / (4.0 * n)
-
-        return sum(ring_mean(d) for d in self.dims)
+                total += n / 4.0
+            else:
+                total += (n * n - 1) / (4.0 * n)
+        return total
 
     # -- routing --------------------------------------------------------------
     def route(self, a: int, b: int) -> List[Link]:
@@ -196,9 +196,10 @@ class Torus3D:
         by the analytic model to size the bisection available to a job that
         occupies only part of the machine.
         """
-        if not 1 <= n_nodes <= self.num_nodes:
+        total = self.num_nodes
+        if not 1 <= n_nodes <= total:
             raise ValueError(f"n_nodes {n_nodes} out of range")
-        scale = (n_nodes / self.num_nodes) ** (1.0 / 3.0)
+        scale = (n_nodes / total) ** (1.0 / 3.0)
         dims = [max(1, round(d * scale)) for d in self.dims]
         # Grow the smallest dims until the box encloses the job.
         while dims[0] * dims[1] * dims[2] < n_nodes:
