@@ -8,7 +8,6 @@ Usage::
     python -m repro all [--out results/] [--force] [--no-cache]
     python -m repro all --profile profiles/              # + cProfile .pstats
     python -m repro cache verify [--delete]              # result-store hygiene
-    python -m repro cache gc --max-age-days 30
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ def add_faults_flag(parser: argparse.ArgumentParser) -> None:
         metavar="PLAN",
         default=None,
         help="inject faults from a JSON fault plan (see docs/RESILIENCE.md; "
-        "author one with `python -m repro.faults sample`)",
+        "author one with `FaultPlan.sample(...).save(PATH)`)",
     )
 
 
@@ -300,13 +299,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         "no profile)",
     )
     add_faults_flag(p_all)
-    p_cache = sub.add_parser(
-        "cache",
-        help="result-store hygiene: verify | gc "
-        "(see `repro cache -- --help` for its options)",
-        add_help=False,
+    p_cache = sub.add_parser("cache", help="result-store hygiene")
+    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
+    p_verify = cache_sub.add_parser(
+        "verify", help="scan for corrupt/misplaced/abandoned/stale files"
     )
-    p_cache.add_argument("cache_args", nargs=argparse.REMAINDER)
+    p_verify.add_argument(
+        "--delete", action="store_true",
+        help="remove every problem file found (always safe: the store "
+        "is a cache, the runner recomputes on miss)",
+    )
+    p_verify.add_argument(
+        "--cache-dir", default=".repro-cache", metavar="DIR",
+        help="cache location (default .repro-cache/)",
+    )
     p_mach = sub.add_parser("machine", help="inspect or export a machine config")
     p_mach.add_argument("name", nargs="?", default="xt4",
                         help="xt3 | xt3-dc | xt4 | xt4-qc | xt3/4")
@@ -321,12 +327,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         return cmd_run(args)
     if args.command == "cache":
-        from repro.runner.cache_cli import main as cache_main
+        from repro.runner.cache_cli import verify
 
-        cache_args = args.cache_args
-        if cache_args and cache_args[0] == "--":
-            cache_args = cache_args[1:]
-        return cache_main(cache_args)
+        return verify(args.cache_dir, delete=args.delete)
     if args.command == "machine":
         return cmd_machine(args)
     return cmd_all(args)

@@ -11,23 +11,19 @@ first-class output of every simulation:
   default: untraced runs pay nothing.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   `Perfetto <https://ui.perfetto.dev>`_; one track per rank, link,
-  resource and controller) and a compact JSONL format, plus the loader.
-* :mod:`repro.obs.analyze` — span self-time rankings, counter
-  statistics, link hotspots, and trace-vs-trace diffs.
-* ``repro-trace`` (:mod:`repro.obs.cli`, also ``python -m repro.obs``) —
-  the analysis front-end over exported traces.
+  resource and controller) and :func:`load_trace`, which reads it back.
 
-See docs/OBSERVABILITY.md for the counter naming scheme
+Perfetto shows self time per span; :func:`repro.mpi.mpi_profiles` folds
+a tracer's MPI spans into mpiP-style per-rank profiles. See
+docs/OBSERVABILITY.md for the counter naming scheme
 (``layer.object.metric``) and a Perfetto walkthrough.
 """
 
 from repro.obs.export import (
     TraceData,
     dumps_chrome_trace,
-    dumps_jsonl,
     load_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.tracer import (
     Counter,
@@ -46,11 +42,9 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "dumps_chrome_trace",
-    "dumps_jsonl",
     "install",
     "installed",
     "load_trace",
     "uninstall",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -1,26 +1,20 @@
-"""Trace exporters and the matching loader.
+"""Trace exporter and the matching loader.
 
-Two on-disk formats, both self-describing and deterministic (a seeded
-run serializes byte-for-byte identically):
+The on-disk format is **Chrome trace-event JSON**, which Perfetto and
+``chrome://tracing`` load directly. It is deterministic: a seeded run
+serializes byte-for-byte identically. Each span track (rank, link,
+resource, process) becomes one named thread; counters become ``"C"``
+events, which Perfetto renders as their own counter tracks.
 
-* **Chrome trace-event JSON** (``.json``) — the format Perfetto and
-  ``chrome://tracing`` load directly. Each span track (rank, link,
-  resource, process) becomes one named thread; counters become ``"C"``
-  events, which Perfetto renders as their own counter tracks.
-* **Compact JSONL** (``.jsonl``) — one JSON object per line (a ``meta``
-  header, then one line per span and per counter), cheap to stream and
-  to grep.
-
-:func:`load_trace` reads either format back into a neutral
-:class:`TraceData`, which is what the ``repro-trace`` analysis CLI
-consumes.
+:func:`load_trace` reads a trace back into a neutral
+:class:`TraceData` for assertions and ad-hoc analysis.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.tracer import Span, Tracer
 
@@ -28,10 +22,8 @@ __all__ = [
     "TraceData",
     "chrome_trace_events",
     "dumps_chrome_trace",
-    "dumps_jsonl",
     "load_trace",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 #: Seconds → trace-event microseconds.
@@ -132,81 +124,14 @@ def write_chrome_trace(tracer: Tracer, path: str) -> str:
     return path
 
 
-def dumps_jsonl(tracer: Tracer) -> str:
-    """Serialize to the compact JSONL format (deterministic)."""
-    tracer.close_open_spans(tracer.end_time)
-    lines = [
-        json.dumps(
-            {
-                "type": "meta",
-                "format": "repro-obs",
-                "version": 1,
-                "meta": dict(sorted(tracer.meta.items())),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for span in sorted(tracer.spans, key=_span_sort_key):
-        lines.append(
-            json.dumps(
-                {
-                    "type": "span",
-                    "track": span.track,
-                    "name": span.name,
-                    "t0": span.t0,
-                    "t1": span.t1,
-                    "args": span.args,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    for cname in sorted(tracer.counters):
-        counter = tracer.counters[cname]
-        series = counter.series()
-        lines.append(
-            json.dumps(
-                {
-                    "type": "counter",
-                    "name": cname,
-                    "mode": counter.mode,
-                    "t": [t for t, _v in series],
-                    "v": [v for _t, v in series],
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_jsonl(tracer: Tracer, path: str) -> str:
-    """Write the JSONL form to ``path``; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_jsonl(tracer))
-    return path
-
-
 @dataclass
 class TraceData:
-    """A loaded trace in neutral form (what the analysis CLI consumes)."""
+    """A loaded trace in neutral form."""
 
     spans: List[Span] = field(default_factory=list)
     #: counter name → time-ordered ``[(t, value), ...]`` series.
     counters: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def end_time(self) -> float:
-        """Latest timestamp across spans and counter samples (0.0 if empty)."""
-        t = 0.0
-        for span in self.spans:
-            t = max(t, span.t0 if span.t1 is None else span.t1)
-        for series in self.counters.values():
-            if series:
-                t = max(t, series[-1][0])
-        return t
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceData":
@@ -225,7 +150,7 @@ class TraceData:
 def _load_chrome(doc: Dict[str, Any]) -> TraceData:
     data = TraceData(meta=dict(doc.get("otherData", {})))
     track_of: Dict[Tuple[int, int], str] = {}
-    events = doc.get("traceEvents", [])
+    events = doc["traceEvents"]
     for ev in events:
         if ev.get("ph") == "M" and ev.get("name") == "thread_name":
             track_of[(ev["pid"], ev["tid"])] = ev["args"]["name"]
@@ -254,44 +179,21 @@ def _load_chrome(doc: Dict[str, Any]) -> TraceData:
     return data
 
 
-def _load_jsonl(lines: List[str]) -> TraceData:
-    data = TraceData()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        kind = obj.get("type")
-        if kind == "meta":
-            data.meta = dict(obj.get("meta", {}))
-        elif kind == "span":
-            data.spans.append(
-                Span(
-                    track=obj["track"],
-                    name=obj["name"],
-                    t0=obj["t0"],
-                    t1=obj["t1"],
-                    args=dict(obj.get("args", {})),
-                )
-            )
-        elif kind == "counter":
-            data.counters[obj["name"]] = list(zip(obj["t"], obj["v"]))
-        else:
-            raise ValueError(f"unknown JSONL record type {kind!r}")
-    data.spans.sort(key=_span_sort_key)
-    return data
-
-
 def load_trace(path: str) -> TraceData:
-    """Load a trace written by either exporter (format auto-detected)."""
+    """Load a Chrome trace-event JSON file written by
+    :func:`write_chrome_trace`.
+
+    Raises :class:`ValueError` naming ``path`` for an empty file,
+    non-JSON text or a JSON document without ``traceEvents``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not text.strip():
         raise ValueError(f"{path}: empty trace file")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None  # multiple lines: the JSONL format
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        return _load_chrome(doc)
-    return _load_jsonl(text.splitlines())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
+        raise ValueError(f"{path}: not a Chrome trace (no traceEvents)")
+    return _load_chrome(doc)

@@ -19,8 +19,8 @@ on:
   served wholly from the cache imports no driver and no numpy;
 * :mod:`repro.runner.atomic` — SIGINT deferral around the atomic
   publish step, so Ctrl-C never tears an on-disk write;
-* :mod:`repro.runner.cache_cli` — ``repro cache verify|gc`` store
-  hygiene.
+* :mod:`repro.runner.cache_cli` — ``repro cache verify``, which finds
+  (and with ``--delete`` removes) torn, misplaced and abandoned files.
 
 See docs/RUNNER.md for the cache layout and CLI semantics
 (``repro all [--force] [--no-cache]``).

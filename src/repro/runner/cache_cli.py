@@ -1,40 +1,30 @@
-"""``repro cache`` — result-store hygiene: ``verify`` and ``gc``.
+"""``repro cache verify`` — result-store hygiene.
 
 The content-addressed store is self-healing at read time (a corrupt
 entry is a miss), but a long-lived cache accumulates debris that reads
 alone never clean up: entries torn by power loss, files copied under
-the wrong key, temp files abandoned by SIGKILL, stale entries whose
-fingerprints will never be asked for again, and whole stores left
-behind by an earlier schema. These commands make that hygiene
-explicit::
+the wrong key, temp files abandoned by SIGKILL, and whole stores left
+behind by an earlier schema. ``verify`` makes that hygiene explicit::
 
     repro cache verify                 # report corrupt/misplaced/tmp/stale debris
     repro cache verify --delete        # ... and remove it
-    repro cache gc --max-age-days 30   # age-based eviction (atime-free)
-    repro cache gc --max-age-days 0 --dry-run
 
-Both publish ``cache.verify.*`` / ``cache.gc.*`` counters through the
-installed obs tracer. Deleting an entry is always safe: the store is a
-cache of deterministic computations — the runner recomputes on miss.
+Deleting an entry is always safe: the store is a cache of deterministic
+computations — the runner recomputes on miss.
 """
-# Wall-clock/mtime reads are deliberate: cache hygiene is host-side.
-# simlint: ignore-file[SL201]
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
 import re
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.obs import current_tracer
 from repro.runner.cache import SCHEMA, CacheEntry, ResultCache
 
-__all__ = ["main", "scan", "evict_older_than"]
+__all__ = ["scan", "verify"]
 
 #: Names of store directories, current and retired: result stores
 #: ``v<N>`` and schedule-race certificate stores ``race-v<N>``.
@@ -144,85 +134,6 @@ def scan(cache: ResultCache, delete: bool = False) -> ScanReport:
             except OSError:
                 pass
         _prune_retired(cache.root)
-    tracer = current_tracer()
-    if tracer is not None:
-        totals = {
-            "cache.verify.scanned": report.scanned,
-            "cache.verify.corrupt": len(report.corrupt),
-            "cache.verify.misplaced": len(report.misplaced),
-            "cache.verify.tmp": len(report.tmp),
-            "cache.verify.stale": len(report.stale),
-            "cache.verify.deleted": report.deleted,
-        }
-        for i, (name, value) in enumerate(sorted(totals.items())):
-            if value:
-                tracer.add(name, float(i), float(value))
-    return report
-
-
-@dataclass
-class GcReport:
-    scanned: int = 0
-    evicted: int = 0
-    reclaimed_bytes: int = 0
-    dry_run: bool = False
-
-
-def evict_older_than(
-    cache: ResultCache, max_age_days: float, *, dry_run: bool = False
-) -> GcReport:
-    """Evict entries whose mtime is older than ``max_age_days``.
-
-    mtime is refreshed on every (over)write but not on reads, so this
-    is creation-age eviction: old results whose inputs have long since
-    changed. Evicting a *live* entry is harmless — the next run misses
-    and recomputes — which is why a blunt age policy is acceptable.
-    Abandoned temp files are swept once they are over a minute old (a
-    *live* temp file exists only for the milliseconds between mkstemp
-    and ``os.replace``; the grace period keeps gc from racing an
-    in-flight atomic write). Files of a retired store
-    (:func:`_stale_files`) go at any age: nothing reads them again.
-    """
-    report = GcReport(dry_run=dry_run)
-    now = time.time()
-    cutoff = now - max_age_days * 86400.0
-    base = cache.root / SCHEMA
-    stale = set(_stale_files(cache.root))
-    live = sorted(base.rglob("*")) if base.is_dir() else []
-    for path in live + sorted(stale):
-        if not path.is_file():
-            continue
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        if path in stale:
-            pass  # evicted at any age
-        elif path.name.startswith(".tmp-"):
-            if stat.st_mtime > now - 60.0:
-                continue  # possibly an in-flight atomic write
-        elif path.suffix == ".json":
-            report.scanned += 1
-            if stat.st_mtime > cutoff:
-                continue
-        else:
-            continue
-        report.evicted += 1
-        report.reclaimed_bytes += stat.st_size
-        if not dry_run:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-    if not dry_run:
-        _prune_retired(cache.root)
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.add("cache.gc.scanned", 0.0, float(report.scanned))
-        tracer.add("cache.gc.evicted", 1.0, float(report.evicted))
-        tracer.add(
-            "cache.gc.reclaimed_bytes", 2.0, float(report.reclaimed_bytes)
-        )
     return report
 
 
@@ -236,9 +147,11 @@ def _rel(paths: List[pathlib.Path], root: pathlib.Path) -> List[str]:
     return out
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.cache_dir)
-    report = scan(cache, delete=args.delete)
+def verify(cache_dir: str, delete: bool = False) -> int:
+    """``repro cache verify``: print what :func:`scan` found; the exit
+    code is 1 when debris remains (never after ``delete``)."""
+    cache = ResultCache(cache_dir)
+    report = scan(cache, delete=delete)
     print(
         f"scanned {report.scanned} entries: {report.ok} ok, "
         f"{len(report.corrupt)} corrupt, {len(report.misplaced)} misplaced, "
@@ -253,55 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ):
         for rel in _rel(paths, cache.root):
             print(f"  {label}: {rel}")
-    if args.delete:
+    if delete:
         print(f"deleted {report.deleted} file(s)")
         return 0
     return 1 if report.problems else 0
-
-
-def cmd_gc(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.cache_dir)
-    report = evict_older_than(
-        cache, args.max_age_days, dry_run=args.dry_run
-    )
-    verb = "would evict" if args.dry_run else "evicted"
-    print(
-        f"scanned {report.scanned} entries; {verb} {report.evicted} "
-        f"file(s), {report.reclaimed_bytes} bytes "
-        f"(older than {args.max_age_days:g} days)"
-    )
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro cache",
-        description="Verify or garbage-collect the content-addressed "
-        "result store.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = sub.add_parser(
-        "verify", help="scan for corrupt/misplaced/abandoned/stale files"
-    )
-    p_verify.add_argument(
-        "--delete", action="store_true",
-        help="remove every problem file found (always safe: the store "
-        "is a cache, the runner recomputes on miss)",
-    )
-    p_gc = sub.add_parser("gc", help="age-based eviction")
-    p_gc.add_argument(
-        "--max-age-days", type=float, required=True, metavar="D",
-        help="evict entries last written more than D days ago",
-    )
-    p_gc.add_argument(
-        "--dry-run", action="store_true", help="report only, delete nothing"
-    )
-    for sp in (p_verify, p_gc):
-        sp.add_argument(
-            "--cache-dir", default=".repro-cache", metavar="DIR",
-            help="cache location (default .repro-cache/)",
-        )
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_gc(args)

@@ -5,6 +5,8 @@ import pytest
 from repro.__main__ import main
 from repro.core import ExperimentResult, registry
 from repro.core.report import render_ascii_plot
+from repro.faults import FaultPlan
+from repro.obs import load_trace
 
 
 def test_cli_list(capsys):
@@ -38,6 +40,18 @@ def test_cli_run_with_plot(capsys):
     assert main(["run", "fig08", "--plot", "--logx"]) == 0
     out = capsys.readouterr().out
     assert "(log x)" in out
+
+
+def test_cli_run_with_faults_records_injections(tmp_path, capsys):
+    # `repro run --faults PLAN` installs the plan for every job the
+    # experiment's DES companion builds: the trace counts what it injected.
+    plan = str(tmp_path / "plan.json")
+    FaultPlan.sample(
+        horizon_s=1e-3, num_nodes=2, nic_mtbf_s=1e-4, seed=7
+    ).save(plan)
+    trace = str(tmp_path / "t.json")
+    assert main(["run", "fig02", "--faults", plan, "--trace", trace]) == 0
+    assert load_trace(trace).counters.get("faults.injected")
 
 
 def test_cli_all_writes_csvs_and_txt(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Exporter golden-file and round-trip tests.
 
-The golden files under ``golden/`` pin the exact serialized bytes of a
+The golden file under ``golden/`` pins the exact serialized bytes of a
 hand-built tracer, so any change to the export format (field order,
-number formatting, event ordering) fails loudly. Regenerate them by
+number formatting, event ordering) fails loudly. Regenerate it by
 running this file as a script::
 
     PYTHONPATH=src python tests/obs/test_export_golden.py
@@ -17,10 +17,8 @@ from repro.obs import (
     TraceData,
     Tracer,
     dumps_chrome_trace,
-    dumps_jsonl,
     load_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -45,11 +43,6 @@ def test_chrome_golden():
     assert dumps_chrome_trace(hand_built_tracer()) == expected
 
 
-def test_jsonl_golden():
-    expected = (GOLDEN / "hand_built.trace.jsonl").read_text()
-    assert dumps_jsonl(hand_built_tracer()) == expected
-
-
 def test_chrome_trace_structure():
     doc = json.loads(dumps_chrome_trace(hand_built_tracer()))
     assert doc["otherData"] == {"name": "golden", "seed": 7}
@@ -69,37 +62,37 @@ def test_chrome_trace_structure():
     assert link == [4.0, 12.0]
 
 
-def test_round_trip_both_formats(tmp_path):
+def test_chrome_round_trip(tmp_path):
     tracer = hand_built_tracer()
     reference = TraceData.from_tracer(tracer)
-    chrome = write_chrome_trace(tracer, str(tmp_path / "t.json"))
-    jsonl = write_jsonl(tracer, str(tmp_path / "t.jsonl"))
-    for path in (chrome, jsonl):
-        loaded = load_trace(path)
-        assert loaded.meta["name"] == "golden"
-        assert [(s.track, s.name) for s in loaded.spans] == [
-            (s.track, s.name) for s in reference.spans
-        ]
-        for got, want in zip(loaded.spans, reference.spans):
-            assert abs(got.t0 - want.t0) < 1e-15
-            assert abs(got.t1 - want.t1) < 1e-15
-        assert set(loaded.counters) == set(reference.counters)
-        for cname, want_series in reference.counters.items():
-            got_series = loaded.counters[cname]
-            assert len(got_series) == len(want_series)
-            for (gt, gv), (wt, wv) in zip(got_series, want_series):
-                assert abs(gt - wt) < 1e-15 and abs(gv - wv) < 1e-12
+    loaded = load_trace(write_chrome_trace(tracer, str(tmp_path / "t.json")))
+    assert loaded.meta["name"] == "golden"
+    assert [(s.track, s.name) for s in loaded.spans] == [
+        (s.track, s.name) for s in reference.spans
+    ]
+    for got, want in zip(loaded.spans, reference.spans):
+        assert abs(got.t0 - want.t0) < 1e-15
+        assert abs(got.t1 - want.t1) < 1e-15
+    assert set(loaded.counters) == set(reference.counters)
+    for cname, want_series in reference.counters.items():
+        got_series = loaded.counters[cname]
+        assert len(got_series) == len(want_series)
+        for (gt, gv), (wt, wv) in zip(got_series, want_series):
+            assert abs(gt - wt) < 1e-15 and abs(gv - wv) < 1e-12
 
 
 def test_load_trace_rejects_empty_and_junk(tmp_path):
-    empty = tmp_path / "empty.json"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        load_trace(str(empty))
-    junk = tmp_path / "junk.jsonl"
-    junk.write_text('{"type":"mystery"}\n')
-    with pytest.raises(ValueError, match="unknown JSONL record"):
-        load_trace(str(junk))
+    cases = {
+        "empty.json": ("", "empty"),
+        "text.json": ("not a trace\n", "not JSON"),
+        "other.json": ('{"spans": []}\n', "no traceEvents"),
+    }
+    for name, (text, why) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=why) as err:
+            load_trace(str(path))
+        assert str(path) in str(err.value)
 
 
 def _regenerate() -> None:  # pragma: no cover - manual tool
@@ -107,10 +100,7 @@ def _regenerate() -> None:  # pragma: no cover - manual tool
     (GOLDEN / "hand_built.trace.json").write_text(
         dumps_chrome_trace(hand_built_tracer())
     )
-    (GOLDEN / "hand_built.trace.jsonl").write_text(
-        dumps_jsonl(hand_built_tracer())
-    )
-    print(f"regenerated golden files in {GOLDEN}")
+    print(f"regenerated the golden file in {GOLDEN}")
 
 
 if __name__ == "__main__":  # pragma: no cover

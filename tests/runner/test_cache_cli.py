@@ -1,13 +1,11 @@
-"""``repro cache verify|gc``: classification, deletion, eviction."""
+"""``repro cache verify``: classification and deletion."""
 
-import os
 import shutil
-import time
 
+from repro.__main__ import main
 from repro.core.experiment import ExperimentResult
-from repro.obs import Tracer, installed
 from repro.runner import CacheEntry, ResultCache
-from repro.runner.cache_cli import evict_older_than, main, scan
+from repro.runner.cache_cli import scan
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
@@ -60,87 +58,29 @@ def test_scan_classifies_corrupt_misplaced_and_tmp(tmp_path):
     assert cache.get(KEY_A) is not None and cache.get(KEY_B) is not None
 
 
-def test_scan_publishes_counters(tmp_path):
-    cache = _seeded_cache(tmp_path)
-    cache.path_for(KEY_A).write_bytes(b"garbage")
-    tracer = Tracer()
-    with installed(tracer):
-        scan(cache)
-    totals = tracer.counter_totals("cache.verify.")
-    assert totals["cache.verify.scanned"] == 2.0
-    assert totals["cache.verify.corrupt"] == 1.0
-
-
-def test_gc_evicts_only_old_entries(tmp_path):
-    cache = _seeded_cache(tmp_path)
-    old = cache.path_for(KEY_A)
-    week = 7 * 86400
-    os.utime(old, (time.time() - week, time.time() - week))  # simlint: ignore[SL201]
-    report = evict_older_than(cache, max_age_days=1.0)
-    assert report.scanned == 2 and report.evicted == 1
-    assert report.reclaimed_bytes > 0
-    assert cache.get(KEY_A) is None  # safe: recomputed on next miss
-    assert cache.get(KEY_B) is not None
-
-
-def test_gc_dry_run_deletes_nothing(tmp_path):
-    cache = _seeded_cache(tmp_path)
-    report = evict_older_than(cache, max_age_days=0.0, dry_run=True)
-    assert report.evicted == 2 and report.dry_run
-    assert cache.get(KEY_A) is not None and cache.get(KEY_B) is not None
-
-
-def test_gc_spares_fresh_tmp_files(tmp_path):
-    """A just-born temp file may be an in-flight atomic write: gc must
-    not race it. An hour-old one is debris and goes."""
-    cache = _seeded_cache(tmp_path)
-    parent = cache.path_for(KEY_A).parent
-    fresh = parent / ".tmp-inflight.json"
-    fresh.write_text("{}")
-    stale = parent / ".tmp-dead.json"
-    stale.write_text("{}")
-    hour = time.time() - 3600  # simlint: ignore[SL201]
-    os.utime(stale, (hour, hour))
-    evict_older_than(cache, max_age_days=365.0)
-    assert fresh.exists()
-    assert not stale.exists()
-
-
 def test_cli_verify_exit_codes(tmp_path, capsys):
     cache = _seeded_cache(tmp_path)
-    assert main(["verify", "--cache-dir", str(cache.root)]) == 0
+    assert main(["cache", "verify", "--cache-dir", str(cache.root)]) == 0
     cache.path_for(KEY_A).write_bytes(b"garbage")
-    assert main(["verify", "--cache-dir", str(cache.root)]) == 1
+    assert main(["cache", "verify", "--cache-dir", str(cache.root)]) == 1
     assert "corrupt" in capsys.readouterr().out
-    assert main(["verify", "--delete", "--cache-dir", str(cache.root)]) == 0
-    assert main(["verify", "--cache-dir", str(cache.root)]) == 0
-
-
-def test_cli_gc_reports(tmp_path, capsys):
-    cache = _seeded_cache(tmp_path)
-    code = main(
-        ["gc", "--max-age-days", "0", "--dry-run",
-         "--cache-dir", str(cache.root)]
-    )
-    assert code == 0
-    assert "would evict 2" in capsys.readouterr().out
-    assert cache.get(KEY_A) is not None
+    assert main(["cache", "verify", "--delete", "--cache-dir", str(cache.root)]) == 0
+    assert main(["cache", "verify", "--cache-dir", str(cache.root)]) == 0
 
 
 def test_missing_store_is_empty_not_an_error(tmp_path):
     cache = ResultCache(tmp_path / "nope")
     assert scan(cache).scanned == 0
-    assert evict_older_than(cache, max_age_days=1.0).scanned == 0
+    assert main(["cache", "verify", "--cache-dir", str(cache.root)]) == 0
 
 
 def test_retired_stores_are_reclaimed_and_nothing_else(tmp_path, capsys):
     """Whole stores of an earlier schema (``v1`` results, ``race-v<N>``
-    certificates) are never read again: gc evicts them at any age and
-    ``verify --delete`` removes them. Only top-level directories with
-    exactly those names qualify."""
+    certificates) are never read again: ``verify`` lists them as stale
+    and ``verify --delete`` removes them. Only top-level directories
+    with exactly those names qualify."""
     cache = _seeded_cache(tmp_path)
     root = cache.root
-    long_ago = time.time() - 6 * 365 * 86400  # simlint: ignore[SL201]
     retired = [root / "v1" / "aa" / "x.json", root / "race-v2" / "bb" / "y.json"]
     kept = [
         root / name / "aa" / "z.json"
@@ -149,23 +89,13 @@ def test_retired_stores_are_reclaimed_and_nothing_else(tmp_path, capsys):
     for path in retired + kept:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{}")
-        os.utime(path, (long_ago, long_ago))
 
-    report = evict_older_than(cache, max_age_days=30.0)
-    assert report.evicted == 2
+    assert main(["cache", "verify", "--cache-dir", str(root)]) == 1
+    assert "stale: v1/aa/x.json" in capsys.readouterr().out
+    assert main(["cache", "verify", "--delete", "--cache-dir", str(root)]) == 0
     assert not any(p.exists() for p in retired)
     # The emptied stores go with their files; the cache root stays.
     assert not (root / "v1").exists() and not (root / "race-v2").exists()
     assert all(p.exists() for p in kept)
     assert cache.get(KEY_A) is not None and cache.get(KEY_B) is not None
-
-    for path in retired:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{}")
-    assert main(["verify", "--cache-dir", str(root)]) == 1
-    assert "stale: v1/aa/x.json" in capsys.readouterr().out
-    assert main(["verify", "--delete", "--cache-dir", str(root)]) == 0
-    assert not any(p.exists() for p in retired)
-    assert not (root / "v1").exists() and not (root / "race-v2").exists()
-    assert all(p.exists() for p in kept)
-    assert main(["verify", "--cache-dir", str(root)]) == 0
+    assert main(["cache", "verify", "--cache-dir", str(root)]) == 0
