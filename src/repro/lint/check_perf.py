@@ -2,7 +2,7 @@
 
 The engine's speed rests on scheduling bound methods, never closures: a
 lambda handed to a deferring sink (``schedule``/``push``/``call_later``/
-``timeout_event``/...) inside a process function (a generator) is
+...) inside a process function (a generator) is
 re-allocated on every resumption of that process and defeats the
 engine's bound-method fast paths. Benchmarks catch such regressions
 after the fact; SL901 catches them at lint time.
@@ -46,7 +46,7 @@ class PerfChecker:
     #: inline and are not per-event allocations.
     CALLBACK_SINKS = frozenset(
         {"schedule", "push", "add_callback", "call_later", "call_at",
-         "defer", "timeout_event", "spawn"}
+         "defer", "spawn"}
     )
 
     def _check_closures(

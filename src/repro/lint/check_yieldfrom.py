@@ -63,7 +63,6 @@ GEN_METHODS_HINTED = {
 EVENT_METHODS_HINTED = {
     "_post_recv": (),  # unambiguous
     "request": _RESOURCE_HINTS,
-    "timeout_event": (),  # unambiguous
 }
 
 #: Event-returning *function* (plain-name) calls.
@@ -167,12 +166,6 @@ class YieldFromChecker:
                 "SL101", value, filename,
                 f"event '{value.func.id}(...)' is discarded — nothing waits "
                 f"on it; use 'yield {value.func.id}(...)'",
-            )
-        elif isinstance(value.func, ast.Attribute) and value.func.attr == "timeout_event":
-            yield self._finding(
-                "SL101", value, filename,
-                "event 'timeout_event(...)' is discarded — nothing waits on "
-                "it; use 'yield ...timeout_event(...)'",
             )
 
     def _check_assign(self, value: ast.AST, filename: str) -> Iterator[Finding]:

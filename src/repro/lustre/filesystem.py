@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.machine.specs import GIGA, MICRO
-from repro.simengine import AllOf, Event, Resource, Simulator
+from repro.simengine import Delay, Event, Resource, Simulator
 from repro.lustre.striping import StripeLayout
 
 
@@ -155,6 +155,6 @@ class LustreFilesystem:
             yield done
         else:
             # No chunks: still resume through a queue entry at this time.
-            yield AllOf(())
+            yield Delay(0.0)
         if write:
             file.size = max(file.size, offset + nbytes)

@@ -1,4 +1,4 @@
-"""Machine models: processors, memory, nodes, and whole-system configs.
+"""Machine models: processors, memory and whole-system configs.
 
 The public surface:
 
@@ -17,7 +17,6 @@ The public surface:
 from repro.machine.configs import COMPARISON_SYSTEMS, table1_rows, xt3, xt3_dc, xt4
 from repro.machine.memorymodel import MemoryModel
 from repro.machine.modes import Mode
-from repro.machine.node import Node
 from repro.machine.platforms import PLATFORMS, Platform
 from repro.machine.processor import CoreModel
 from repro.machine.specs import (
@@ -37,7 +36,6 @@ __all__ = [
     "MemorySpec",
     "Mode",
     "NICSpec",
-    "Node",
     "NodeSpec",
     "PLATFORMS",
     "Platform",

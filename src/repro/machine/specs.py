@@ -11,7 +11,7 @@ the paper's measured values; each is documented where defined in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from repro.machine.modes import Mode, parse_mode
 
@@ -179,10 +179,6 @@ class Machine:
     def num_nodes(self) -> int:
         x, y, z = self.torus_dims
         return x * y * z
-
-    @property
-    def num_sockets(self) -> int:
-        return self.num_nodes
 
     @property
     def num_cores(self) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector, FaultPlan, FaultPolicy, current_plan
@@ -41,14 +41,6 @@ class JobResult:
     restarts: int = 0
     checkpoints: int = 0
     net_retransmits: int = 0
-
-    @property
-    def max_rank_time_s(self) -> float:
-        return max(self.rank_times)
-
-    @property
-    def min_rank_time_s(self) -> float:
-        return min(self.rank_times)
 
 
 class _CollCtx:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.simengine import AllOf, Event
+from repro.simengine import Event
 
 
 class Request:
@@ -34,5 +32,7 @@ class Request:
 
         Returns the list of completion values in request order.
         """
-        values = yield AllOf([r.event for r in requests])
+        values = []
+        for req in requests:
+            values.append((yield req.event))
         return values

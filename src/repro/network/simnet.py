@@ -41,14 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.machine.specs import GIGA, MICRO, Machine
 from repro.network.topology import Link, Torus3D
-from repro.simengine import (
-    Delay,
-    Resource,
-    RetryExhausted,
-    SimTimeout,
-    Simulator,
-    retry,
-)
+from repro.simengine import Delay, Resource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Counter
@@ -59,6 +52,13 @@ Path = Tuple[List[Link], List[Resource], List[List[float]]]
 
 #: CAL: latency of the Catamount intra-socket memory-copy message path.
 INTRA_NODE_LATENCY_US = 0.8
+
+#: SeaStar-style retransmission discipline of a transfer whose route
+#: crosses a failed link: wait ``RETRY_TIMEOUT_S * BACKOFF_FACTOR**i``
+#: after the ``i``-th failed attempt, give up after ``MAX_RETRIES``.
+RETRY_TIMEOUT_S = 50e-6
+BACKOFF_FACTOR = 2.0
+MAX_RETRIES = 6
 
 #: Default for :class:`SimNetwork`'s hybrid analytic/DES fast path
 #: (SMPI practice, see docs/PERFORMANCE.md). Module-global like the
@@ -121,34 +121,18 @@ class NetworkFaultState:
 
     Tracks which directed links are down (counting overlapping outages
     of one link, so it comes back only when the last one ends) and until
-    when each node's NIC is stalled, plus the retransmission discipline
-    transfers fall back to when their dimension-order route crosses a
-    failed link:
-
-    * wait ``retry_timeout_s`` (doubling each retransmission) and try
-      again — the link may have been restored meanwhile;
-    * if ``detour`` is on, also try the long way around the failed ring
-      (:meth:`~repro.network.topology.Torus3D.route_avoiding`);
-    * after ``max_retries`` attempts, raise :class:`NetworkUnreachableError`.
+    when each node's NIC is stalled. A transfer whose dimension-order
+    route crosses a failed link first tries the long way around the
+    failed ring (:meth:`~repro.network.topology.Torus3D.route_avoiding`);
+    when that is blocked too it waits ``RETRY_TIMEOUT_S`` (doubling each
+    retransmission) and tries again — the link may have been restored
+    meanwhile — and after ``MAX_RETRIES`` attempts raises
+    :class:`NetworkUnreachableError`.
 
     All counts are plain integers so diagnostics work without a tracer.
     """
 
-    def __init__(
-        self,
-        retry_timeout_s: float = 50e-6,
-        backoff_factor: float = 2.0,
-        max_retries: int = 6,
-        detour: bool = True,
-    ) -> None:
-        if retry_timeout_s <= 0:
-            raise ValueError(f"retry_timeout_s must be > 0, got {retry_timeout_s!r}")
-        if max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {max_retries!r}")
-        self.retry_timeout_s = float(retry_timeout_s)
-        self.backoff_factor = float(backoff_factor)
-        self.max_retries = int(max_retries)
-        self.detour = bool(detour)
+    def __init__(self) -> None:
         #: Down link → number of outages currently holding it down.
         self.failed_links: Dict[Link, int] = {}
         #: Node → simulated time until which its NIC accepts no traffic.
@@ -230,10 +214,10 @@ class SimNetwork:
         self.faults: Optional[NetworkFaultState] = None
 
     # -- faults ---------------------------------------------------------------
-    def enable_faults(self, **kwargs) -> NetworkFaultState:
+    def enable_faults(self) -> NetworkFaultState:
         """Attach (or return the existing) :class:`NetworkFaultState`."""
         if self.faults is None:
-            self.faults = NetworkFaultState(**kwargs)
+            self.faults = NetworkFaultState()
         return self.faults
 
     def fail_link(self, link: Link) -> None:
@@ -489,8 +473,8 @@ class SimNetwork:
 
         Waits out endpoint NIC stalls, then runs the SeaStar-style
         retransmission loop: try the dimension-order route; on a failed
-        link, optionally detour the long way around the ring, else back
-        off ``retry_timeout_s`` (doubling) and retransmit.
+        link, detour the long way around the ring, else back off
+        ``RETRY_TIMEOUT_S`` (doubling) and retransmit.
         """
         faults = self.faults
         tracer = self._tracer
@@ -502,43 +486,27 @@ class SimNetwork:
                     tracer.add("net.nic_stall_waits", self.sim.now, 1)
                 yield Delay(until - self.sim.now)
 
-        def attempt(_i: int):
+        failed = faults.failed_links
+        for i in range(MAX_RETRIES):
             route = self.torus.route(src_node, dst_node)
-            bad = next(
-                (ln for ln in route if ln in faults.failed_links), None
-            )
+            bad = next((ln for ln in route if ln in failed), None)
             if bad is None:
                 return route
-            if faults.detour:
-                detour = self.torus.route_avoiding(
-                    src_node, dst_node, faults.failed_links
-                )
-                if detour is not None:
-                    faults.reroutes += 1
-                    if tracer is not None:
-                        tracer.add("net.reroutes", self.sim.now, 1)
-                    return detour
+            detour = self.torus.route_avoiding(src_node, dst_node, failed)
+            if detour is not None:
+                faults.reroutes += 1
+                if tracer is not None:
+                    tracer.add("net.reroutes", self.sim.now, 1)
+                return detour
             faults.retransmits += 1
             if tracer is not None:
                 tracer.add("net.retransmits", self.sim.now, 1)
-            raise SimTimeout(
-                faults.retry_timeout_s,
-                f"route {src_node}->{dst_node} ({link_label(bad)} down)",
-            )
-
-        try:
-            route = yield from retry(
-                attempt,
-                attempts=faults.max_retries,
-                base_backoff_s=faults.retry_timeout_s,
-                backoff_factor=faults.backoff_factor,
-            )
-        except RetryExhausted as exc:
-            raise NetworkUnreachableError(
-                f"transfer {src_node}->{dst_node} undeliverable after "
-                f"{faults.max_retries} retransmission(s)"
-            ) from exc
-        return route
+            if i + 1 < MAX_RETRIES:
+                yield Delay(RETRY_TIMEOUT_S * BACKOFF_FACTOR**i)
+        raise NetworkUnreachableError(
+            f"transfer {src_node}->{dst_node} undeliverable after "
+            f"{MAX_RETRIES} retransmission(s) ({link_label(bad)} down)"
+        )
 
     # -- diagnostics ---------------------------------------------------------
     @property

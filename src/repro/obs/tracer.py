@@ -194,8 +194,8 @@ class Tracer:
     def close_open_spans(self, t: float) -> int:
         """Close every still-open span at time ``t``; returns the count.
 
-        Called by exporters so that processes alive at the end of a
-        bounded run still render with their true extent.
+        Called by exporters so that processes still alive when a run
+        stops (a failed or deadlocked job) render with their true extent.
         """
         n = 0
         for span in self.spans:

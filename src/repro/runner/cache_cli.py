@@ -10,7 +10,9 @@ behind by an earlier schema. ``verify`` makes that hygiene explicit::
     repro cache verify --delete        # ... and remove it
 
 Deleting an entry is always safe: the store is a cache of deterministic
-computations — the runner recomputes on miss.
+computations — the runner recomputes on miss. A ``.tmp-*`` file changed
+in the last ``TMP_GRACE_S`` seconds is a live writer's, between
+``mkstemp`` and ``os.replace``: ``verify`` neither lists nor deletes it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import os
 import pathlib
 import re
+import time
 from dataclasses import dataclass, field
 from typing import List
 
@@ -29,6 +32,10 @@ __all__ = ["scan", "verify"]
 #: Names of store directories, current and retired: result stores
 #: ``v<N>`` and schedule-race certificate stores ``race-v<N>``.
 _STORE_DIR = re.compile(r"(race-)?v[0-9]+")
+
+#: A ``.tmp-*`` file modified less than this many seconds ago belongs to
+#: an in-flight ``ResultCache.put``; only older ones are abandoned.
+TMP_GRACE_S = 60.0
 
 
 def _retired_stores(root: pathlib.Path) -> List[pathlib.Path]:
@@ -102,16 +109,25 @@ def scan(cache: ResultCache, delete: bool = False) -> ScanReport:
     * **corrupt** — unparseable JSON or schema-incompatible documents;
     * **misplaced** — a valid entry filed under the wrong name or
       fan-out directory (it would never be served: reads check the key);
-    * **tmp** — abandoned ``.tmp-*`` files from killed writers;
+    * **tmp** — abandoned ``.tmp-*`` files from killed writers, that is
+      ones unchanged for ``TMP_GRACE_S`` (a younger one is a live
+      writer's and is skipped);
     * **stale** — any file of a retired store (:func:`_stale_files`).
     """
     report = ScanReport(stale=_stale_files(cache.root))
     base = cache.root / SCHEMA
+    # Wall clock, not simulated time: a temp file's age is a host fact.
+    now = time.time()  # simlint: ignore[SL201]
     for path in sorted(base.rglob("*")) if base.is_dir() else ():
         if not path.is_file():
             continue
         if path.name.startswith(".tmp-"):
-            report.tmp.append(path)
+            try:
+                age_s = now - path.stat().st_mtime
+            except OSError:
+                continue  # published or removed by its writer meanwhile
+            if age_s >= TMP_GRACE_S:
+                report.tmp.append(path)
             continue
         if path.suffix != ".json":
             continue

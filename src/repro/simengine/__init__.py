@@ -1,22 +1,27 @@
 """Deterministic discrete-event simulation kernel.
 
 A minimal, dependency-free engine in the style of SimPy, built for this
-project: simulated entities are Python generators ("processes") that yield
-*commands* back to the :class:`~repro.simengine.simulator.Simulator`:
+project and kept to what its models use: simulated entities are Python
+generators ("processes") that yield one of two *wait commands* back to
+the :class:`~repro.simengine.simulator.Simulator`:
 
 * ``Delay(dt)``                — resume after ``dt`` simulated seconds;
-* an :class:`~repro.simengine.event.Event` — resume when it is triggered;
-* a :class:`~repro.simengine.process.Process` — join (resume on completion);
-* ``AllOf([...])`` / ``AnyOf([...])`` — barrier / race combinators;
-* a resource request from :class:`~repro.simengine.resource.Resource`.
+* an :class:`~repro.simengine.event.Event` — resume when it is triggered
+  (a :class:`~repro.simengine.resource.Resource` grant, a process's
+  ``done``, an MPI receive).
+
+Anything else raises :class:`TypeError`. Besides the waits, the kernel
+offers interrupts (:meth:`Process.interrupt`), FIFO resources, absolute
+scheduling (:meth:`Simulator.schedule_at`) and a global freeze
+(:meth:`Simulator.freeze`).
 
 Determinism: events scheduled for the same timestamp fire in insertion
 order (the queue breaks ties with a monotone sequence number), so repeated
 runs of the same model produce identical traces.
 """
 
-from repro.simengine.event import AllOf, AnyOf, Delay, Event, Interrupt
-from repro.simengine.process import Process, ProcessKilled
+from repro.simengine.event import Delay, Event, Interrupt
+from repro.simengine.process import Process
 from repro.simengine.queue import EventQueue
 from repro.simengine.resource import Resource
 from repro.simengine.rng import fork, seeded_rng
@@ -25,30 +30,17 @@ from repro.simengine.simulator import (
     SimDeadlockError,
     Simulator,
 )
-from repro.simengine.timeout import (
-    RetryExhausted,
-    SimTimeout,
-    retry,
-    with_timeout,
-)
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Delay",
     "Event",
     "EventQueue",
     "Interrupt",
     "Process",
-    "ProcessKilled",
     "Resource",
     "ResourceLeakError",
-    "RetryExhausted",
     "SimDeadlockError",
-    "SimTimeout",
     "Simulator",
     "fork",
-    "retry",
     "seeded_rng",
-    "with_timeout",
 ]

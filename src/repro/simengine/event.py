@@ -1,8 +1,8 @@
-"""Events and waitable combinators for the simulation kernel."""
+"""Events and the delay command: the two things a process can wait on."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simengine.simulator import Simulator
@@ -44,10 +44,6 @@ class Event:
     @property
     def failed(self) -> bool:
         return self._failure is not None
-
-    @property
-    def failure(self) -> Optional[BaseException]:
-        return self._failure
 
     @property
     def abandoned(self) -> bool:
@@ -93,9 +89,8 @@ class Event:
     def abandon(self) -> None:
         """Declare that nothing will ever consume this event.
 
-        Called when the waiting process is interrupted or killed, or when
-        a timeout race is lost. No-op on already-triggered (or already
-        abandoned) events.
+        Called when the waiting process is interrupted. No-op on
+        already-triggered (or already abandoned) events.
         """
         if self._triggered or self._abandoned:
             return
@@ -103,14 +98,6 @@ class Event:
         cb, self._abandon_cb = self._abandon_cb, None
         if cb is not None:
             cb(self)
-
-    # -- waiting --------------------------------------------------------
-    def add_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Register ``cb``; fires immediately if already triggered."""
-        if self._triggered:
-            cb(self)
-        else:
-            self._callbacks.append(cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
@@ -129,33 +116,6 @@ class Delay:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Delay({self.dt!r})"
-
-
-class AllOf:
-    """Barrier combinator: resumes when *all* the given waitables trigger.
-
-    The resumed process receives a list of the events' values in the order
-    the waitables were given.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self.events = list(events)
-
-
-class AnyOf:
-    """Race combinator: resumes when *any* of the given waitables triggers.
-
-    The resumed process receives ``(index, value)`` of the first trigger.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self.events = list(events)
-        if not self.events:
-            raise ValueError("AnyOf requires at least one event")
 
 
 class Interrupt(Exception):

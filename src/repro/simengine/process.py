@@ -4,34 +4,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.simengine.event import AllOf, AnyOf, Delay, Event, Interrupt
+from repro.simengine.event import Delay, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simengine.simulator import Simulator
-
-
-class ProcessKilled(Exception):
-    """Raised inside a process generator when the process is killed."""
-
-
-def _combinator_desc(kind: str, waitables: Any) -> str:
-    """Human-readable description of an AllOf/AnyOf's *pending* members."""
-    names = []
-    for w in waitables:
-        evt = w.done if isinstance(w, Process) else w
-        if not evt.triggered:
-            names.append(evt.name or "<anonymous event>")
-    shown = ", ".join(names[:4]) + (", ..." if len(names) > 4 else "")
-    return f"{kind}({shown})"
-
-
-def _all_outcome(events: "list[Event]") -> tuple:
-    """``(values, None)`` for an ``AllOf`` whose events all succeeded, else
-    ``(None, first failure)``."""
-    for evt in events:
-        if evt._failure is not None:
-            return None, evt._failure
-    return [evt._value for evt in events], None
 
 
 def _describe(command: Any) -> str:
@@ -40,27 +16,22 @@ def _describe(command: Any) -> str:
     sanitizer report actually needs the string)."""
     if type(command) is Delay:
         return f"Delay({command.dt:g})"
-    if isinstance(command, Event):
-        return command.name or "<anonymous event>"
-    if isinstance(command, Process):
-        return f"process {command.name!r}"
-    if isinstance(command, AllOf):
-        return _combinator_desc("AllOf", command.events)
-    if isinstance(command, AnyOf):
-        return _combinator_desc("AnyOf", command.events)
-    return repr(command)  # pragma: no cover - defensive
+    return command.name or "<anonymous event>"
 
 
 class Process:
     """A running simulation activity wrapping a generator.
 
-    The generator advances each time the command it yielded completes. A
-    process is itself waitable: other processes may ``yield proc`` to join
-    it and receive its return value.
+    The generator yields one of two wait commands and advances when it
+    completes: a :class:`~repro.simengine.event.Delay` (resume after
+    ``dt`` simulated seconds) or an :class:`~repro.simengine.event.Event`
+    (resume with its value when it triggers). Yielding anything else
+    raises :class:`TypeError`. To wait for another process, yield its
+    :attr:`done` event.
     """
 
     __slots__ = ("sim", "name", "key", "_gen", "done", "_waiting_cmd",
-                 "_epoch", "_waiting_event", "_wait_handle")
+                 "_waiting_event", "_wait_handle")
 
     def __init__(
         self,
@@ -99,18 +70,13 @@ class Process:
         #: The command currently suspending this process (None when
         #: runnable/finished); :attr:`waiting_on` formats it on demand.
         self._waiting_cmd: Any = None
-        # Resumption epoch: every resume/throw bumps it, and every pending
-        # wakeup carries the epoch it was armed under. A wakeup whose epoch
-        # is stale (the process was interrupted and moved on) is dropped,
-        # so an old Delay or event grant can never double-resume a process.
-        self._epoch = 0
-        #: The single Event currently suspending this process (None when
-        #: waiting on a Delay / combinator or when runnable). Used to
-        #: abandon the wait when an interrupt diverts the process.
+        #: The Event currently suspending this process (None when waiting
+        #: on a Delay or when runnable). Used to abandon the wait when an
+        #: interrupt diverts the process.
         self._waiting_event: Optional[Event] = None
-        #: Pending queue entry of a Delay / reschedule wait, cancelled if
-        #: an interrupt diverts the process (so a dead sleep does not keep
-        #: the simulation clock running).
+        #: Pending queue entry of a Delay wait, cancelled if an interrupt
+        #: diverts the process (so a dead sleep does not keep the
+        #: simulation clock running).
         self._wait_handle = None
 
     # -- public ----------------------------------------------------------
@@ -134,31 +100,21 @@ class Process:
             self.sim.now, lambda: self._throw(Interrupt(cause)), key=self.key
         )
 
-    def kill(self) -> None:
-        """Terminate the process; its ``done`` event fails with ProcessKilled."""
-        if not self.alive:
-            return
-        self._throw(ProcessKilled())
-
     # -- stepping ---------------------------------------------------------
     def _start(self) -> None:
-        """Queue callback for the initial step (no epoch guard needed —
-        nothing can race the very first resumption)."""
+        """Queue callback for the initial step."""
         self._step(None)
 
     def _step(self, value: Any, exc: Optional[BaseException] = None) -> None:
         """Resume the generator with ``value`` (or throw ``exc`` into it)
         and run it until it yields a wait that is not yet satisfied.
 
-        A command that is already complete — a triggered event, a
-        finished process, a decided ``AllOf``/``AnyOf`` — resumes the
-        generator in this loop, not through a callback, so a process
-        taking many already-satisfied waits in a row runs at constant
-        stack depth.
+        An already-triggered event resumes the generator in this loop, not
+        through a callback, so a process taking many ready waits in a row
+        runs at constant stack depth.
         """
         if self.done._triggered:
             return
-        self._epoch += 1
         self._waiting_event = None
         self._waiting_cmd = None
         gen = self._gen
@@ -171,9 +127,6 @@ class Process:
             except StopIteration as stop:
                 self.done.succeed(stop.value)
                 return
-            except ProcessKilled as err:
-                self.done.fail(err)
-                return
             except Interrupt as err:
                 if exc is None:
                     raise
@@ -182,9 +135,9 @@ class Process:
                 return
             if type(command) is Delay:
                 # Fused delay→resume: the wakeup is this bound method — no
-                # per-wait closure, no epoch capture. An interrupt that
-                # diverts the process *cancels* the queue entry (see
-                # ``_throw``), so a fired delay entry is never stale.
+                # per-wait closure. An interrupt that diverts the process
+                # *cancels* the queue entry (see ``_throw``), so a fired
+                # delay entry is never stale.
                 self._waiting_cmd = command
                 sim = self.sim
                 self._wait_handle = sim._queue.push(
@@ -194,8 +147,8 @@ class Process:
                 if command._triggered:
                     value, exc = command._value, command._failure
                     continue
-                # Staleness check by identity, not epoch: ``_waiting_event``
-                # is cleared (and the wait abandoned) whenever the process
+                # Staleness check by identity: ``_waiting_event`` is
+                # cleared (and the wait abandoned) whenever the process
                 # moves on, and a one-shot pending event can never be
                 # waited on twice by the same process — so no per-wait
                 # closure.
@@ -203,16 +156,16 @@ class Process:
                 self._waiting_event = command
                 command._callbacks.append(self._resume_event_cb)
             else:
-                ready = self._wait_other(command)
-                if ready is not None:
-                    value, exc = ready
-                    continue
+                raise TypeError(
+                    f"process {self.name!r} yielded {command!r}; a process "
+                    "may wait only on a Delay or an Event (to join a "
+                    "process, yield its .done)"
+                )
             break
 
     def _throw(self, exc: BaseException) -> None:
         if not self.alive:
             return
-        self._epoch += 1
         handle, self._wait_handle = self._wait_handle, None
         if handle is not None:
             self.sim._queue.cancel(handle)
@@ -224,113 +177,20 @@ class Process:
             waited.abandon()
         self._step(None, exc)
 
-    def _wait_other(self, command: Any) -> Optional[tuple]:
-        """Wait on any command but a ``Delay`` or an ``Event``.
-
-        Returns ``(value, exc)`` when the command is already complete
-        (``_step`` resumes with it at once), else ``None`` after arming
-        the wakeup.
-        """
-        if isinstance(command, Process):
-            done = command.done
-            if done._triggered:
-                return done._value, done._failure
-            self._waiting_cmd = command
-            epoch = self._epoch
-            done._callbacks.append(lambda e: self._resume_from_event(epoch, e))
-        elif isinstance(command, AllOf):
-            events = [
-                e.done if isinstance(e, Process) else e for e in command.events
-            ]
-            if events and all(e._triggered for e in events):
-                return _all_outcome(events)
-            self._waiting_cmd = command
-            self._wait_all(events, self._epoch)
-        elif isinstance(command, AnyOf):
-            events = [
-                e.done if isinstance(e, Process) else e for e in command.events
-            ]
-            for index, evt in enumerate(events):
-                if evt._triggered:
-                    return (index, evt._value), evt._failure
-            self._waiting_cmd = command
-            self._wait_any(events, self._epoch)
-        elif command is None:
-            # ``yield`` with no argument: cooperative reschedule "now".
-            sim = self.sim
-            self._wait_handle = sim._queue.push(
-                sim.now, self._resume_wakeup, key=self.key
-            )
-        else:
-            raise TypeError(
-                f"process {self.name!r} yielded unsupported command {command!r}"
-            )
-        return None
-
     def _resume_wakeup(self) -> None:
-        """Wakeup for a Delay / bare-yield wait. No staleness check: the
-        entry is cancelled (never fires) when an interrupt or kill
-        diverts the process."""
+        """Wakeup for a Delay wait. No staleness check: the entry is
+        cancelled (never fires) when an interrupt diverts the process."""
         self._wait_handle = None
         self._step(None)
 
-    def _resume(self, epoch: int, value: Any) -> None:
-        self._wait_handle = None  # this entry just fired
-        if epoch != self._epoch:
-            return  # stale wakeup: the process was interrupted meanwhile
-        self._step(value)
-
     def _resume_event_cb(self, event: Event) -> None:
-        """Wakeup for a single-Event wait (see ``_step``)."""
+        """Wakeup for an Event wait (see ``_step``)."""
         if event is not self._waiting_event:
             return  # stale wakeup: the process was interrupted meanwhile
         if event._failure is not None:
             self._throw(event._failure)
         else:
             self._step(event._value)
-
-    def _resume_from_event(self, epoch: int, event: Event) -> None:
-        if epoch != self._epoch:
-            return  # stale wakeup: the process was interrupted meanwhile
-        if event._failure is not None:
-            self._throw(event._failure)
-        else:
-            self._step(event._value)
-
-    def _wait_all(self, events: "list[Event]", epoch: int) -> None:
-        if not events:
-            self.sim._queue.push(
-                self.sim.now, lambda: self._resume(epoch, []), key=self.key
-            )
-            return
-        remaining = {"n": len(events)}
-
-        def on_trigger(_evt: Event) -> None:
-            remaining["n"] -= 1
-            if remaining["n"] == 0 and epoch == self._epoch:
-                value, exc = _all_outcome(events)
-                if exc is not None:
-                    self._throw(exc)
-                else:
-                    self._step(value)
-
-        for evt in events:
-            evt.add_callback(on_trigger)
-
-    def _wait_any(self, events: "list[Event]", epoch: int) -> None:
-        fired = {"done": False}
-
-        def on_trigger(evt: Event) -> None:
-            if fired["done"] or epoch != self._epoch:
-                return
-            fired["done"] = True
-            if evt._failure is not None:
-                self._throw(evt._failure)
-            else:
-                self._step((events.index(evt), evt._value))
-
-        for evt in events:
-            evt.add_callback(on_trigger)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.alive else "done"

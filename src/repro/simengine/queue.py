@@ -36,8 +36,8 @@ first five slots encode the three-level rule:
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappush
+from typing import Any, Callable, List, Optional
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -84,15 +84,16 @@ class EventQueue:
     """Min-heap of timed callbacks; deterministic among equal timestamps.
 
     Entries may be cancelled lazily: :meth:`cancel` marks the entry dead
-    and :meth:`pop` skips dead entries, so cancellation is O(1).
+    and the run loop (:meth:`repro.simengine.simulator.Simulator.run`,
+    the only consumer) skips dead entries, so cancellation is O(1).
     """
 
     def __init__(self) -> None:
         self._heap: List[list] = []
         self._next_seq = 0
         self._live = 0
-        # seq of the most recently popped entry: the scheduling parent of
-        # every push made while its callback runs (-1 before the first pop).
+        # seq of the entry the run loop is executing: the scheduling parent
+        # of every push made while its callback runs (-1 before the first).
         self._current_seq = -1
 
     def __len__(self) -> int:
@@ -136,28 +137,6 @@ class EventQueue:
             item[DEAD] = True
             self._live -= 1
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live entry, or ``None`` if empty."""
-        self._drop_dead()
-        return self._heap[0][T] if self._heap else None
-
-    def pop(self) -> Tuple[float, Callable[[], Any]]:
-        """Remove and return ``(time, callback)`` of the earliest live entry.
-
-        Also marks it as the current scheduling parent of later pushes.
-        """
-        self._drop_dead()
-        if not self._heap:
-            raise IndexError("pop from empty EventQueue")
-        item = heappop(self._heap)
-        # Mark consumed: a late cancel() on a handle whose entry already
-        # fired (e.g. a fault injector sweeping its handle list at job
-        # end) must be a no-op, not a spurious live-count decrement.
-        item[DEAD] = True
-        self._live -= 1
-        self._current_seq = item[SEQ]
-        return item[T], item[CB]
-
     def shift_all(self, delta: float) -> None:
         """Postpone every pending entry by ``delta`` seconds.
 
@@ -170,8 +149,3 @@ class EventQueue:
         # lists.
         for item in self._heap:
             item[T] += delta
-
-    def _drop_dead(self) -> None:
-        heap = self._heap
-        while heap and heap[0][DEAD]:
-            heappop(heap)

@@ -161,18 +161,6 @@ class Simulator:
             raise ValueError(f"time {time!r} is before now {self.now!r}")
         return self._queue.push(time, callback)
 
-    def timeout_event(
-        self,
-        delay: float,
-        value: Any = None,
-        name: str = "",
-        key: Optional[str] = None,
-    ) -> Event:
-        """An event that succeeds ``delay`` seconds from now with ``value``."""
-        evt = self.event(name=name or f"timeout({delay})")
-        self.schedule(delay, lambda: evt.succeed(value), key=key)
-        return evt
-
     def cancel(self, handle: Any) -> None:
         """Cancel a pending callback scheduled with :meth:`schedule`."""
         self._queue.cancel(handle)
@@ -227,17 +215,15 @@ class Simulator:
             )
 
     # -- execution -----------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: int = 0) -> float:
+    def run(self, max_events: int = 0) -> float:
         """Drain the event queue.
 
-        :param until: stop once the clock would pass this time (the clock is
-            left at ``until``); ``None`` runs to quiescence.
         :param max_events: optional safety valve; raise if more than this
             many events are processed (0 = unlimited).
-        :returns: the simulation time at which the run stopped.
+        :returns: the simulation time of quiescence.
 
-        In sanitize mode, reaching quiescence (rather than ``until``) runs
-        the deadlock and resource-conservation checks.
+        In sanitize mode, quiescence runs the deadlock and
+        resource-conservation checks.
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
@@ -246,28 +232,24 @@ class Simulator:
         # Hot loop: the queue internals are inlined (single dead-entry
         # scan per pop, native list comparisons, local bindings) — this
         # loop dominates every DES workload (des_fault_free in
-        # BENCHMARK.json). Heap items are ``[time, group, key, rank1,
-        # seq, callback, dead]``; the literal indexes 0, 4, 5 and 6 below
-        # are repro.simengine.queue's T, SEQ, CB and DEAD.
+        # BENCHMARK.json) and is the queue's only consumer. Heap items
+        # are ``[time, group, key, rank1, seq, callback, dead]``; the
+        # literal indexes 0, 4, 5 and 6 below are repro.simengine.queue's
+        # T, SEQ, CB and DEAD.
         queue = self._queue
         heap = queue._heap
         pop = heappop
         try:
             while queue._live:
-                item = heap[0]
+                item = pop(heap)
                 if item[6]:
-                    pop(heap)
                     continue
-                time = item[0]
-                if until is not None and time > until:
-                    self.now = until
-                    return until
-                pop(heap)
                 # Mark consumed so a late cancel() on this handle (a fault
                 # injector sweeping its list at job end) is a no-op.
                 item[6] = True
                 queue._live -= 1
                 queue._current_seq = item[4]
+                time = item[0]
                 if time > self.now:
                     self.now = time
                 elif time < self.now - 1e-15:
@@ -278,13 +260,10 @@ class Simulator:
                 processed += 1
                 if max_events and processed > max_events:
                     raise RuntimeError(f"exceeded max_events={max_events}")
-            if self.sanitize and until is None:
-                # A full run drained the queue: nothing in-sim can ever
-                # unblock a still-waiting process. (Bounded runs skip the
-                # check — the caller may trigger events externally.)
+            if self.sanitize:
+                # The queue drained: nothing in-sim can ever unblock a
+                # still-waiting process.
                 self._check_quiescence()
-            if until is not None:
-                self.now = max(self.now, until)
             return self.now
         finally:
             self._running = False

@@ -22,14 +22,14 @@ from repro.simengine.queue import CB, DEAD
 
 #: The +x link out of node 0: the only link on the 0 -> 1 dimension-order route.
 LINK_0_PX = ((0, 0, 0), 0, 1)
+#: The -x link out of node 0: the first hop of the long way round to node 1.
+LINK_0_MX = ((0, 0, 0), 0, -1)
 
 
-def _net(**fault_kw):
+def _net():
     sim = Simulator()
     machine = xt4("SN")
     net = SimNetwork(sim, machine)
-    if fault_kw:
-        net.enable_faults(**fault_kw)
     model = NetworkModel(machine)
     return sim, net, model
 
@@ -43,25 +43,23 @@ def _send(sim, net, model, src, dst, nbytes=100_000, out=None):
     sim.spawn(mover(), name=f"xfer{src}->{dst}")
 
 
+def _isolate_x_ring_of_node0(net):
+    """Fail both x-ring directions out of node 0: no detour to node 1."""
+    net.fail_link(LINK_0_PX)
+    net.fail_link(LINK_0_MX)
+
+
 # -- fault state bookkeeping --------------------------------------------------
 
 def test_faults_are_off_by_default_and_enable_is_idempotent():
     sim, net, _ = _net()
     assert net.faults is None
-    st = net.enable_faults(max_retries=3)
-    assert net.enable_faults(max_retries=99) is st  # kwargs of 2nd call ignored
-    assert st.max_retries == 3
-
-
-def test_fault_state_validates_knobs():
-    with pytest.raises(ValueError, match="retry_timeout_s"):
-        _net(retry_timeout_s=0.0)
-    with pytest.raises(ValueError, match="max_retries"):
-        _net(max_retries=0)
+    st = net.enable_faults()
+    assert net.enable_faults() is st
 
 
 def test_fail_and_restore_link_roundtrip():
-    _, net, _ = _net(detour=False)
+    _, net, _ = _net()
     net.fail_link(LINK_0_PX)
     assert LINK_0_PX in net.faults.failed_links
     net.restore_link(LINK_0_PX)
@@ -71,7 +69,7 @@ def test_fail_and_restore_link_roundtrip():
 # -- retransmission / detour --------------------------------------------------
 
 def test_transfer_detours_around_a_failed_link():
-    sim, net, model = _net(detour=True)
+    sim, net, model = _net()
     net.fail_link(LINK_0_PX)
     done = []
     _send(sim, net, model, 0, 1, out=done)
@@ -81,29 +79,34 @@ def test_transfer_detours_around_a_failed_link():
     assert net.faults.retransmits == 0
     # The failed link was never used; the detour's first hop (-x) was.
     assert net.link_bytes.get(LINK_0_PX) is None
-    assert net.link_bytes.get(((0, 0, 0), 0, -1), 0.0) > 0.0
+    assert net.link_bytes.get(LINK_0_MX, 0.0) > 0.0
 
 
 def test_transfer_retransmits_until_the_link_is_restored():
-    sim, net, model = _net(detour=False, retry_timeout_s=50e-6)
-    net.fail_link(LINK_0_PX)
-    # Restore well after the first attempt, so >= 1 retransmit happens.
+    sim, net, model = _net()
+    _isolate_x_ring_of_node0(net)
+    # Attempts at latency + 0, 50, 150 us fail; the restore at 200 us
+    # lands in the 200 us backoff, and the fourth attempt goes through.
     sim.schedule(200e-6, lambda: net.restore_link(LINK_0_PX))
     done = []
     _send(sim, net, model, 0, 1, out=done)
     sim.run()
-    assert done and done[0] > 200e-6
-    assert net.faults.retransmits >= 1
+    assert done and done[0].hex() == "0x1.a5b46e8305172p-12"
+    assert net.faults.retransmits == 3
     assert net.faults.reroutes == 0
+    assert net.link_bytes.get(LINK_0_PX, 0.0) > 0.0
 
 
 def test_transfer_unreachable_after_retries_exhausted():
-    sim, net, model = _net(detour=False, max_retries=3)
-    net.fail_link(LINK_0_PX)  # permanently
+    sim, net, model = _net()
+    _isolate_x_ring_of_node0(net)  # permanently
     _send(sim, net, model, 0, 1)
     with pytest.raises(NetworkUnreachableError, match="0->1"):
         sim.run()
-    assert net.faults.retransmits == 3
+    assert net.faults.retransmits == 6
+    assert net.faults.reroutes == 0
+    # Latency plus backoffs of 50 us * (1 + 2 + 4 + 8 + 16).
+    assert sim.now.hex() == "0x1.978415a3d6338p-10"
 
 
 def test_nic_stall_delays_transfers_touching_the_node():

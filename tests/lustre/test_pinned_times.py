@@ -15,7 +15,7 @@ import pytest
 from repro.apps.s3d.checkpoint import CheckpointStudy
 from repro.lustre import IORBenchmark, LustreClient, LustreConfig, LustreFilesystem
 from repro.obs import Tracer, installed
-from repro.simengine import AllOf, Simulator
+from repro.simengine import Simulator
 
 FIG01 = LustreConfig(num_oss=8, osts_per_oss=4)
 FPP, SSF = "file-per-process", "single-shared-file"
@@ -69,7 +69,7 @@ def _offset_writes():
         # Both ranges start mid-stripe, so each splits a 1 MiB stripe.
         p0 = sim.spawn(c0.write(f, (1 << 19) + 12345, 5 << 20))
         p1 = sim.spawn(c1.write(f, (3 << 20) + 777, 3 << 20))
-        times["w"] = yield AllOf([p0, p1])
+        times["w"] = ((yield p0.done), (yield p1.done))
         times["size"] = f.size
 
     sim.spawn(main())
@@ -102,7 +102,7 @@ def test_zero_byte_transfer_resumes_at_once():
     sim.run()
     assert out["dt"] == 0.0
     # The writer resumes through a queue entry at the same time, behind
-    # entries already queued, as a wait on ``AllOf([])`` does.
+    # entries already queued, as a ``Delay(0.0)`` wait does.
     assert order == ["earlier entry", "writer"]
     assert fs.lookup("empty").size == 4096  # a zero-byte write still extends
     assert fs.oss_bytes == [0] * FIG01.num_oss

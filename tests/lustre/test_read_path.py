@@ -47,11 +47,9 @@ def test_read_and_write_contend_for_the_same_oss():
     def contended(fs):
         c1, c2 = LustreClient(fs, 0), LustreClient(fs, 1)
         f = yield from c1.create("a", stripe_count=1)
-        from repro.simengine import AllOf
-
         p1 = fs.sim.spawn(c1.write(f, 0, 8 << 20))
         p2 = fs.sim.spawn(c2.read(f, 0, 8 << 20))
-        times = yield AllOf([p1, p2])
+        times = [(yield p1.done), (yield p2.done)]
         return max(times)
 
     _, _, t_both = run_scenario(contended)

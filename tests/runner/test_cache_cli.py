@@ -1,11 +1,12 @@
 """``repro cache verify``: classification and deletion."""
 
+import os
 import shutil
 
 from repro.__main__ import main
 from repro.core.experiment import ExperimentResult
 from repro.runner import CacheEntry, ResultCache
-from repro.runner.cache_cli import scan
+from repro.runner.cache_cli import TMP_GRACE_S, scan
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
@@ -19,6 +20,12 @@ def _entry(key):
     return CacheEntry(
         key=key, exp_id="figX", wall_s=0.1, passed=True, result=r
     )
+
+
+def _age(path, seconds):
+    """Backdate ``path``'s access and modification times by ``seconds``."""
+    st = path.stat()
+    os.utime(path, (st.st_atime - seconds, st.st_mtime - seconds))
 
 
 def _seeded_cache(tmp_path):
@@ -43,6 +50,7 @@ def test_scan_classifies_corrupt_misplaced_and_tmp(tmp_path):
     shutil.copy(good, misplaced)  # valid entry, wrong address
     abandoned = good.parent / ".tmp-dead.json"
     abandoned.write_text("{}")
+    _age(abandoned, 2 * TMP_GRACE_S)  # a killed writer's, long untouched
     report = scan(cache)
     assert report.ok == 2
     assert [p.name for p in report.corrupt] == [corrupt.name]
@@ -56,6 +64,26 @@ def test_scan_classifies_corrupt_misplaced_and_tmp(tmp_path):
     assert not corrupt.exists() and not misplaced.exists()
     assert not abandoned.exists()
     assert cache.get(KEY_A) is not None and cache.get(KEY_B) is not None
+
+
+def test_delete_spares_an_in_flight_temp_file(tmp_path, capsys):
+    """A fresh ``.tmp-*`` file is a live ``put`` between ``mkstemp`` and
+    ``os.replace``: ``verify --delete`` neither lists nor deletes it.
+    Once it has been untouched for ``TMP_GRACE_S`` it is abandoned and
+    goes."""
+    cache = _seeded_cache(tmp_path)
+    fanout = cache.path_for(KEY_A).parent
+    live = fanout / ".tmp-live.json"
+    dead = fanout / ".tmp-dead.json"
+    live.write_text("{")
+    dead.write_text("{")
+    _age(dead, TMP_GRACE_S + 1.0)
+    assert main(["cache", "verify", "--delete", "--cache-dir", str(cache.root)]) == 0
+    out = capsys.readouterr().out
+    assert f"tmp: {dead.relative_to(cache.root)}" in out
+    assert ".tmp-live" not in out
+    assert live.is_file() and not dead.exists()
+    assert main(["cache", "verify", "--cache-dir", str(cache.root)]) == 0
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

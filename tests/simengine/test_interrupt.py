@@ -1,4 +1,4 @@
-"""Interrupt edge cases and the timeout/retry helpers.
+"""Interrupt edge cases and the global freeze.
 
 An interrupt can land while a process is queued on a resource, sleeping
 on a delay, mid-transfer, or already finished — every case must leave the
@@ -16,16 +16,7 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.machine import xt4
 from repro.mpi import MPIJob
 from repro.mpi.job import JobFailedError
-from repro.simengine import (
-    Delay,
-    Interrupt,
-    Resource,
-    RetryExhausted,
-    SimTimeout,
-    Simulator,
-    retry,
-    with_timeout,
-)
+from repro.simengine import Delay, Interrupt, Resource, Simulator
 
 
 # -- interrupt while queued on a resource ------------------------------------
@@ -258,7 +249,7 @@ def test_stale_event_wakeup_is_dropped_by_epoch_guard():
     assert end == 3.0
 
 
-# -- interrupt of finished / killed processes ---------------------------------
+# -- interrupt of finished processes ---------------------------------
 
 def test_interrupt_of_finished_process_is_a_noop():
     sim = Simulator()
@@ -322,130 +313,6 @@ def test_interrupt_while_waiting_on_store_does_not_eat_messages():
     job.sim.spawn(job.comms[1].send("payload", dest=0), name="late sender")
     job.sim.run()
     assert got == ["payload"]
-
-
-# -- with_timeout / retry helpers ---------------------------------------------
-
-def test_with_timeout_event_wins():
-    sim = Simulator()
-    out = {}
-
-    def waiter():
-        ok, value = yield from with_timeout(
-            sim, sim.timeout_event(1.0, value="fast"), 5.0
-        )
-        out["result"] = (ok, value)
-
-    sim.spawn(waiter(), name="waiter")
-    end = sim.run()
-    assert out["result"] == (True, "fast")
-    # The losing internal timer was cancelled: the clock stops at 1.0.
-    assert end == 1.0
-
-
-def test_with_timeout_expires_and_abandons_the_wait():
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=1, name="busy")
-    out = {}
-
-    def holder():
-        yield from res.use(10.0)
-
-    def impatient():
-        ok, value = yield from with_timeout(sim, res.request(), 2.0)
-        out["result"] = (ok, value)
-
-    sim.spawn(holder(), name="holder")
-    sim.spawn(impatient(), name="impatient")
-    sim.run()
-    assert out["result"] == (False, None)
-    # The timed-out request was withdrawn from the queue (no leak).
-    assert res.in_use == 0 and res.queue_length == 0
-
-
-def test_with_timeout_rejects_negative():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        list(with_timeout(sim, sim.event(), -1.0))
-
-
-def test_retry_backs_off_deterministically_then_succeeds():
-    sim = Simulator()
-    attempts = []
-
-    def flaky(i):
-        attempts.append((i, sim.now))
-        if i < 2:
-            raise SimTimeout(0.5, "flaky op")
-        return "done"
-
-    def proc():
-        result = yield from retry(
-            flaky, attempts=4, base_backoff_s=1.0, backoff_factor=2.0
-        )
-        return result
-
-    p = sim.spawn(proc(), name="retrier")
-    sim.run()
-    assert p.done.value == "done"
-    # Backoffs: 1.0 after attempt 0, 2.0 after attempt 1 (exponential).
-    assert attempts == [(0, 0.0), (1, 1.0), (2, 3.0)]
-
-
-def test_retry_exhaustion_chains_last_error():
-    sim = Simulator()
-
-    def always_fails(i):
-        raise SimTimeout(0.1, f"attempt {i}")
-
-    failures = {}
-
-    def proc():
-        try:
-            yield from retry(always_fails, attempts=3, base_backoff_s=0.1)
-        except RetryExhausted as exc:
-            failures["attempts"] = exc.attempts
-            failures["cause"] = str(exc.__cause__)
-
-    sim.spawn(proc(), name="retrier")
-    sim.run()
-    assert failures["attempts"] == 3
-    assert "attempt 2" in failures["cause"]
-
-
-def test_retry_drives_generator_attempts():
-    sim = Simulator()
-
-    def gen_attempt(i):
-        yield Delay(1.0)
-        if i == 0:
-            raise SimTimeout(1.0, "first try")
-        return sim.now
-
-    def proc():
-        t = yield from retry(gen_attempt, attempts=2)
-        return t
-
-    p = sim.spawn(proc(), name="retrier")
-    sim.run()
-    assert p.done.value == 2.0  # two 1s attempts, no backoff configured
-
-    with pytest.raises(ValueError):
-        list(retry(gen_attempt, attempts=0))
-
-    calls = []
-
-    def non_retryable(i):
-        calls.append(i)
-        raise KeyError("other")
-
-    def proc2():
-        yield from retry(non_retryable, attempts=5)
-
-    sim.spawn(proc2(), name="retrier2")
-    with pytest.raises(KeyError):
-        sim.run()  # exceptions outside retry_on propagate immediately
-    assert calls == [0]  # no retries were attempted
 
 
 # -- freeze ------------------------------------------------------------------

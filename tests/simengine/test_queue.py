@@ -1,56 +1,53 @@
-"""Unit tests for the pending-event queue."""
+"""Unit tests for the pending-event queue, drained by ``Simulator.run``
+(the queue's only consumer)."""
 
-import pytest
 from hypothesis import given, strategies as st
 
+from repro.simengine import Simulator
 from repro.simengine.queue import EventQueue
 
 
-def test_empty_queue_pop_raises():
-    q = EventQueue()
-    with pytest.raises(IndexError):
-        q.pop()
+def _fired(sim, out, label):
+    """A callback recording ``(time, label)`` when the run loop fires it."""
+    return lambda: out.append((sim.now, label))
 
 
 def test_empty_queue_is_falsy():
     q = EventQueue()
     assert not q
     assert len(q) == 0
-    assert q.peek_time() is None
 
 
 def test_orders_by_time():
-    q = EventQueue()
+    sim = Simulator()
     out = []
-    q.push(3.0, lambda: out.append("c"))
-    q.push(1.0, lambda: out.append("a"))
-    q.push(2.0, lambda: out.append("b"))
-    while q:
-        _, cb = q.pop()
-        cb()
-    assert out == ["a", "b", "c"]
+    sim.schedule_at(3.0, _fired(sim, out, "c"))
+    sim.schedule_at(1.0, _fired(sim, out, "a"))
+    sim.schedule_at(2.0, _fired(sim, out, "b"))
+    sim.run()
+    assert out == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
 
 def test_fifo_among_equal_times():
-    q = EventQueue()
+    sim = Simulator()
     out = []
     for i in range(10):
-        q.push(5.0, lambda i=i: out.append(i))
-    while q:
-        q.pop()[1]()
-    assert out == list(range(10))
+        sim.schedule_at(5.0, _fired(sim, out, i))
+    sim.run()
+    assert out == [(5.0, i) for i in range(10)]
 
 
 def test_cancel_skips_entry():
-    q = EventQueue()
-    keep = q.push(1.0, lambda: "keep")
-    drop = q.push(0.5, lambda: "drop")
-    q.cancel(drop)
-    assert len(q) == 1
-    t, cb = q.pop()
-    assert t == 1.0
-    assert cb() == "keep"
-    assert not q
+    sim = Simulator()
+    out = []
+    sim.schedule_at(1.0, _fired(sim, out, "keep"))
+    drop = sim.schedule_at(0.5, _fired(sim, out, "drop"))
+    sim.cancel(drop)
+    assert len(sim._queue) == 1
+    # The cancelled head neither fires nor moves the clock.
+    assert sim.run() == 1.0
+    assert out == [(1.0, "keep")]
+    assert not sim._queue
 
 
 def test_cancel_twice_is_idempotent():
@@ -61,23 +58,14 @@ def test_cancel_twice_is_idempotent():
     assert len(q) == 0
 
 
-def test_peek_time_skips_cancelled_head():
-    q = EventQueue()
-    head = q.push(0.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.cancel(head)
-    assert q.peek_time() == 2.0
-
-
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=200))
 def test_pop_order_is_sorted(times):
-    q = EventQueue()
+    sim = Simulator()
+    fired = []
     for t in times:
-        q.push(t, lambda: None)
-    popped = []
-    while q:
-        popped.append(q.pop()[0])
-    assert popped == sorted(times)
+        sim.schedule_at(t, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == sorted(times)
 
 
 @given(
@@ -87,15 +75,18 @@ def test_pop_order_is_sorted(times):
     )
 )
 def test_cancellation_property(entries):
-    """Live count and pop sequence respect cancellations."""
-    q = EventQueue()
-    handles = [(q.push(t, lambda: None), t, cancel) for t, cancel in entries]
+    """Live count and firing sequence respect cancellations."""
+    sim = Simulator()
+    fired = []
+    handles = [
+        (sim.schedule_at(t, lambda: fired.append(sim.now)), t, cancel)
+        for t, cancel in entries
+    ]
     expected = sorted(t for _, t, cancel in handles if not cancel)
     for h, _, cancel in handles:
         if cancel:
-            q.cancel(h)
-    assert len(q) == len(expected)
-    got = []
-    while q:
-        got.append(q.pop()[0])
-    assert got == expected
+            sim.cancel(h)
+    assert len(sim._queue) == len(expected)
+    sim.run()
+    assert fired == expected
+    assert not sim._queue

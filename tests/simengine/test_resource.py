@@ -86,6 +86,8 @@ def test_queue_length_reporting():
     sim.spawn(holder())
     sim.spawn(waiter())
     sim.spawn(waiter())
-    sim.run(until=1.0)
-    assert res.in_use == 1
-    assert res.queue_length == 2
+    seen = []
+    sim.schedule(1.0, lambda: seen.append((res.in_use, res.queue_length)))
+    sim.run()
+    assert seen == [(1, 2)]
+    assert res.in_use == 0 and res.queue_length == 0

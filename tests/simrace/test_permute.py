@@ -2,24 +2,20 @@
 
 import pytest
 
-from repro.simengine.queue import EventQueue, tie_break_seed
+from repro.simengine import Delay, Simulator
+from repro.simengine.queue import tie_break_seed
 from repro.simrace import DEFAULT_SEED, permutation_seeds, tie_break_permutation
 
 
-def _drain(q):
-    out = []
-    while q:
-        out.append(q.pop()[1]())
-    return out
-
-
 def _queue_order(seed, pushes):
-    """Pop order of ``pushes`` = [(time, label, key)] under ``seed``."""
+    """Firing order of ``pushes`` = [(time, label, key)] under ``seed``."""
     with tie_break_permutation(seed):
-        q = EventQueue()
+        sim = Simulator()
+        out = []
         for time, label, key in pushes:
-            q.push(time, lambda label=label: label, key=key)
-        return _drain(q)
+            sim.schedule(time, lambda label=label: out.append(label), key=key)
+        sim.run()
+        return out
 
 
 # -- seed derivation ----------------------------------------------------------
@@ -78,19 +74,18 @@ def test_permutation_shuffles_across_parents():
 
     def run(seed):
         with tie_break_permutation(seed):
-            q = EventQueue()
+            sim = Simulator()
             out = []
 
             def parent(tag):
                 def push():
-                    q.push(2.0, lambda: out.append(f"{tag}1"))
-                    q.push(2.0, lambda: out.append(f"{tag}2"))
+                    sim.schedule(1.0, lambda: out.append(f"{tag}1"))
+                    sim.schedule(1.0, lambda: out.append(f"{tag}2"))
                 return push
 
-            q.push(1.0, parent("x"))
-            q.push(1.0, parent("y"))
-            while q:
-                q.pop()[1]()
+            sim.schedule(1.0, parent("x"))
+            sim.schedule(1.0, parent("y"))
+            sim.run()
             return out
 
     identity = run(None)
@@ -121,7 +116,6 @@ def test_spawn_key_pins_process_wakeups_under_every_seed():
     racing processes with distinct keys interleave identically under
     any permutation — the mechanism behind Comm.isend's keyed
     transfers (NIC/link arbitration order)."""
-    from repro.simengine import Delay, Simulator
 
     def run(seed):
         with tie_break_permutation(seed):
