@@ -1,8 +1,7 @@
 """Resource acquisition safety (family ``resource-safety``, rule SL501).
 
-With fault injection in the simulator, any process can be diverted by an
-:class:`~repro.simengine.Interrupt` (or killed) *between* being granted a
-resource slot and releasing it. A bare
+Any process can be diverted by an :class:`~repro.simengine.Interrupt`
+*between* being granted a network port and releasing it. A bare
 
 ::
 
@@ -12,9 +11,9 @@ resource slot and releasing it. A bare
 
 then leaks the slot forever: the interrupt unwinds the generator, the
 ``release()`` never runs, and every later requester queues behind a hold
-that cannot end (the runtime resource-conservation sanitizer reports it
-only at quiescence — if the run ever gets there). The grant must be
-released in a ``finally``::
+that cannot end (a sanitizing MPI job reports the held port only once
+every process has finished — if the run ever gets there). The grant
+must be released in a ``finally``::
 
     yield res.request()
     try:
@@ -30,8 +29,8 @@ above). The rule matches *any* receiver
 than an occasional false positive; a deliberate exception takes
 ``# simlint: ignore[SL501]``. The two-step form
 (``grant = res.request()`` … ``yield grant``) is out of scope — the
-interrupt-safe pattern for it is :meth:`Resource.use`-style ``finally:
-if grant.triggered: release()``, which the rule cannot see through.
+interrupt-safe pattern for it, ``finally: if grant.triggered:
+release()``, is one the rule cannot see through.
 """
 
 from __future__ import annotations

@@ -18,12 +18,12 @@ mis-consumption shapes inside generator functions:
 Helper tables mirror the process-helper APIs:
 :class:`repro.mpi.comm.Comm` (its process-helpers, and ``_post_recv``,
 the event a receive waits on when no arrived message matches),
-:class:`repro.simengine.resource.Resource`, ``Delay`` and the network
-transfer helper. Names that collide with common stdlib methods
-(``split``, ``reduce``, ``use``, ``request``, ``transfer``) are only
-matched when the receiver expression names a comm / resource / network
-object, so ``line.split(",")`` never trips the rule; the heuristic and
-its escape hatch are documented in docs/LINT.md.
+a network port's ``request``, ``Delay`` and the network transfer
+helper. Names that collide with common stdlib methods (``split``,
+``reduce``, ``request``, ``transfer``) are only matched when the
+receiver expression names a comm / resource / network object, so
+``line.split(",")`` never trips the rule; the heuristic and its escape
+hatch are documented in docs/LINT.md.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ _NET_HINTS = ("network", "net", "fabric", "torus")
 GEN_METHODS_HINTED = {
     "split": _COMM_HINTS,
     "reduce": _COMM_HINTS,
-    "use": _RESOURCE_HINTS,
     "transfer": _NET_HINTS,
 }
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.machine.specs import GIGA, MICRO
-from repro.simengine import Delay, Event, Resource, Simulator
+from repro.simengine import Delay, Event, Simulator
 from repro.lustre.striping import StripeLayout
 
 
@@ -56,16 +56,17 @@ class LustreFilesystem:
     Data service: each OSS is a single serial pipe at
     ``oss_bandwidth_GBs`` — concurrent chunks destined to the same OSS
     queue behind each other. Metadata service: the single MDS is a serial
-    resource with a fixed per-operation latency; its queueing is the
-    "bottleneck in metadata operations at large scales" of paper §2. A
-    process waits on the MDS, so it is a :class:`Resource` that an
-    interrupted waiter gives back; an OSS pipe is the time it is next free.
+    server with a fixed per-operation latency; its queueing is the
+    "bottleneck in metadata operations at large scales" of paper §2.
+    Each server is the time it is next free (a FIFO queue in closed
+    form): a request is booked on arrival and never withdrawn, since
+    only rank processes are ever interrupted and none does Lustre I/O.
     """
 
     def __init__(self, sim: Simulator, config: Optional[LustreConfig] = None) -> None:
         self.sim = sim
         self.config = config or LustreConfig()
-        self.mds = Resource(sim, capacity=1, name="MDS")
+        self._mds_free_at = 0.0
         self._oss_free_at: List[float] = [0.0] * self.config.num_oss
         self._files: Dict[str, _File] = {}
         self._next_ost = 0
@@ -76,17 +77,23 @@ class LustreFilesystem:
 
     # -- metadata ---------------------------------------------------------
     def metadata_op(self):
-        """Process-helper: serialize one operation through the MDS.
-        Traced, it records its wait and hold on track ``res/MDS``, as a
-        data chunk does on its OSS track."""
-        t0 = self.sim.now
-        granted = yield from self.mds.use(self.config.mds_op_latency_us * MICRO)
+        """Process-helper: serialize one operation through the MDS, from
+        when it is next free. Traced, it records its wait and hold on
+        track ``res/MDS``, as a data chunk does on its OSS track."""
+        sim = self.sim
+        now = sim.now
+        start = self._mds_free_at
+        start = start if start > now else now
+        self._mds_free_at = end = start + self.config.mds_op_latency_us * MICRO
+        done = Event(sim, "MDS")
+        sim.schedule_at(end, done.succeed)
+        yield done
         self.mds_ops += 1
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer is not None:
-            if granted > t0:
-                tracer.complete("res/MDS", "res.acquire", t0, granted)
-            tracer.complete("res/MDS", "res.hold", granted, self.sim.now)
+            if start > now:
+                tracer.complete("res/MDS", "res.acquire", now, start)
+            tracer.complete("res/MDS", "res.hold", start, end)
 
     def create(self, name: str, stripe_count: Optional[int] = None):
         """Process-helper: create a file (one MDS op), allocating objects

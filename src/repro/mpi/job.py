@@ -14,7 +14,7 @@ from repro.mpi.costmodels import CollectiveCostModel
 from repro.network.mapping import Placement
 from repro.network.model import NetworkModel
 from repro.network.simnet import SimNetwork
-from repro.simengine import Process, Simulator
+from repro.simengine import Process, ResourceLeakError, Simulator
 
 #: Window within which a node's other task counts as "actively messaging"
 #: for the VN NIC-interrupt contention term (covers ping-pong alternation).
@@ -65,10 +65,12 @@ class MPIJob:
     :param machine: target system bound to an execution mode.
     :param ntasks: MPI tasks (≤ ``machine.max_tasks``).
     :param placement: ``contiguous`` or ``random`` rank layout.
-    :param sanitize: enable the simulator's runtime sanitizers — on
-        deadlock, a :class:`~repro.simengine.SimDeadlockError` names each
-        blocked rank and the receive/collective it waits on (instead of the
-        generic "job deadlocked" error).
+    :param sanitize: enable the runtime sanitizers — on deadlock, a
+        :class:`~repro.simengine.SimDeadlockError` names each blocked rank
+        and the receive/collective it waits on (instead of the generic
+        "job deadlocked" error); once every process has finished, a
+        network port still held raises
+        :class:`~repro.simengine.ResourceLeakError` naming it.
     :param tracer: attach a :class:`~repro.obs.tracer.Tracer` — every
         rank's MPI operations (``mpi.<op>`` spans, folded into per-rank
         profiles by :func:`~repro.mpi.profiler.mpi_profiles`),
@@ -464,6 +466,13 @@ class MPIJob:
                 self.fault_policy.checkpoint_interval_s, self._checkpoint_tick
             )
         self.sim.run(max_events=max_events)
+        if self.sim.sanitize:
+            held = self.network.held_ports()
+            if held:
+                raise ResourceLeakError(
+                    f"network ports leaked at t={self.sim.now:.9g}s after "
+                    f"all processes finished: {', '.join(map(repr, held))}"
+                )
         if self._abort_reason is not None:
             raise JobFailedError(f"job failed: {self._abort_reason}")
         if not all(done):

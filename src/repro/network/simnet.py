@@ -36,19 +36,16 @@ The MPI layer records each message's ``net.xfer`` span.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.machine.specs import GIGA, MICRO, Machine
 from repro.network.topology import Link, Torus3D
-from repro.simengine import Delay, Resource, Simulator
+from repro.simengine import Delay, Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Counter
-
-#: A route, its resources in canonical acquisition order, and its links'
-#: ``[bytes, busy seconds]`` load lists.
-Path = Tuple[List[Link], List[Resource], List[List[float]]]
 
 #: CAL: latency of the Catamount intra-socket memory-copy message path.
 INTRA_NODE_LATENCY_US = 0.8
@@ -153,13 +150,50 @@ def link_label(link: Link) -> str:
     return f"{x},{y},{z}.{'+' if direction > 0 else '-'}{'xyz'[dim]}"
 
 
-class _Port(Resource):
-    """A NIC port or directed link. The transfer chain claims and
-    releases it without :meth:`Resource.request`, so it samples no
-    ``engine.resource`` counters: ``net.link`` / ``net.nic`` describe it."""
+class _Port:
+    """A NIC port or directed link: one slot and a FIFO of the grants
+    waiting for it. :meth:`SimNetwork.claim_idle`, :meth:`SimNetwork.carry`
+    and :meth:`SimNetwork.settle` are its only users; its load is in the
+    ``net.link`` / ``net.nic`` counters."""
 
-    __slots__ = ()
-    sampled = False
+    __slots__ = ("sim", "name", "held", "_waiters", "_grant_name")
+
+    def __init__(self, sim: Simulator, name: str) -> None:
+        self.sim = sim
+        self.name = name
+        # Formatted once: request() is the hottest non-engine call in a
+        # contended DES bench.
+        self._grant_name = f"{name}.grant"
+        self.held = False
+        self._waiters: Deque[Event] = deque()
+
+    def request(self) -> Event:
+        """An event that succeeds when the slot is granted. A requester
+        interrupted while still queued withdraws (the event's abandon
+        hook), so a slot is never handed to a process that cannot
+        consume it."""
+        evt = Event(self.sim, self._grant_name)
+        if self.held:
+            evt.on_abandon(self._waiters.remove)
+            self._waiters.append(evt)
+        else:
+            self.held = True
+            evt.succeed(self)
+        return evt
+
+    def release(self) -> None:
+        """Free the slot, handing it straight to the longest waiter."""
+        if not self.held:
+            raise RuntimeError(f"release() of idle port {self.name!r}")
+        if self._waiters:
+            self._waiters.popleft().succeed(self)
+        else:
+            self.held = False
+
+
+#: A route, its ports in canonical acquisition order, and its links'
+#: ``[bytes, busy seconds]`` load lists.
+Path = Tuple[List[Link], List[_Port], List[List[float]]]
 
 
 class SimNetwork:
@@ -181,7 +215,7 @@ class SimNetwork:
         self.hybrid = _HYBRID_DEFAULT
         #: Transfers completed via the hybrid fast path (diagnostics).
         self.fast_transfers = 0
-        #: (src, dst) → path: (dimension-order route, resources in
+        #: (src, dst) → path: (dimension-order route, ports in
         #: canonical acquisition order, the route's link loads).
         #: Fault-free routes are static, so both paths reuse them instead
         #: of re-routing and re-sorting per message.
@@ -248,21 +282,31 @@ class SimNetwork:
             faults.nic_stalled_until.get(node, 0.0), float(until_s)
         )
 
-    # -- resources (lazily created: machines have thousands of nodes) -------
-    def nic_tx(self, node: int) -> Resource:
+    # -- ports (lazily created: machines have thousands of nodes) -----------
+    def nic_tx(self, node: int) -> _Port:
         if node not in self._nic_tx:
-            self._nic_tx[node] = _Port(self.sim, 1, name=f"nic_tx[{node}]")
+            self._nic_tx[node] = _Port(self.sim, f"nic_tx[{node}]")
         return self._nic_tx[node]
 
-    def nic_rx(self, node: int) -> Resource:
+    def nic_rx(self, node: int) -> _Port:
         if node not in self._nic_rx:
-            self._nic_rx[node] = _Port(self.sim, 1, name=f"nic_rx[{node}]")
+            self._nic_rx[node] = _Port(self.sim, f"nic_rx[{node}]")
         return self._nic_rx[node]
 
-    def link(self, link: Link) -> Resource:
+    def link(self, link: Link) -> _Port:
         if link not in self._links:
-            self._links[link] = _Port(self.sim, 1, name=f"link{link}")
+            self._links[link] = _Port(self.sim, f"link{link}")
         return self._links[link]
+
+    def held_ports(self) -> List[str]:
+        """Names of the ports still held: after a finished job, the
+        leaks a sanitizing :class:`~repro.mpi.MPIJob` reports."""
+        return [
+            port.name
+            for ports in (self._nic_tx, self._nic_rx, self._links)
+            for port in ports.values()
+            if port.held
+        ]
 
     # -- bandwidths -----------------------------------------------------------
     def bottleneck_bw_GBs(self) -> float:
@@ -324,7 +368,7 @@ class SimNetwork:
         """Claim every slot of the fault-free route at once and return
         its path with how long a transfer of ``nbytes`` holds it;
         ``None`` (nothing claimed) when the network has fault state or
-        any resource is held or has waiters.
+        any port is held.
 
         An uncontended DES transfer resumes synchronously from each
         ``request()`` (no queue pushes), so claiming directly schedules
@@ -337,12 +381,11 @@ class SimNetwork:
         if path is None:
             path = self._path(src_node, dst_node)
         ordered = path[1]
-        for r in ordered:
-            if r._in_use or r._waiters:
+        for port in ordered:
+            if port.held:
                 return None
-        for r in ordered:
-            r._in_use = 1
-            r._grants += 1
+        for port in ordered:
+            port.held = True
         self.fast_transfers += 1
         _FAST_TRANSFERS += 1
         return path, nbytes / self._path_bw_Bs
@@ -366,7 +409,7 @@ class SimNetwork:
     ) -> None:
         """Complete a transfer: when it carried bytes, charge a hold of
         ``hold_s`` to every link of ``path`` (and, traced, to the link and
-        NIC counters); release the path's resources; count the transfer,
+        NIC counters); release the path's ports; count the transfer,
         here and in :func:`transfer_totals`. An intra-node copy has no
         path."""
         global _TRANSFERS
@@ -382,13 +425,12 @@ class SimNetwork:
                     self._charge_nics(src_node, dst_node, nbytes, hold_s)
             # Release in reverse acquisition order — in DES order, so a
             # waiter that queued mid-hold gets its slot as in full DES.
-            for r in reversed(held):
-                if r._waiters or r._in_use <= 0:
-                    r.release()
+            for port in reversed(held):
+                if port._waiters or not port.held:
+                    port.release()
                 else:
-                    # Nobody queued: all that Resource.release would do.
-                    r._releases += 1
-                    r._in_use -= 1
+                    # Nobody queued: all that _Port.release would do.
+                    port.held = False
         self.transfers_completed += 1
         _TRANSFERS += 1
 
@@ -399,7 +441,7 @@ class SimNetwork:
         it, including any VN surcharge). Use as
         ``yield from net.transfer(a, b, n, lat)``; returns the route taken
         (``None`` for an intra-node copy). This is the full-DES path:
-        every hold is a resource request, and the hybrid fast path is the
+        every hold is a port request, and the hybrid fast path is the
         MPI layer's transfer chain (:class:`repro.mpi.comm.Comm`), which
         falls back to :meth:`carry` when a route is busy.
         """
@@ -418,18 +460,18 @@ class SimNetwork:
     def carry(self, src_node: int, dst_node: int, nbytes: float):
         """Process-helper: the part of an inter-node transfer after its
         latency — find the route (through the fault state, if any),
-        acquire its resources in canonical order, hold them for
+        acquire its ports in canonical order, hold them for
         ``nbytes / bandwidth``, release, count. Returns the route."""
         if self.faults is None:
             path = self._path(src_node, dst_node)
         else:
             route = yield from self._resolve_route(src_node, dst_node)
             path = self._new_path(src_node, dst_node, route)
-        acquired: List[Resource] = []
+        acquired: List[_Port] = []
         try:
-            for res in path[1]:
-                yield res.request()
-                acquired.append(res)
+            for port in path[1]:
+                yield port.request()
+                acquired.append(port)
             hold = 0.0
             if nbytes:
                 hold = self.hold_s(nbytes)
@@ -438,8 +480,8 @@ class SimNetwork:
             self.settle(src_node, dst_node, path, nbytes, hold)
         finally:
             # Only what an interrupt left held.
-            for res in reversed(acquired):
-                res.release()
+            for port in reversed(acquired):
+                port.release()
         return path[0]
 
     def _path(self, src_node: int, dst_node: int) -> Path:
@@ -457,16 +499,16 @@ class SimNetwork:
         acquisition order (the ``repr``-sort makes acquisition
         deadlock-free by construction: no circular waits) and its links'
         load lists."""
-        resources: List[Tuple[tuple, Resource]] = [
+        ports: List[Tuple[tuple, _Port]] = [
             (("nic_tx", src_node), self.nic_tx(src_node)),
             (("nic_rx", dst_node), self.nic_rx(dst_node)),
         ]
         for ln in route:
-            resources.append((("link", ln), self.link(ln)))
-        resources.sort(key=lambda kv: repr(kv[0]))
+            ports.append((("link", ln), self.link(ln)))
+        ports.sort(key=lambda kv: repr(kv[0]))
         load = self._link_load
         loads = [load.setdefault(ln, [0.0, 0.0]) for ln in route]
-        return route, [res for _, res in resources], loads
+        return route, [port for _, port in ports], loads
 
     def _resolve_route(self, src_node: int, dst_node: int):
         """Process-helper: find a usable route under the active fault state.

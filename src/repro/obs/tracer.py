@@ -8,11 +8,8 @@ A :class:`Tracer` collects two kinds of telemetry from a simulation run:
   arguments (``src``/``dst``/``bytes`` on a network transfer);
 * **counters** — named time series following the
   ``layer.object.metric`` naming scheme (``net.link[0,0,0.+x].bytes``,
-  ``engine.resource[MDS].queue_depth``,
-  ``machine.mem[node0].bw_GBs``). A counter is either *sampled*
-  (absolute values via :meth:`Counter.record`) or *accumulating*
-  (deltas via :meth:`Counter.add`); the two styles cannot be mixed on
-  one counter.
+  ``machine.mem[node0].bw_GBs``), written as deltas
+  (:meth:`Counter.add`) and read back as their running sum.
 
 Tracing is strictly opt-in. A :class:`~repro.simengine.Simulator` built
 without a tracer (and with none :func:`install`-ed) records nothing and
@@ -24,6 +21,7 @@ a clock of its own, so traces are deterministic by construction.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -59,78 +57,43 @@ class Span:
 
 
 class Counter:
-    """A named time series of ``(t, value)`` samples.
+    """A named time series accumulated from ``(t, delta)`` writes.
 
-    The first write fixes the style: :meth:`record` makes it a *sampled*
-    counter (each call stores an absolute value), :meth:`add` makes it
-    *accumulating* (each call stores a delta; the exported series is the
-    running sum in time order, so out-of-order deltas — a transfer
-    posting its future completion — are handled correctly).
+    The exported series is the running sum in time order, so
+    out-of-order deltas — a transfer posting its future completion — are
+    handled correctly.
     """
 
-    __slots__ = ("name", "_samples", "_mode", "_seq")
-
-    SAMPLED = "sampled"
-    ACCUMULATING = "accumulating"
+    __slots__ = ("name", "_samples")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._samples: List[Tuple[float, int, float]] = []  # (t, seq, value)
-        self._mode: Optional[str] = None
-        self._seq = 0
-
-    def _push(self, mode: str, t: float, value: float) -> None:
-        if self._mode is None:
-            self._mode = mode
-        elif self._mode != mode:
-            raise ValueError(
-                f"counter {self.name!r} is {self._mode}; cannot mix in "
-                f"{mode} writes"
-            )
-        self._samples.append((float(t), self._seq, float(value)))
-        self._seq += 1
-
-    def record(self, t: float, value: float) -> None:
-        """Store an absolute sample ``value`` at simulated time ``t``."""
-        self._push(self.SAMPLED, t, value)
+        self._samples: List[Tuple[float, float]] = []  # (t, delta)
 
     def add(self, t: float, delta: float) -> None:
         """Accumulate ``delta`` at simulated time ``t``."""
-        self._push(self.ACCUMULATING, t, delta)
-
-    @property
-    def mode(self) -> Optional[str]:
-        """``"sampled"``, ``"accumulating"``, or ``None`` before any write."""
-        return self._mode
+        self._samples.append((float(t), float(delta)))
 
     def __len__(self) -> int:
         return len(self._samples)
 
     def series(self) -> List[Tuple[float, float]]:
-        """The counter as a time-ordered ``[(t, value), ...]`` series.
-
-        Accumulating counters are integrated: each point carries the
-        running sum of all deltas up to and including that time. Ties in
-        time keep write order (the stable sequence number).
+        """The counter as a time-ordered ``[(t, value), ...]`` series:
+        each point carries the running sum of all deltas up to and
+        including that time. Ties in time keep write order (the sort is
+        stable).
         """
-        ordered = sorted(self._samples, key=lambda s: (s[0], s[1]))
-        if self._mode == self.ACCUMULATING:
-            out: List[Tuple[float, float]] = []
-            running = 0.0
-            for t, _seq, delta in ordered:
-                running += delta
-                out.append((t, running))
-            return out
-        return [(t, v) for t, _seq, v in ordered]
+        out: List[Tuple[float, float]] = []
+        running = 0.0
+        for t, delta in sorted(self._samples, key=itemgetter(0)):
+            running += delta
+            out.append((t, running))
+        return out
 
     @property
     def total(self) -> float:
-        """Accumulating counters: the sum of all deltas. Sampled: last value."""
-        if not self._samples:
-            return 0.0
-        if self._mode == self.ACCUMULATING:
-            return sum(v for _t, _seq, v in self._samples)
-        return self.series()[-1][1]
+        """The sum of all deltas (0.0 before any write)."""
+        return float(sum(delta for _t, delta in self._samples))
 
 
 class Tracer:
@@ -212,10 +175,6 @@ class Tracer:
             c = self.counters[name] = Counter(name)
         return c
 
-    def record(self, name: str, t: float, value: float) -> None:
-        """Shorthand for ``counter(name).record(t, value)``."""
-        self.counter(name).record(t, value)
-
     def add(self, name: str, t: float, delta: float) -> None:
         """Shorthand for ``counter(name).add(t, delta)``."""
         self.counter(name).add(t, delta)
@@ -224,8 +183,7 @@ class Tracer:
     def counter_totals(self, prefix: str = "") -> Dict[str, float]:
         """``{name: total}`` for every counter, optionally filtered.
 
-        ``total`` is the sum of deltas for accumulating counters and the
-        last sample for sampled ones (see :attr:`Counter.total`). Handy
+        ``total`` is the sum of a counter's deltas. Handy
         for summarising a run — e.g. the experiment runner's
         ``runner.cache.*`` hit/miss counters — without exporting a
         full trace.

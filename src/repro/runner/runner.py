@@ -185,4 +185,4 @@ class ExperimentRunner:
         for i, o in enumerate(outcomes):
             name = "runner.cache.hits" if o.from_cache else "runner.cache.misses"
             tracer.add(name, float(i), 1.0)
-            tracer.record(f"runner.exp[{o.exp_id}].wall_s", float(i), o.wall_s)
+            tracer.add(f"runner.exp[{o.exp_id}].wall_s", float(i), o.wall_s)

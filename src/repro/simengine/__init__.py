@@ -7,13 +7,14 @@ the :class:`~repro.simengine.simulator.Simulator`:
 
 * ``Delay(dt)``                — resume after ``dt`` simulated seconds;
 * an :class:`~repro.simengine.event.Event` — resume when it is triggered
-  (a :class:`~repro.simengine.resource.Resource` grant, a process's
-  ``done``, an MPI receive).
+  (a network port grant, a process's ``done``, an MPI receive).
 
 Anything else raises :class:`TypeError`. Besides the waits, the kernel
-offers interrupts (:meth:`Process.interrupt`), FIFO resources, absolute
-scheduling (:meth:`Simulator.schedule_at`) and a global freeze
-(:meth:`Simulator.freeze`).
+offers interrupts (:meth:`Process.interrupt`), absolute scheduling
+(:meth:`Simulator.schedule_at`) and a global freeze
+(:meth:`Simulator.freeze`). A single-slot FIFO server is the model's
+own: the network's ports (:mod:`repro.network.simnet`) and the Lustre
+servers' busy-until clocks (:mod:`repro.lustre.filesystem`).
 
 Determinism: events scheduled for the same timestamp fire in insertion
 order (the queue breaks ties with a monotone sequence number), so repeated
@@ -23,7 +24,6 @@ runs of the same model produce identical traces.
 from repro.simengine.event import Delay, Event, Interrupt
 from repro.simengine.process import Process
 from repro.simengine.queue import EventQueue
-from repro.simengine.resource import Resource
 from repro.simengine.rng import fork, seeded_rng
 from repro.simengine.simulator import (
     ResourceLeakError,
@@ -37,7 +37,6 @@ __all__ = [
     "EventQueue",
     "Interrupt",
     "Process",
-    "Resource",
     "ResourceLeakError",
     "SimDeadlockError",
     "Simulator",

@@ -41,15 +41,6 @@ class Event:
         """The value delivered on success (``None`` until triggered)."""
         return self._value
 
-    @property
-    def failed(self) -> bool:
-        return self._failure is not None
-
-    @property
-    def abandoned(self) -> bool:
-        """Whether the waiter gave up on this event (see :meth:`abandon`)."""
-        return self._abandoned
-
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event, resuming all waiters with ``value``."""
@@ -79,8 +70,8 @@ class Event:
     def on_abandon(self, cb: Callable[["Event"], None]) -> None:
         """Register a hook run if the waiter abandons this pending event.
 
-        Producers that queue state per waiter (a :class:`Resource` grant,
-        a posted MPI receive) use the hook to drop their bookkeeping, so
+        Producers that queue state per waiter (a network port grant, a
+        posted MPI receive) use the hook to drop their bookkeeping, so
         an interrupted process never receives a slot or a message it can
         no longer consume.
         """

@@ -11,7 +11,6 @@ from repro.simengine.queue import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
-    from repro.simengine.resource import Resource
 
 
 class SimDeadlockError(RuntimeError):
@@ -35,8 +34,8 @@ class SimDeadlockError(RuntimeError):
 
 
 class ResourceLeakError(RuntimeError):
-    """Raised by a sanitizing simulator when every process has finished
-    but a :class:`~repro.simengine.resource.Resource` still holds slots."""
+    """Raised by a sanitizing :class:`~repro.mpi.MPIJob` when every
+    process has finished but a network port is still held."""
 
 
 class Simulator:
@@ -54,16 +53,13 @@ class Simulator:
         sim.run()
         assert sim.now == 1.0 and proc.done.value == "done"
 
-    With ``sanitize=True`` the simulator additionally runs two runtime
-    sanitizers at quiescence (both opt-in because they keep per-process /
-    per-resource registries):
-
-    * a **deadlock detector** — if the event queue drains while spawned
-      processes are still alive, :class:`SimDeadlockError` reports each
-      blocked process and the event it waits on (a receive, a grant);
-    * a **resource-conservation check** — if every process finished but a
-      resource still has slots in use, :class:`ResourceLeakError` names
-      the leaking resource (an acquire without a matching release).
+    With ``sanitize=True`` the simulator keeps a registry of its
+    processes and runs a **deadlock detector** at quiescence: if the
+    event queue drains while spawned processes are still alive,
+    :class:`SimDeadlockError` reports each blocked process and the event
+    it waits on (a receive, a port grant). A sanitizing
+    :class:`~repro.mpi.MPIJob` then checks that no network port is still
+    held (:class:`ResourceLeakError`).
     """
 
     def __init__(
@@ -90,13 +86,6 @@ class Simulator:
         self.freeze_log: List[float] = []
         self._running = False
         self._processes: List[Process] = []
-        self._resources: "List[Resource]" = []
-        self._anon_resources = 0
-
-    def _next_anon_resource(self) -> int:
-        """Deterministic sequence number for unnamed traced resources."""
-        self._anon_resources += 1
-        return self._anon_resources
 
     # -- construction ------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -181,14 +170,10 @@ class Simulator:
             self._queue.shift_all(float(duration))
             self.freeze_log.append(float(duration))
 
-    # -- sanitizer registries ----------------------------------------------
+    # -- sanitizer registry ------------------------------------------------
     def _register_process(self, proc: Process) -> None:
         if self.sanitize:
             self._processes.append(proc)
-
-    def _register_resource(self, resource: "Resource") -> None:
-        if self.sanitize:
-            self._resources.append(resource)
 
     def blocked_processes(self) -> "dict[str, str]":
         """Alive registered processes → description of what blocks them
@@ -203,16 +188,6 @@ class Simulator:
         blocked = self.blocked_processes()
         if blocked:
             raise SimDeadlockError(blocked, now=self.now)
-        leaked = [r for r in self._resources if r.in_use > 0]
-        if leaked:
-            detail = ", ".join(
-                f"{r.name or '<unnamed>'!r} holds {r.in_use}/{r.capacity}"
-                for r in leaked
-            )
-            raise ResourceLeakError(
-                f"resource slots leaked at t={self.now:.9g}s after all "
-                f"processes finished: {detail}"
-            )
 
     # -- execution -----------------------------------------------------------
     def run(self, max_events: int = 0) -> float:
@@ -222,8 +197,7 @@ class Simulator:
             many events are processed (0 = unlimited).
         :returns: the simulation time of quiescence.
 
-        In sanitize mode, quiescence runs the deadlock and
-        resource-conservation checks.
+        In sanitize mode, quiescence runs the deadlock check.
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")

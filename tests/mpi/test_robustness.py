@@ -4,7 +4,8 @@ import pytest
 
 from repro.machine import xt4
 from repro.mpi import MPIJob
-from repro.simengine import Delay, Interrupt, Resource, Simulator
+from repro.network.simnet import SimNetwork
+from repro.simengine import Interrupt, Simulator
 
 
 def test_max_events_aborts_runaway_rank_program():
@@ -40,28 +41,29 @@ def test_dup_preserves_rank_and_size():
 
 
 def test_resource_released_when_holder_interrupted():
-    """`Resource.use` releases in its finally block on interrupt."""
+    """``SimNetwork.carry`` releases its route in its finally block on
+    interrupt: a transfer queued behind it gets the route at once."""
     sim = Simulator()
-    res = Resource(sim, 1, name="r")
+    net = SimNetwork(sim, xt4("SN"))
     order = []
 
     def holder():
         try:
-            yield from res.use(100.0)
+            yield from net.carry(0, 1, 1.0e12)
         except Interrupt:
             order.append(("interrupted", sim.now))
 
     def waiter():
-        yield res.request()  # simlint: ignore[SL501] — interrupt robustness is under test
+        yield from net.carry(0, 1, 0)
         order.append(("acquired", sim.now))
-        res.release()
 
     h = sim.spawn(holder())
     sim.spawn(waiter())
     sim.schedule(1.0, lambda: h.interrupt("stop"))
     sim.run()
     assert ("interrupted", 1.0) in order
-    assert ("acquired", 1.0) in order  # slot recovered immediately
+    assert ("acquired", 1.0) in order  # route recovered immediately
+    assert net.held_ports() == []
 
 
 def test_rank_exception_propagates_with_context():

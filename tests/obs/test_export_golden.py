@@ -33,8 +33,8 @@ def hand_built_tracer() -> Tracer:
     tracer.begin("net/node0", "net.xfer", 1.0e-6, src=0, dst=1)  # left open
     tracer.add("net.link[0,0,0.+x].bytes", 2.0e-6, 8.0)
     tracer.add("net.link[0,0,0.+x].bytes", 1.0e-6, 4.0)  # out of order
-    tracer.record("engine.resource[nic_tx[0]].queue_depth", 1.0e-6, 2.0)
-    tracer.record("engine.resource[nic_tx[0]].queue_depth", 3.0e-6, 0.0)
+    tracer.add("engine.resource[nic_tx[0]].queue_depth", 1.0e-6, 2.0)
+    tracer.add("engine.resource[nic_tx[0]].queue_depth", 3.0e-6, -2.0)
     return tracer
 
 

@@ -10,7 +10,7 @@ import pytest
 from repro.machine.configs import PROFILES, xt4
 from repro.mpi.job import MPIJob
 from repro.obs import Tracer
-from repro.simengine import Resource, Simulator
+from repro.simengine import Simulator
 
 
 def _physics_main(comm):
@@ -87,26 +87,24 @@ def test_stall_fraction_orders_profiles_by_memory_intensity():
     assert f_fft > f_dgemm
 
 
-def test_resource_queue_counters_track_contention():
+def test_mds_spans_track_contention():
+    """Three creates at t=0 queue on the one MDS: each waits for the
+    ones before it (``res.acquire``) and holds it for one op latency
+    (``res.hold``)."""
+    from repro.lustre import LustreFilesystem
+
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
-    res = Resource(sim, 1, name="gate")
-
-    def user(hold):
-        yield res.request()  # simlint: ignore[SL501] — tracer sees the bare hold on purpose
-        try:
-            from repro.simengine import Delay
-
-            yield Delay(hold)
-        finally:
-            res.release()
+    fs = LustreFilesystem(sim)
+    op_s = fs.config.mds_op_latency_us * 1.0e-6
 
     for i in range(3):
-        sim.spawn(user(1.0), name=f"u{i}")
+        sim.spawn(fs.create(f"f{i}"), name=f"u{i}")
     sim.run()
-    depth = tracer.counters["engine.resource[gate].queue_depth"].series()
-    assert max(v for _t, v in depth) == 2.0  # two waiters behind the holder
-    # The last waiter queued at t=0 and was granted at t=2.
-    assert depth[-1] == (2.0, 0.0)
-    in_use = tracer.counters["engine.resource[gate].in_use"].series()
-    assert in_use[0] == (0.0, 1.0) and in_use[-1] == (3.0, 0.0)
+    spans = [(s.name, s.t0, s.t1) for s in tracer.spans if s.track == "res/MDS"]
+    holds = [(t0, t1) for name, t0, t1 in spans if name == "res.hold"]
+    assert holds == [(0.0, op_s), (op_s, 2 * op_s), (2 * op_s, 3 * op_s)]
+    waits = [(t0, t1) for name, t0, t1 in spans if name == "res.acquire"]
+    assert waits == [(0.0, op_s), (0.0, 2 * op_s)]
+    assert sim.now == 3 * op_s and fs.mds_ops == 3
+    assert not any(name.startswith("engine.") for name in tracer.counters)

@@ -8,21 +8,11 @@ from repro.simengine import Delay, Simulator
 
 
 # ------------------------------------------------------------------ counters
-def test_sampled_counter_series_in_time_order():
-    c = Counter("q")
-    c.record(2.0, 5.0)
-    c.record(1.0, 3.0)
-    assert c.mode == Counter.SAMPLED
-    assert c.series() == [(1.0, 3.0), (2.0, 5.0)]
-    assert c.total == 5.0  # last value in time order
-
-
 def test_accumulating_counter_integrates_out_of_order_deltas():
     c = Counter("bytes")
     # A transfer posting its completion in the future, then an earlier one.
     c.add(3.0, 10.0)
     c.add(1.0, 4.0)
-    assert c.mode == Counter.ACCUMULATING
     assert c.series() == [(1.0, 4.0), (3.0, 14.0)]
     assert c.total == 14.0
 
@@ -39,8 +29,8 @@ def test_counter_totals_with_prefix_filter():
     t.add("runner.cache.hits", 0.0, 1.0)
     t.add("runner.cache.hits", 1.0, 1.0)
     t.add("runner.cache.misses", 2.0, 1.0)
-    t.record("runner.exp[fig05].wall_s", 0.0, 0.25)
-    t.record("net.link.bytes", 0.0, 64.0)
+    t.add("runner.exp[fig05].wall_s", 0.0, 0.25)
+    t.add("net.link.bytes", 0.0, 64.0)
     totals = t.counter_totals("runner.cache.")
     assert totals == {
         "runner.cache.hits": 2.0,
@@ -48,13 +38,6 @@ def test_counter_totals_with_prefix_filter():
     }
     assert t.counter_totals()["net.link.bytes"] == 64.0
     assert list(t.counter_totals()) == sorted(t.counter_totals())
-
-
-def test_counter_modes_cannot_mix():
-    c = Counter("x")
-    c.record(0.0, 1.0)
-    with pytest.raises(ValueError, match="sampled"):
-        c.add(1.0, 1.0)
 
 
 def test_empty_counter_total_is_zero():

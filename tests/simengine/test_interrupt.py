@@ -1,6 +1,6 @@
 """Interrupt edge cases and the global freeze.
 
-An interrupt can land while a process is queued on a resource, sleeping
+An interrupt can land while a process is queued on a port, sleeping
 on a delay, mid-transfer, or already finished — every case must leave the
 engine's bookkeeping exact (no leaked slots, no stale wakeups, no
 stretched clock). These are the failure modes the fault-injection layer
@@ -16,40 +16,47 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.machine import xt4
 from repro.mpi import MPIJob
 from repro.mpi.job import JobFailedError
-from repro.simengine import Delay, Interrupt, Resource, Simulator
+from repro.network.simnet import SimNetwork
+from repro.simengine import Delay, Interrupt, Simulator
 
 
-# -- interrupt while queued on a resource ------------------------------------
+def _port():
+    """A sanitizing simulator, its network, and one of its ports."""
+    sim = Simulator(sanitize=True)
+    net = SimNetwork(sim, xt4("SN"))
+    return sim, net, net.nic_tx(0)
+
+
+# -- interrupt while queued on a port ----------------------------------------
 
 def test_interrupt_while_queued_on_resource_does_not_leak_slots():
     """The queued grant is abandoned: the slot later goes to someone else
-    and the sanitizer's conservation check stays green."""
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=1, name="nic")
+    and no port is left held."""
+    sim, net, port = _port()
     order = []
 
     def holder():
-        yield res.request()
+        yield port.request()
         try:
             yield Delay(2.0)
         finally:
-            res.release()
+            port.release()
         order.append("holder")
 
     def victim():
         try:
-            yield res.request()
+            yield port.request()
             pytest.fail("victim should have been interrupted while queued")
         except Interrupt:
             order.append("victim-interrupted")
 
     def straggler():
         yield Delay(1.5)
-        yield res.request()
+        yield port.request()
         try:
             order.append(f"straggler-granted@{sim.now}")
         finally:
-            res.release()
+            port.release()
 
     sim.spawn(holder(), name="holder")
     victim_proc = sim.spawn(victim(), name="victim")
@@ -60,35 +67,34 @@ def test_interrupt_while_queued_on_resource_does_not_leak_slots():
         victim_proc.interrupt("fault")
 
     sim.spawn(interrupter(), name="interrupter")
-    sim.run()  # sanitize: raises ResourceLeakError on any leaked slot
+    sim.run()
     # release() hands the slot to the waiter synchronously, so the
     # straggler's grant lands before the holder's own epilogue runs.
     assert order == ["victim-interrupted", "straggler-granted@2.0", "holder"]
-    assert res.in_use == 0 and res.queue_length == 0
+    assert net.held_ports() == []
 
 
 def test_only_queued_waits_carry_an_abandon_hook():
     """An immediate grant can never be abandoned, so it carries no hook;
     a queued requester does, and interrupting it while queued still
-    withdraws it. (Receives: tests/mpi/test_mailbox.py.)"""
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=1, name="nic")
-    queued = {}
+    withdraws it: the port goes idle when the holder lets go.
+    (Receives: tests/mpi/test_mailbox.py.)"""
+    sim, net, port = _port()
 
     def holder():
-        grant = res.request()
+        grant = port.request()
         assert grant.triggered and grant._abandon_cb is None
         yield grant
         try:
             yield Delay(2.0)
         finally:
-            res.release()
+            port.release()
 
     def victim():
-        queued["grant"] = res.request()
-        assert queued["grant"]._abandon_cb is not None
+        grant = port.request()
+        assert grant._abandon_cb is not None
         try:
-            yield queued["grant"]
+            yield grant
         except Interrupt:
             pass
 
@@ -97,27 +103,24 @@ def test_only_queued_waits_carry_an_abandon_hook():
 
     def interrupter():
         yield Delay(1.0)
-        assert res.queue_length == 1
         vproc.interrupt("fault")
 
     sim.spawn(interrupter(), name="interrupter")
     sim.run()
-    assert queued["grant"].abandoned
-    assert res.in_use == 0 and res.queue_length == 0
+    assert net.held_ports() == []
 
 
 def test_interrupt_while_holding_slot_releases_via_finally():
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=1, name="port")
+    sim, net, port = _port()
 
     def holder():
-        yield res.request()
+        yield port.request()
         try:
             yield Delay(10.0)
         except Interrupt:
             pass
         finally:
-            res.release()
+            port.release()
 
     proc = sim.spawn(holder(), name="holder")
 
@@ -127,34 +130,7 @@ def test_interrupt_while_holding_slot_releases_via_finally():
 
     sim.spawn(interrupter(), name="interrupter")
     sim.run()
-    assert res.in_use == 0 and res.outstanding == 0
-
-
-def test_interrupted_use_helper_is_slot_exact():
-    """Resource.use() must survive an interrupt in either phase (queued
-    or holding) without leaking or over-releasing."""
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=1, name="ch")
-
-    def blocker():
-        yield from res.use(5.0)
-
-    def user():
-        try:
-            yield from res.use(1.0)
-        except Interrupt:
-            pass
-
-    sim.spawn(blocker(), name="blocker")
-    queued = sim.spawn(user(), name="queued")  # interrupted while waiting
-
-    def interrupter():
-        yield Delay(1.0)
-        queued.interrupt()
-
-    sim.spawn(interrupter(), name="interrupter")
-    sim.run()
-    assert res.in_use == 0 and res.queue_length == 0
+    assert sim.now == 1.0 and net.held_ports() == []
 
 
 # -- interrupt during a delay -------------------------------------------------
@@ -263,7 +239,7 @@ def test_interrupt_of_finished_process_is_a_noop():
     assert not proc.alive and proc.done.value == 42
     proc.interrupt("too late")  # must not raise or reanimate
     sim.run()
-    assert proc.done.value == 42 and not proc.done.failed
+    assert proc.done.value == 42  # a failed done would carry no value
 
 
 def test_interrupt_scheduled_before_natural_finish_at_same_time():

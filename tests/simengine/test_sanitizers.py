@@ -1,4 +1,4 @@
-"""Runtime sanitizers: deadlock detection and resource conservation."""
+"""Runtime sanitizers: deadlock detection and network-port conservation."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.machine import xt4
 from repro.mpi import MPIJob
 from repro.simengine import (
     Delay,
-    Resource,
     ResourceLeakError,
     SimDeadlockError,
     Simulator,
@@ -101,41 +100,21 @@ def test_waiting_on_tracks_delay_and_clears():
     assert proc.waiting_on is None and proc.done.value == "ok"
 
 
-# -- resource conservation ---------------------------------------------------
+# -- port conservation ---------------------------------------------------------
 
 def test_leaked_resource_slot_is_reported():
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=2, name="nic-port")
+    """A rank that claims its route and never settles it leaves the
+    route's ports held: the sanitizing job names each one."""
 
-    def leaker():
-        yield res.request()  # simlint: ignore[SL501] — the leak is the subject under test
+    def main(comm):
+        if comm.rank == 0:
+            comm.job.network.claim_idle(0, 1, 8)
         yield Delay(1.0)
-        # missing res.release()
 
-    sim.spawn(leaker(), name="leaker")
-    with pytest.raises(ResourceLeakError, match=r"at t=1s.*nic-port.*1/2"):
-        sim.run()
-
-
-def test_balanced_use_passes_and_counts_grants():
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=1, name="port")
-
-    def worker():
-        yield from res.use(1.0)
-
-    sim.spawn(worker(), name="a")
-    sim.spawn(worker(), name="b")
-    sim.run()
-    assert res.in_use == 0
-    assert res.outstanding == 0
-
-
-def test_release_of_idle_resource_still_raises():
-    sim = Simulator(sanitize=True)
-    res = Resource(sim, capacity=1, name="port")
-    with pytest.raises(RuntimeError, match="idle resource"):
-        res.release()
+    with pytest.raises(
+        ResourceLeakError, match=r"at t=1s.*'nic_tx\[0\]'.*'nic_rx\[1\]'"
+    ):
+        MPIJob(xt4("SN"), 2, sanitize=True).run(main)
 
 
 # -- mode argument -------------------------------------------------------------
