@@ -188,6 +188,9 @@ def best_configuration(target: Target, processors: int, grid: CAMGrid = D_GRID) 
     from repro.apps.cam.decomp import max_tasks
 
     best: CAMModel | None = None
+    # The incumbent's time, evaluated at its first comparison: a platform
+    # with a single legal candidate never pays for one.
+    best_s: float | None = None
     threads = 1
     while threads <= max_threads:
         # Idle any processors beyond the decomposition limit (the paper's
@@ -198,12 +201,15 @@ def best_configuration(target: Target, processors: int, grid: CAMGrid = D_GRID) 
                 cand = CAMModel(target, ntasks, threads=threads, grid=grid)
             except ValueError:  # an illegal task count
                 cand = None
-            if cand is not None and (
-                best is None
-                or cand.seconds_per_simulated_day()
-                < best.seconds_per_simulated_day()
-            ):
-                best = cand
+            if cand is not None:
+                if best is None:
+                    best = cand
+                else:
+                    if best_s is None:
+                        best_s = best.seconds_per_simulated_day()
+                    cand_s = cand.seconds_per_simulated_day()
+                    if cand_s < best_s:
+                        best, best_s = cand, cand_s
         threads *= 2
     if best is None:
         raise ValueError(

@@ -15,17 +15,29 @@ says every curve should bottom out near x = 1. Each point is a mean over
 the crash-plan seeds; the ``seed min`` and ``seed max`` series show its
 spread, which is wider than the gaps between neighbouring means
 (docs/RESILIENCE.md).
+
+Only the fault-free solve runs on the DES. A crash and a checkpoint
+both freeze the whole job, so each faulted job's elapsed time follows
+from that solve time, its crash plan and its policy
+(:func:`repro.faults.replay_elapsed_s`); ``tests/faults/test_replay.py``
+runs all 72 on the DES and holds the replay to them. The DES companion
+(``repro run ext_resilience --trace``) still runs one faulted job.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.experiment import ExperimentResult
 from repro.core.registry import register
 from repro.core.validate import ShapeCheck
-from repro.faults import FaultPlan, FaultPolicy, daly_optimal_interval_s
+from repro.faults import (
+    FaultPlan,
+    FaultPolicy,
+    daly_optimal_interval_s,
+    replay_elapsed_s,
+)
 from repro.machine.configs import xt4
 from repro.mpi import MPIJob
 
@@ -59,45 +71,60 @@ def _run_once(plan: FaultPlan, policy) -> float:
     return job.run(_workload).elapsed_s
 
 
+def _plan(t_solve: float, mtbf: float, seed: int) -> FaultPlan:
+    """A seeded node-crash plan at system MTBF ``mtbf``."""
+    return FaultPlan.sample(
+        horizon_s=4.0 * t_solve,
+        num_nodes=NTASKS,
+        node_mtbf_s=mtbf * NTASKS,  # aggregate rate = 1/mtbf
+        seed=seed,
+    )
+
+
+def _policy(t_solve: float, mtbf: float, ratio: float) -> FaultPolicy:
+    """Checkpoint every ``ratio`` Daly optima, C = T/200, R = T/100."""
+    ckpt_cost = t_solve / 200.0
+    return FaultPolicy(
+        checkpoint_interval_s=ratio * daly_optimal_interval_s(ckpt_cost, mtbf),
+        checkpoint_cost_s=ckpt_cost,
+        restart_cost_s=t_solve / 100.0,
+        max_restarts=10_000,
+    )
+
+
+def _grid(
+    t_solve: float,
+) -> Iterator[Tuple[float, List[FaultPlan], List[FaultPolicy]]]:
+    """Per MTBF: (mtbf, one crash plan per seed, one policy per ratio).
+
+    A crash plan depends on the MTBF and the seed only: every interval
+    ratio replays the same plans.
+    """
+    for frac in MTBF_FRACTIONS:
+        mtbf = t_solve * frac
+        plans = [_plan(t_solve, mtbf, seed) for seed in SEEDS]
+        yield mtbf, plans, [_policy(t_solve, mtbf, r) for r in RATIOS]
+
+
 @lru_cache(maxsize=1)
-def _sweep() -> Tuple[float, float, float, Tuple[Curve, ...]]:
-    """(T_solve, C, R, (curve per MTBF, ...)) — cached so the reproduce
-    and render passes do not re-simulate."""
+def _sweep() -> Tuple[float, Tuple[Curve, ...]]:
+    """(T_solve, (curve per MTBF, ...)) — cached so the reproduce and
+    render passes do not re-simulate. Only the fault-free solve runs on
+    the DES; every faulted job is replayed."""
     # Fault-free baseline; the explicit empty plan shields the run from
     # any process-globally installed plan (repro run --faults).
     t_solve = _run_once(FaultPlan([]), None)
-    ckpt_cost = t_solve / 200.0
-    restart_cost = t_solve / 100.0
     curves = []
-    for frac in MTBF_FRACTIONS:
-        mtbf = t_solve * frac
-        i_star = daly_optimal_interval_s(ckpt_cost, mtbf)
-        # A crash plan depends on the MTBF and the seed only: every
-        # interval ratio replays the same plans.
-        plans = [
-            FaultPlan.sample(
-                horizon_s=4.0 * t_solve,
-                num_nodes=NTASKS,
-                node_mtbf_s=mtbf * NTASKS,  # aggregate rate = 1/mtbf
-                seed=seed,
-            )
-            for seed in SEEDS
-        ]
+    for mtbf, plans, policies in _grid(t_solve):
         overheads, lows, highs = [], [], []
-        for ratio in RATIOS:
-            policy = FaultPolicy(
-                checkpoint_interval_s=ratio * i_star,
-                checkpoint_cost_s=ckpt_cost,
-                restart_cost_s=restart_cost,
-                max_restarts=10_000,
-            )
-            times = [_run_once(plan, policy) for plan in plans]
+        for policy in policies:
+            times = [replay_elapsed_s(t_solve, plan, policy) for plan in plans]
             mean = sum(times) / len(times)
             overheads.append(100.0 * (mean - t_solve) / t_solve)
             lows.append(100.0 * (min(times) - t_solve) / t_solve)
             highs.append(100.0 * (max(times) - t_solve) / t_solve)
         curves.append((mtbf, overheads, lows, highs))
-    return t_solve, ckpt_cost, restart_cost, tuple(curves)
+    return t_solve, tuple(curves)
 
 
 @register("ext_resilience")
@@ -108,7 +135,7 @@ def run() -> ExperimentResult:
         xlabel="checkpoint interval / Daly optimum I*",
         ylabel="resilience overhead (% of fault-free solve time)",
     )
-    t_solve, ckpt_cost, restart_cost, curves = _sweep()
+    t_solve, curves = _sweep()
     for (mtbf, overheads, lows, highs), frac in zip(curves, MTBF_FRACTIONS):
         label = f"MTBF = T/{round(1 / frac)}"
         result.add(label, list(RATIOS), overheads)
@@ -135,22 +162,11 @@ def des_companion() -> str:
     from repro.faults import current_plan
 
     t_solve = _run_once(FaultPlan([]), None)
+    mtbf = t_solve * MTBF_FRACTIONS[0]
     plan = current_plan()
     if plan is None or not len(plan):
-        plan = FaultPlan.sample(
-            horizon_s=4.0 * t_solve,
-            num_nodes=NTASKS,
-            node_mtbf_s=t_solve * NTASKS / 4.0,
-            seed=SEEDS[0],
-        )
-    policy = FaultPolicy(
-        checkpoint_interval_s=daly_optimal_interval_s(
-            t_solve / 200.0, t_solve / 4.0
-        ),
-        checkpoint_cost_s=t_solve / 200.0,
-        restart_cost_s=t_solve / 100.0,
-        max_restarts=10_000,
-    )
+        plan = _plan(t_solve, mtbf, SEEDS[0])
+    policy = _policy(t_solve, mtbf, 1.0)
     job = MPIJob(xt4("SN"), ntasks=NTASKS, faults=plan, fault_policy=policy)
     res = job.run(_workload)
     return (

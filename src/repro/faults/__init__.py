@@ -11,7 +11,9 @@ seeded, bit-reproducible fault schedules:
   crashing nodes);
 * :class:`NodeFaultState` — per-node slowdown multipliers jobs consult;
 * :class:`FaultPolicy` / :func:`daly_optimal_interval_s` — coordinated
-  checkpoint/restart recovery and its theoretical optimum.
+  checkpoint/restart recovery and its theoretical optimum;
+* :func:`replay_elapsed_s` — a crash-only job's elapsed time under a
+  policy, replayed without the DES.
 
 Faults are **off by default**: a job with no plan (and none installed)
 takes the exact same code paths as before this package existed, so
@@ -28,7 +30,11 @@ from repro.faults.plan import (
     installed_plan,
     uninstall_plan,
 )
-from repro.faults.policy import FaultPolicy, daly_optimal_interval_s
+from repro.faults.policy import (
+    FaultPolicy,
+    daly_optimal_interval_s,
+    replay_elapsed_s,
+)
 from repro.faults.state import NodeFaultState
 
 __all__ = [
@@ -42,5 +48,6 @@ __all__ = [
     "daly_optimal_interval_s",
     "install_plan",
     "installed_plan",
+    "replay_elapsed_s",
     "uninstall_plan",
 ]

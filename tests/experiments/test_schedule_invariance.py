@@ -8,7 +8,9 @@ event ordering; result rows, obs counter totals, and the DES companion
 report must be byte-identical. This is the only place the certifier
 runs. The set includes fig12_13 (whose transfer arbitration once
 depended on queue order — fixed by keyed transfers in ``Comm.isend``),
-fig01's Lustre DES and ``ext_resilience``'s 73 faulted jobs.
+fig01's Lustre DES and ``ext_resilience``, whose driver runs one
+fault-free DES job and replays its crash plans, and whose DES companion
+runs one faulted job with checkpoints and restarts.
 """
 
 import pytest

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.core.registry import driver_module, get_experiment
+from repro.experiments import ext_resilience as er
 from repro.faults import FaultEvent, FaultPlan, FaultPolicy
 from repro.machine.configs import xt4
 from repro.mpi.job import MPIJob
@@ -241,7 +242,7 @@ def _run_driver(exp_id, hybrid):
         simnet.reset_transfer_totals()
 
 
-@pytest.mark.parametrize("exp_id", ["fig12_13", "ext_resilience"])
+@pytest.mark.parametrize("exp_id", ["fig12_13"])
 def test_driver_rows_bit_identical_across_hybrid_modes(exp_id):
     fast, (fast_transfers, transfers) = _run_driver(exp_id, True)
     slow, (slow_transfers, _) = _run_driver(exp_id, False)
@@ -249,19 +250,52 @@ def test_driver_rows_bit_identical_across_hybrid_modes(exp_id):
     # The comparison is not vacuous: the fast path fired in hybrid mode.
     assert fast_transfers > 0
     assert slow_transfers == 0
-    if exp_id == "ext_resilience":
-        # Node-crash plans leave the network fault-free: every transfer,
-        # in every faulted run, takes the fast path.
-        assert fast_transfers == transfers
 
 
-def test_traced_sweep_takes_the_shipped_path():
-    # ``repro run --trace`` and the race certifier run what ``repro all``
-    # runs: the installed tracer keeps every transfer on the fast path.
+@pytest.fixture(scope="module")
+def t_solve():
+    return er._run_once(FaultPlan([]), None)
+
+
+def _resilience_jobs(t_solve, hybrid):
+    """Run ``ext_resilience``'s 72 faulted jobs on the DES (the driver
+    replays them); returns each job's outcome and the ``(fast_transfers,
+    transfers_completed)`` totals. Runs under any installed tracer."""
+    simnet.reset_transfer_totals()
+    try:
+        with hybrid_mode(hybrid):
+            outcomes = []
+            for _mtbf, plans, policies in er._grid(t_solve):
+                for policy in policies:
+                    for plan in plans:
+                        job = MPIJob(xt4("SN"), er.NTASKS, faults=plan,
+                                     fault_policy=policy)
+                        r = job.run(er._workload)
+                        outcomes.append((r.elapsed_s, r.rank_times, r.returns,
+                                         r.restarts, r.checkpoints))
+        return outcomes, simnet.transfer_totals()
+    finally:
+        simnet.reset_transfer_totals()
+
+
+def test_resilience_jobs_bit_identical_across_hybrid_modes(t_solve):
+    fast, (fast_transfers, transfers) = _resilience_jobs(t_solve, True)
+    slow, (slow_transfers, _) = _resilience_jobs(t_solve, False)
+    assert fast == slow
+    assert any(restarts for *_, restarts, _checkpoints in fast)
+    # Node-crash plans leave the network fault-free: every transfer, in
+    # every faulted job, takes the fast path.
+    assert fast_transfers == transfers > 0
+    assert slow_transfers == 0
+
+
+def test_traced_sweep_takes_the_shipped_path(t_solve):
+    # ``repro run ext_resilience --trace`` traces a faulted job: the
+    # installed tracer keeps every transfer on the fast path.
     with installed(Tracer()) as tracer:
-        _rows, totals = _run_driver("ext_resilience", True)
-    assert totals == (17_520, 17_520)
-    assert sum(s.name == "net.xfer" for s in tracer.spans) == 17_520
+        _outcomes, totals = _resilience_jobs(t_solve, True)
+    assert totals == (17_280, 17_280)
+    assert sum(s.name == "net.xfer" for s in tracer.spans) == 17_280
 
 
 def test_fig22_des_companion_bit_identical_across_hybrid_modes():
