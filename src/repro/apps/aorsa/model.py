@@ -15,8 +15,6 @@ The benchmark decomposes into:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.hpcc.hpl import HPLModel
 from repro.machine.specs import GIGA, Machine
 
@@ -26,7 +24,6 @@ QL_FLOPS_FRACTION = 0.30
 MEMORY_OVERHEAD_FACTOR = 2.5
 
 
-@dataclass
 class AORSAModel:
     """AORSA on ``ntasks`` cores with an ``nx × ny`` spectral grid.
 
@@ -34,22 +31,19 @@ class AORSAModel:
     built once per instance.
     """
 
-    machine: Machine
-    ntasks: int
-    nx: int = 300
-    ny: int = 300
-    _solver: HPLModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.ntasks < 1:
+    def __init__(
+        self, machine: Machine, ntasks: int, nx: int = 300, ny: int = 300
+    ) -> None:
+        if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        if min(self.nx, self.ny) < 1:
+        if min(nx, ny) < 1:
             raise ValueError("grid extents must be positive")
+        self.machine = machine
+        self.ntasks = ntasks
+        self.nx = nx
+        self.ny = ny
         self._solver = HPLModel(
-            self.machine,
-            self.ntasks,
-            n=self.matrix_order,
-            complex_valued=True,
+            machine, ntasks, n=self.matrix_order, complex_valued=True
         )
 
     @property

@@ -17,11 +17,9 @@ VN (960) ≈ +30% throughput over SN (504).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from repro.apps.cam.decomp import CAMDecomposition, CAMGrid, D_GRID, decompose
+from repro.apps.cam.decomp import CAMGrid, D_GRID, decompose
 from repro.machine.platforms import Platform
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine, WorkloadProfile
@@ -69,7 +67,6 @@ VECTOR_LENGTH_CONSTANT = 96_000.0
 OPENMP_EFFICIENCY = 0.85
 
 
-@dataclass
 class CAMModel:
     """CAM D-grid benchmark on ``ntasks`` MPI tasks (× ``threads``).
 
@@ -78,30 +75,25 @@ class CAMModel:
     ``ValueError`` here.
     """
 
-    target: Target
-    ntasks: int
-    threads: int = 1
-    grid: CAMGrid = D_GRID
-    decomp: CAMDecomposition = field(init=False, repr=False, compare=False)
-    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
-    #: ``None`` on a comparison platform.
-    core: Optional[CoreModel] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.threads < 1:
+    def __init__(
+        self, target: Target, ntasks: int, threads: int = 1, grid: CAMGrid = D_GRID
+    ) -> None:
+        if threads < 1:
             raise ValueError("threads must be >= 1")
-        if isinstance(self.target, Machine) and self.threads > 1:
+        if isinstance(target, Machine) and threads > 1:
             # Paper: OpenMP "is not used on the Cray systems".
             raise ValueError("OpenMP is not available on the XT systems here")
-        self.decomp = decompose(self.grid, self.ntasks)
-        if isinstance(self.target, Machine):
-            self.core = CoreModel(self.target)
-            self.costs = CollectiveCostModel.for_machine(
-                NetworkModel(self.target), self.ntasks
-            )
+        self.target = target
+        self.ntasks = ntasks
+        self.threads = threads
+        self.grid = grid
+        self.decomp = decompose(grid, ntasks)
+        if isinstance(target, Machine):
+            self.core: Optional[CoreModel] = CoreModel(target)
+            self.costs = CollectiveCostModel.for_machine(NetworkModel(target), ntasks)
         else:
-            self.core = None
-            self.costs = CollectiveCostModel.for_platform(self.target, self.ntasks)
+            self.core = None  # a comparison platform
+            self.costs = CollectiveCostModel.for_platform(target, ntasks)
 
     # -- shared pieces -----------------------------------------------------
     @property

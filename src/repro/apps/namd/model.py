@@ -20,7 +20,7 @@ out of pencils; the model exposes that as ``max_useful_tasks``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine, WorkloadProfile
@@ -56,7 +56,6 @@ NAMD_1M = NAMDSystem(name="1M", natoms=1_000_000, pme_grid=128)
 NAMD_3M = NAMDSystem(name="3M", natoms=3_000_000, pme_grid=192)
 
 
-@dataclass
 class NAMDModel:
     """NAMD on ``ntasks`` tasks of an XT machine.
 
@@ -64,19 +63,18 @@ class NAMDModel:
     per instance.
     """
 
-    machine: Machine
-    ntasks: int
-    system: NAMDSystem = NAMD_1M
-    core: CoreModel = field(init=False, repr=False, compare=False)
-    _latency_s: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.ntasks < 1:
+    def __init__(
+        self, machine: Machine, ntasks: int, system: NAMDSystem = NAMD_1M
+    ) -> None:
+        if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        self.core = CoreModel(self.machine)
-        net = NetworkModel(self.machine)
-        nodes = -(-self.ntasks // self.machine.tasks_per_node)
-        vn = self.machine.tasks_per_node > 1
+        self.machine = machine
+        self.ntasks = ntasks
+        self.system = system
+        self.core = CoreModel(machine)
+        net = NetworkModel(machine)
+        nodes = -(-ntasks // machine.tasks_per_node)
+        vn = machine.tasks_per_node > 1
         self._latency_s = net.base_latency_s(
             hops=net.partition(nodes).hops,
             contended_fraction=0.5 if vn else 0.0,

@@ -15,10 +15,9 @@ Per simulated day: ``BAROCLINIC_STEPS_PER_DAY`` timesteps, each one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from repro.apps.pop.grid import POP_01_GRID, POPDecomposition, POPGrid, decompose
+from repro.apps.pop.grid import POP_01_GRID, POPGrid, decompose
 from repro.machine.platforms import Platform
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine, WorkloadProfile
@@ -61,7 +60,6 @@ POP_PLATFORM_EFFICIENCY: Dict[str, float] = {
 X1E_CAF_LATENCY_FACTOR = 0.35
 
 
-@dataclass
 class POPModel:
     """POP 0.1° benchmark on ``ntasks`` tasks.
 
@@ -72,28 +70,27 @@ class POPModel:
     are built once per instance.
     """
 
-    target: Target
-    ntasks: int
-    solver: str = "cg"
-    grid: POPGrid = POP_01_GRID
-    decomp: POPDecomposition = field(init=False, repr=False, compare=False)
-    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
-    #: ``None`` on a comparison platform.
-    core: Optional[CoreModel] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.solver not in ("cg", "cgcg"):
+    def __init__(
+        self,
+        target: Target,
+        ntasks: int,
+        solver: str = "cg",
+        grid: POPGrid = POP_01_GRID,
+    ) -> None:
+        if solver not in ("cg", "cgcg"):
             raise ValueError("solver must be 'cg' or 'cgcg'")
-        self.decomp = decompose(self.grid, self.ntasks)
-        if isinstance(self.target, Machine):
-            self.core = CoreModel(self.target)
-            self.costs = CollectiveCostModel.for_machine(
-                NetworkModel(self.target), self.ntasks
-            )
+        self.target = target
+        self.ntasks = ntasks
+        self.solver = solver
+        self.grid = grid
+        self.decomp = decompose(grid, ntasks)
+        if isinstance(target, Machine):
+            self.core: Optional[CoreModel] = CoreModel(target)
+            self.costs = CollectiveCostModel.for_machine(NetworkModel(target), ntasks)
             return
-        self.core = None
-        c = CollectiveCostModel.for_platform(self.target, self.ntasks)
-        if self.target.name == "X1E":
+        self.core = None  # a comparison platform
+        c = CollectiveCostModel.for_platform(target, ntasks)
+        if target.name == "X1E":
             # CAF halo update implementation (paper §6.2).
             c = CollectiveCostModel(
                 ntasks=c.ntasks,

@@ -14,7 +14,6 @@ to 12,000 cores; collectives appear only in (ignored) diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.machine.processor import CoreModel
@@ -37,24 +36,22 @@ GHOST_WIDTH = 4
 S3D_PROFILE = WorkloadProfile("s3d", bytes_per_flop=3.69, compute_efficiency=0.15)
 
 
-@dataclass
 class S3DModel:
     """S3D weak scaling on ``ntasks`` tasks (50³ points each).
 
     The core and network models are built once per instance.
     """
 
-    machine: Machine
-    ntasks: int
-    points_per_side: int = POINTS_PER_TASK_SIDE
-    core: CoreModel = field(init=False, repr=False, compare=False)
-    net: NetworkModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.ntasks < 1:
+    def __init__(
+        self, machine: Machine, ntasks: int, points_per_side: int = POINTS_PER_TASK_SIDE
+    ) -> None:
+        if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        self.core = CoreModel(self.machine)
-        self.net = NetworkModel(self.machine)
+        self.machine = machine
+        self.ntasks = ntasks
+        self.points_per_side = points_per_side
+        self.core = CoreModel(machine)
+        self.net = NetworkModel(machine)
 
     @property
     def points_per_task(self) -> int:

@@ -2,23 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 
-@dataclass
 class Series:
     """One curve of a figure: a label and matching x/y vectors."""
 
-    label: str
-    x: List[Any]
-    y: List[float]
-
-    def __post_init__(self) -> None:
-        if len(self.x) != len(self.y):
-            raise ValueError(
-                f"series {self.label!r}: {len(self.x)} x values vs {len(self.y)} y"
-            )
+    def __init__(self, label: str, x: List[Any], y: List[float]) -> None:
+        if len(x) != len(y):
+            raise ValueError(f"series {label!r}: {len(x)} x values vs {len(y)} y")
+        self.label = label
+        self.x = x
+        self.y = y
 
     def value_at(self, x: Any) -> float:
         """The y value at an exact x (raises if absent)."""
@@ -42,17 +37,26 @@ class Series:
         return cls(data["label"], list(data["x"]), list(data["y"]))
 
 
-@dataclass
 class ExperimentResult:
     """The regenerated content of one paper table or figure."""
 
-    exp_id: str
-    title: str
-    xlabel: str = ""
-    ylabel: str = ""
-    series: List[Series] = field(default_factory=list)
-    rows: Optional[List[Dict[str, Any]]] = None
-    notes: str = ""
+    def __init__(
+        self,
+        exp_id: str,
+        title: str,
+        xlabel: str = "",
+        ylabel: str = "",
+        series: Optional[List[Series]] = None,
+        rows: Optional[List[Dict[str, Any]]] = None,
+        notes: str = "",
+    ) -> None:
+        self.exp_id = exp_id
+        self.title = title
+        self.xlabel = xlabel
+        self.ylabel = ylabel
+        self.series = [] if series is None else series
+        self.rows = rows
+        self.notes = notes
 
     def get_series(self, label: str) -> Series:
         for s in self.series:

@@ -10,27 +10,26 @@ vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 
 class ShapeCheckFailure(AssertionError):
     """Raised by :meth:`ShapeCheck.raise_if_failed`."""
 
 
-@dataclass
 class _Check:
-    name: str
-    passed: bool
-    detail: str
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class ShapeCheck:
     """A named collection of pass/fail observations about one experiment."""
 
-    exp_id: str
-    checks: List[_Check] = field(default_factory=list)
+    def __init__(self, exp_id: str, checks: Optional[List[_Check]] = None) -> None:
+        self.exp_id = exp_id
+        self.checks = [] if checks is None else checks
 
     # -- primitives ---------------------------------------------------------
     def expect(self, name: str, condition: bool, detail: str = "") -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.simengine.rng import fork
@@ -103,14 +103,11 @@ class FaultEvent:
         )
 
 
-@dataclass
 class FaultPlan:
     """A time-ordered schedule of faults (stable-sorted on construction)."""
 
-    events: List[FaultEvent] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.events = sorted(self.events, key=lambda e: e.t_s)
+    def __init__(self, events: Optional[List[FaultEvent]] = None) -> None:
+        self.events = sorted(events or (), key=lambda e: e.t_s)
 
     def __len__(self) -> int:
         return len(self.events)

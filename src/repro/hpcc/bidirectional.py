@@ -15,7 +15,6 @@ more than twice the one-pair value (NIC-sharing surcharge + queuing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.machine.specs import Machine
@@ -27,12 +26,12 @@ DEFAULT_SIZES: Tuple[int, ...] = (
 )
 
 
-@dataclass
 class BidirectionalBandwidth:
     """Paired-exchange bandwidth on a machine (any of XT3/XT3-DC/XT4)."""
 
-    machine: Machine
-    iters: int = 4
+    def __init__(self, machine: Machine, iters: int = 4) -> None:
+        self.machine = machine
+        self.iters = iters
 
     def _run(self, nbytes: int, pairs: int) -> float:
         """Elapsed seconds for ``iters`` simultaneous exchanges."""

@@ -13,7 +13,6 @@ Time model for a blocked right-looking distributed LU on a √p × √p grid:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.machine.processor import CoreModel
@@ -26,7 +25,6 @@ from repro.network.model import NetworkModel
 HPL_SOLVER_OVERHEAD = 0.02
 
 
-@dataclass
 class HPLModel:
     """HPL (or the AORSA complex solver) on ``ntasks`` tasks.
 
@@ -39,24 +37,28 @@ class HPLModel:
     instance.
     """
 
-    machine: Machine
-    ntasks: int
-    n: Optional[int] = None
-    fill_fraction: float = 0.8
-    block: int = 128
-    complex_valued: bool = False
-    core: CoreModel = field(init=False, repr=False, compare=False)
-    net: NetworkModel = field(init=False, repr=False, compare=False)
-    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.ntasks < 1:
+    def __init__(
+        self,
+        machine: Machine,
+        ntasks: int,
+        n: Optional[int] = None,
+        fill_fraction: float = 0.8,
+        block: int = 128,
+        complex_valued: bool = False,
+    ) -> None:
+        if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        if not 0 < self.fill_fraction <= 1:
+        if not 0 < fill_fraction <= 1:
             raise ValueError("fill_fraction must be in (0, 1]")
-        self.core = CoreModel(self.machine)
-        self.net = NetworkModel(self.machine)
-        self.costs = CollectiveCostModel.for_machine(self.net, self.ntasks)
+        self.machine = machine
+        self.ntasks = ntasks
+        self.n = n
+        self.fill_fraction = fill_fraction
+        self.block = block
+        self.complex_valued = complex_valued
+        self.core = CoreModel(machine)
+        self.net = NetworkModel(machine)
+        self.costs = CollectiveCostModel.for_machine(self.net, ntasks)
 
     # -- problem size -----------------------------------------------------
     @property

@@ -9,7 +9,6 @@ mode it is much worse — the alltoalls hit the shared-NIC injection path
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.machine.processor import CoreModel
 from repro.machine.specs import GIGA, Machine
@@ -22,26 +21,22 @@ _ITEM = 16
 _VECTORS = 3
 
 
-@dataclass
 class MPIFFTModel:
     """HPCC global FFT on ``ntasks`` tasks.
 
     The core and collective cost models are built once per instance.
     """
 
-    machine: Machine
-    ntasks: int
-    fill_fraction: float = 0.25
-    core: CoreModel = field(init=False, repr=False, compare=False)
-    costs: CollectiveCostModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.ntasks < 1:
+    def __init__(
+        self, machine: Machine, ntasks: int, fill_fraction: float = 0.25
+    ) -> None:
+        if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        self.core = CoreModel(self.machine)
-        self.costs = CollectiveCostModel.for_machine(
-            NetworkModel(self.machine), self.ntasks
-        )
+        self.machine = machine
+        self.ntasks = ntasks
+        self.fill_fraction = fill_fraction
+        self.core = CoreModel(machine)
+        self.costs = CollectiveCostModel.for_machine(NetworkModel(machine), ntasks)
 
     def problem_size(self) -> int:
         """Largest power-of-two N fitting the working set in memory."""

@@ -10,30 +10,24 @@ overwhelms all other factors", making XT4-VN slower than XT3 per core
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
 from repro.network.model import NetworkModel
 
 
-@dataclass
 class MPIRandomAccessModel:
     """HPCC global RandomAccess (GUPS) on ``ntasks`` tasks.
 
     The core and network models are built once per instance.
     """
 
-    machine: Machine
-    ntasks: int
-    core: CoreModel = field(init=False, repr=False, compare=False)
-    net: NetworkModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.ntasks < 1:
+    def __init__(self, machine: Machine, ntasks: int) -> None:
+        if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        self.core = CoreModel(self.machine)
-        self.net = NetworkModel(self.machine)
+        self.machine = machine
+        self.ntasks = ntasks
+        self.core = CoreModel(machine)
+        self.net = NetworkModel(machine)
 
     def _job_nodes(self) -> int:
         return -(-self.ntasks // self.machine.tasks_per_node)

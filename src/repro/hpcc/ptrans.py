@@ -10,7 +10,6 @@ paper's headline "multi-core is not a panacea" data point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.machine.specs import GIGA, Machine
 from repro.network.model import NetworkModel
@@ -20,22 +19,21 @@ from repro.network.model import NetworkModel
 PTRANS_SCHEDULE_EFF = 0.5
 
 
-@dataclass
 class PTRANSModel:
     """Distributed matrix transpose on ``ntasks`` tasks.
 
     The network model is built once per instance.
     """
 
-    machine: Machine
-    ntasks: int
-    fill_fraction: float = 0.3
-    net: NetworkModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.ntasks < 1:
+    def __init__(
+        self, machine: Machine, ntasks: int, fill_fraction: float = 0.3
+    ) -> None:
+        if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        self.net = NetworkModel(self.machine)
+        self.machine = machine
+        self.ntasks = ntasks
+        self.fill_fraction = fill_fraction
+        self.net = NetworkModel(machine)
 
     def matrix_order(self) -> int:
         """N for the two N×N work matrices filling the memory budget."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.machine.specs import Machine
@@ -10,7 +9,6 @@ from repro.mpi.job import MPIJob
 from repro.network.model import NetworkModel
 
 
-@dataclass
 class RingBenchmark:
     """Ring exchange metrics (Figures 2 and 3).
 
@@ -18,13 +16,11 @@ class RingBenchmark:
     ring permutes ranks, standing in for non-local communication.
     """
 
-    machine: Machine
-    job_nodes: Optional[int] = None
-    #: Built once per instance.
-    model: NetworkModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.model = NetworkModel(self.machine)
+    def __init__(self, machine: Machine, job_nodes: Optional[int] = None) -> None:
+        self.machine = machine
+        self.job_nodes = job_nodes
+        #: Built once per instance.
+        self.model = NetworkModel(machine)
 
     # -- modelled metrics ---------------------------------------------------
     def natural_latency_us(self) -> float:

@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.machine.processor import CoreModel
 from repro.machine.specs import Machine
 
 
-@dataclass
 class StreamBench:
     """Per-core memory bandwidth: low temporal, high spatial locality."""
 
-    machine: Machine
-    #: Built once per instance.
-    core: CoreModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.core = CoreModel(self.machine)
+    def __init__(self, machine: Machine) -> None:
+        self.machine = machine
+        #: Built once per instance.
+        self.core = CoreModel(machine)
 
     def sp_GBs(self) -> float:
         """Single busy core: nearly the full socket bandwidth."""

@@ -16,7 +16,6 @@ servers saturate, and metadata time grows linearly with clients because
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.lustre.client import LustreClient
@@ -24,26 +23,33 @@ from repro.lustre.filesystem import LustreConfig, LustreFilesystem
 from repro.simengine import Simulator
 
 
-@dataclass
 class IORResult:
     """Outcome of one IOR run."""
 
-    pattern: str
-    num_clients: int
-    bytes_per_client: int
-    elapsed_s: float
-    metadata_s: float
+    def __init__(
+        self,
+        pattern: str,
+        num_clients: int,
+        bytes_per_client: int,
+        elapsed_s: float,
+        metadata_s: float,
+    ) -> None:
+        self.pattern = pattern
+        self.num_clients = num_clients
+        self.bytes_per_client = bytes_per_client
+        self.elapsed_s = elapsed_s
+        self.metadata_s = metadata_s
 
     @property
     def aggregate_GBs(self) -> float:
         return self.num_clients * self.bytes_per_client / self.elapsed_s / 1.0e9
 
 
-@dataclass
 class IORBenchmark:
     """IOR write test against a fresh simulated filesystem."""
 
-    config: Optional[LustreConfig] = None
+    def __init__(self, config: Optional[LustreConfig] = None) -> None:
+        self.config = config
 
     def run(
         self,

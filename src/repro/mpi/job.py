@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector, FaultPlan, FaultPolicy, current_plan
@@ -26,21 +25,37 @@ class JobFailedError(RuntimeError):
     recovery policy, or ``max_restarts`` exhausted)."""
 
 
-@dataclass
 class JobResult:
-    """Outcome of one simulated MPI job."""
+    """Outcome of one simulated MPI job.
 
-    machine: str
-    mode: str
-    ntasks: int
-    elapsed_s: float
-    rank_times: List[float]
-    returns: List[Any]
-    #: Resilience accounting (all zero for fault-free, policy-free runs).
-    faults_injected: int = 0
-    restarts: int = 0
-    checkpoints: int = 0
-    net_retransmits: int = 0
+    ``faults_injected``, ``restarts``, ``checkpoints`` and
+    ``net_retransmits`` are the resilience accounting (all zero for
+    fault-free, policy-free runs).
+    """
+
+    def __init__(
+        self,
+        machine: str,
+        mode: str,
+        ntasks: int,
+        elapsed_s: float,
+        rank_times: List[float],
+        returns: List[Any],
+        faults_injected: int = 0,
+        restarts: int = 0,
+        checkpoints: int = 0,
+        net_retransmits: int = 0,
+    ) -> None:
+        self.machine = machine
+        self.mode = mode
+        self.ntasks = ntasks
+        self.elapsed_s = elapsed_s
+        self.rank_times = rank_times
+        self.returns = returns
+        self.faults_injected = faults_injected
+        self.restarts = restarts
+        self.checkpoints = checkpoints
+        self.net_retransmits = net_retransmits
 
 
 class _CollCtx:

@@ -17,20 +17,19 @@ breaks down CAM and POP::
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Span, Tracer
 
 
-@dataclass
 class OpStats:
     """Accumulated statistics for one MPI operation on one rank."""
 
-    calls: int = 0
-    time_s: float = 0.0
-    bytes: float = 0.0
+    def __init__(self, calls: int = 0, time_s: float = 0.0, bytes: float = 0.0) -> None:
+        self.calls = calls
+        self.time_s = time_s
+        self.bytes = bytes
 
     def add(self, dt: float, nbytes: float) -> None:
         self.calls += 1
@@ -38,14 +37,22 @@ class OpStats:
         self.bytes += nbytes
 
 
-@dataclass
 class MPIProfile:
-    """Profile of one rank's MPI activity."""
+    """Profile of one rank's MPI activity.
 
-    rank: int
-    ops: Dict[str, OpStats] = field(default_factory=lambda: defaultdict(OpStats))
-    #: The rank's ``mpi.*`` spans in time order: its MPI timeline.
-    events: List[Span] = field(default_factory=list)
+    ``events`` holds the rank's ``mpi.*`` spans in time order: its MPI
+    timeline.
+    """
+
+    def __init__(
+        self,
+        rank: int,
+        ops: Optional[Dict[str, OpStats]] = None,
+        events: Optional[List[Span]] = None,
+    ) -> None:
+        self.rank = rank
+        self.ops = defaultdict(OpStats) if ops is None else ops
+        self.events = [] if events is None else events
 
     @property
     def total_time_s(self) -> float:

@@ -13,8 +13,7 @@ events, which Perfetto renders as their own counter tracks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import Span, Tracer
 
@@ -124,14 +123,22 @@ def write_chrome_trace(tracer: Tracer, path: str) -> str:
     return path
 
 
-@dataclass
 class TraceData:
-    """A loaded trace in neutral form."""
+    """A loaded trace in neutral form.
 
-    spans: List[Span] = field(default_factory=list)
-    #: counter name → time-ordered ``[(t, value), ...]`` series.
-    counters: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
-    meta: Dict[str, Any] = field(default_factory=dict)
+    ``counters`` maps a counter name to its time-ordered
+    ``[(t, value), ...]`` series.
+    """
+
+    def __init__(
+        self,
+        spans: Optional[List[Span]] = None,
+        counters: Optional[Dict[str, List[Tuple[float, float]]]] = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.spans = [] if spans is None else spans
+        self.counters = {} if counters is None else counters
+        self.meta = {} if meta is None else meta
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceData":

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from operator import itemgetter
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class Span:
     """One named interval of simulated time on a track.
 
@@ -44,11 +42,19 @@ class Span:
     norm; exporters close stragglers at the trace's end time).
     """
 
-    track: str
-    name: str
-    t0: float
-    t1: Optional[float] = None
-    args: Dict[str, Any] = field(default_factory=dict)
+    def __init__(
+        self,
+        track: str,
+        name: str,
+        t0: float,
+        t1: Optional[float] = None,
+        args: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.track = track
+        self.name = name
+        self.t0 = t0
+        self.t1 = t1
+        self.args = {} if args is None else args
 
     @property
     def duration_s(self) -> float:

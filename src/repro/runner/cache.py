@@ -27,7 +27,6 @@ import json
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.experiment import ExperimentResult
@@ -40,15 +39,22 @@ SCHEMA = "v2"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
-@dataclass
 class CacheEntry:
     """One stored experiment result plus its provenance."""
 
-    key: str
-    exp_id: str
-    wall_s: float
-    passed: bool
-    result: ExperimentResult
+    def __init__(
+        self,
+        key: str,
+        exp_id: str,
+        wall_s: float,
+        passed: bool,
+        result: ExperimentResult,
+    ) -> None:
+        self.key = key
+        self.exp_id = exp_id
+        self.wall_s = wall_s
+        self.passed = passed
+        self.result = result
 
     def to_dict(self) -> dict:
         return {

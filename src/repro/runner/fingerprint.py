@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 from functools import lru_cache
-from typing import Any, Optional, Union
+from typing import Any, List, Optional, Tuple, Union
 
 NO_FAULTS = "no-faults"
 
@@ -50,11 +51,22 @@ def source_digest(root: Union[str, pathlib.Path] = PACKAGE_ROOT) -> str:
     The digest therefore depends on the tree's content, not on where it
     is installed. Cached per ``root`` for the life of the process.
     """
-    root = pathlib.Path(root)
-    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py"))
+    files: List[Tuple[str, str]] = []
+
+    def walk(top: str, prefix: str) -> None:
+        with os.scandir(top) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    walk(entry.path, prefix + entry.name + "/")
+                elif entry.name.endswith(".py"):
+                    files.append((prefix + entry.name, entry.path))
+
+    walk(os.fspath(root), "")
+    files.sort()
     digest = hashlib.sha256()
     for rel, path in files:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
         digest.update(rel.encode("utf-8") + b"\0")
         digest.update(len(data).to_bytes(8, "big") + data)
     return digest.hexdigest()

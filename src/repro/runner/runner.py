@@ -27,7 +27,6 @@ nondeterminism rule is suppressed at those sites.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
@@ -37,7 +36,6 @@ from repro.runner.cache import CacheEntry, ResultCache
 from repro.runner.fingerprint import cache_key_for
 
 
-@dataclass
 class RunOutcome:
     """One experiment's result plus how it was obtained.
 
@@ -47,12 +45,21 @@ class RunOutcome:
     live on an execution, stored with the entry on a hit.
     """
 
-    exp_id: str
-    result: ExperimentResult
-    from_cache: bool
-    wall_s: float
-    passed: bool
-    key: Optional[str] = None
+    def __init__(
+        self,
+        exp_id: str,
+        result: ExperimentResult,
+        from_cache: bool,
+        wall_s: float,
+        passed: bool,
+        key: Optional[str] = None,
+    ) -> None:
+        self.exp_id = exp_id
+        self.result = result
+        self.from_cache = from_cache
+        self.wall_s = wall_s
+        self.passed = passed
+        self.key = key
 
 
 class ExperimentRunner:

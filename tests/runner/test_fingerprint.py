@@ -1,6 +1,7 @@
 """Cache-key derivation: one digest of the source tree, the experiment
 id and the fault plan; an edit to any source file misses."""
 
+import hashlib
 import importlib
 import inspect
 import json
@@ -85,6 +86,43 @@ def test_source_digest_covers_every_py_file(repro_copy):
     (root / "apps" / "extra.py").rename(root / "apps" / "other.py")
     source_digest.cache_clear()
     assert source_digest(root) not in (before, added)  # so does its path
+
+
+def _rglob_digest(root):
+    """The reference digest: ``pathlib.rglob`` over ``*.py``, sorted by
+    relative POSIX path, each file's path then its length-prefixed bytes."""
+    root = pathlib.Path(root)
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (p.relative_to(root).as_posix(), p) for p in root.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()
+
+
+def test_source_digest_equals_the_rglob_reference_on_the_package():
+    assert source_digest() == _rglob_digest(PACKAGE_ROOT)
+
+
+def test_source_digest_equals_the_rglob_reference_on_a_small_tree(tmp_path):
+    root = tmp_path / "pkg"
+    (root / "sub" / "deeper").mkdir(parents=True)
+    (root / "sub" / "__pycache__").mkdir()
+    (root / "__init__.py").write_text("x = 1\n")
+    (root / "a_b.py").write_text("")
+    (root / "sub" / "__init__.py").write_text("# sub\n")
+    (root / "sub" / "z.py").write_bytes(b"\xff\x00 not utf-8")
+    (root / "sub" / "deeper" / "m.py").write_text("y = 2\n")
+    (root / "sub" / "notes.txt").write_text("not source\n")
+    (root / "sub" / "__pycache__" / "z.cpython-311.pyc").write_bytes(b"\0pyc")
+    # "a_b.py" sorts after "a/..." but before "sub/...": a wrong order or
+    # a non-POSIX relative path changes the digest.
+    (root / "a").mkdir()
+    (root / "a" / "k.py").write_text("k = 3\n")
+    assert source_digest(root) == _rglob_digest(root)
+    assert source_digest(str(root)) == _rglob_digest(root)
 
 
 def test_driver_source_is_module_source():

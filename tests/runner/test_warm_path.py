@@ -19,13 +19,17 @@ from repro.runner.cache import SCHEMA
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: Run ``repro`` in a fresh interpreter; the last stdout line reports the
-#: exit code and which numpy or ``repro.experiments`` modules it loaded.
+#: exit code and which numpy, ``repro.experiments``, ``dataclasses`` or
+#: ``inspect`` modules it loaded. The last two cost about 10 ms of start-up
+#: (``inspect`` pulls in ``ast``, ``dis`` and ``tokenize``); only the frozen
+#: value types of the machine and model layers still need them.
 FRESH = """
 import json, sys
 from repro.__main__ import main
 rc = main(sys.argv[1:])
 heavy = [m for m in sys.modules
-         if m.split(".")[0] == "numpy" or m.startswith("repro.experiments")]
+         if m.split(".")[0] == "numpy" or m.startswith("repro.experiments")
+         or m in ("dataclasses", "inspect")]
 print(json.dumps({"rc": rc, "heavy": sorted(heavy)}))
 """
 
