@@ -1,9 +1,9 @@
-"""simlint framework: findings, the checker registry, pragmas, drivers.
+"""simlint driver: findings, pragmas, and the one pass over each file.
 
-A *checker* is a class with a ``family`` name, a ``rules`` table
-(rule id → one-line description) and a ``check(tree, filename)`` method
-yielding :class:`Finding` objects; it sees one module at a time and
-registers with :func:`register`.
+:func:`lint_source` parses a module once, runs the ``nondet`` rules in
+one walk over it and the process-function rules in one walk over each
+generator function (:mod:`repro.lint.rules`), then drops what a pragma
+suppresses.
 
 Suppression pragmas:
 
@@ -27,7 +27,14 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+from repro.lint.rules import (
+    check_nondet,
+    check_process_function,
+    is_generator,
+    iter_function_defs,
+)
 
 _PRAGMA_RE = re.compile(r"#\s*simlint:\s*ignore(?!-file)(?:\[([^\]]*)\])?", re.IGNORECASE)
 _FILE_PRAGMA_RE = re.compile(r"#\s*simlint:\s*ignore-file(?:\[([^\]]*)\])?", re.IGNORECASE)
@@ -51,16 +58,14 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} [{self.family}] {self.message}"
 
 
-_REGISTRY: List[Type] = []
-
-
-def register(cls: Type) -> Type:
-    """Class decorator adding a checker to the global registry."""
-    for attr in ("family", "rules", "check"):
-        if not hasattr(cls, attr):
-            raise TypeError(f"checker {cls.__name__} lacks {attr!r}")
-    _REGISTRY.append(cls)
-    return cls
+#: Rule id prefix (``SL<family-digit>``) → family name.
+FAMILIES = {
+    "SL0": "parse",
+    "SL1": "yield-from",
+    "SL2": "nondet",
+    "SL5": "resource-safety",
+    "SL9": "perf",
+}
 
 
 # -- suppression -----------------------------------------------------------
@@ -149,7 +154,7 @@ def _suppressed(finding: Finding, supp: Dict[int, set], file_wide: set) -> bool:
 # -- drivers ---------------------------------------------------------------
 
 def lint_source(source: str, filename: str = "<string>") -> List[Finding]:
-    """Run every checker over one module's ``source``; returns kept findings."""
+    """Run every rule over one module's ``source``; returns kept findings."""
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
@@ -163,11 +168,18 @@ def lint_source(source: str, filename: str = "<string>") -> List[Finding]:
                 message=f"syntax error: {exc.msg}",
             )
         ]
+    hits = list(check_nondet(tree))
+    for func in iter_function_defs(tree):
+        if is_generator(func):
+            hits.extend(check_process_function(func))
+    if not hits:
+        return []
     supp, file_wide = _suppressions(source)
     supp = _expand_pragma_lines(supp, _statement_spans(tree))
-    findings: List[Finding] = []
-    for cls in _REGISTRY:
-        findings.extend(cls().check(tree, filename))
+    findings = [
+        Finding(rule, FAMILIES[rule[:3]], filename, node.lineno, node.col_offset, msg)
+        for rule, node, msg in hits
+    ]
     findings = [f for f in findings if not _suppressed(f, supp, file_wide)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
@@ -227,39 +239,3 @@ def _expand(paths: Iterable["str | Path"]) -> Iterator[Path]:
             raise NotAPythonFileError(
                 f"{p} is not a python file (only *.py files can be linted)"
             )
-
-
-# -- shared AST helpers (used by several checkers) -------------------------
-
-def call_name(node: ast.AST) -> str:
-    """The trailing identifier of a call target: ``a.b.c(...)`` → ``"c"``."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
-def iter_function_defs(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    """Every (sync) function definition in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node
-
-
-def own_nodes(func: ast.FunctionDef) -> Iterator[ast.AST]:
-    """Walk ``func``'s body without descending into nested function defs."""
-    stack: List[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # nested scope: analysed on its own
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def is_generator(func: ast.FunctionDef) -> bool:
-    """True if ``func`` is a generator function (has its own yield)."""
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes(func))

@@ -1,8 +1,8 @@
 """Deliberately hot-path-hostile module: SL901 fires here.
 
-Seeded violation (see tests/lint/test_perf_rules.py):
+Seeded violations (see tests/lint/test_perf_rules.py):
 
-* SL901 — per-event lambda scheduled in a process function
+* SL901 — per-event lambdas passed to ``schedule`` / ``schedule_at``
 """
 
 
@@ -17,3 +17,4 @@ class Engine:
         for entry in entries:
             self.sim.schedule(0.0, lambda: self._tick())  # closure (SL901)
             yield entry
+        self.sim.schedule_at(1.0, lambda: self._tick())  # closure (SL901)

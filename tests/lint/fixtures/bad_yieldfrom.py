@@ -5,15 +5,15 @@ from repro.simengine import Delay
 
 def rank_main(comm):
     comm.send(b"x", dest=1)                    # line 7: SL101 (discarded send)
-    data = comm.recv(source=0)                 # line 8: SL102 (assigned generator)
-    yield comm.barrier()                       # line 9: SL103 (yield, not yield from)
-    msg = yield from comm._post_recv(0, 5)     # line 10: SL104 (yield from an event)
+    data = yield from comm.recv(source=0)      # clean
+    yield from comm.barrier()                  # clean (a plain yield is a TypeError)
+    msg = yield comm._post_recv(0, 5)          # clean (yield from is a TypeError)
     Delay(1.0)                                 # line 11: SL101 (discarded event)
     ok = yield from comm.allreduce(1.0)        # clean
-    suppressed = comm.recv(source=1)           # simlint: ignore[SL102]
-    family_wide = comm.recv(source=2)          # simlint: ignore[yield-from]
-    blanket = comm.recv(source=3)              # simlint: ignore
-    return data, msg, ok, suppressed, family_wide, blanket
+    comm.recv(source=1)                        # simlint: ignore[SL101]
+    comm.recv(source=2)                        # simlint: ignore[yield-from]
+    comm.recv(source=3)                        # simlint: ignore
+    return data, msg, ok
 
 
 def not_a_generator(comm):

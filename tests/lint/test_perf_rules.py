@@ -23,7 +23,7 @@ def _by_rule(findings):
 def test_fixture_seeds_every_sl9_rule():
     findings = _by_rule(lint_file(FIXTURES / "bad_perf.py"))
     assert set(findings) == {"SL901"}
-    assert [f.line for f in findings["SL901"]] == [18]
+    assert [f.line for f in findings["SL901"]] == [18, 20]
 
 
 def test_sl901_message_names_the_process_function():

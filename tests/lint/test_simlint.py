@@ -1,13 +1,16 @@
-"""simlint behaviour: each checker catches its fixture, pragmas suppress."""
+"""simlint behaviour: each rule catches its fixture, pragmas suppress."""
 
-import os
-import subprocess
-import sys
+import inspect
 from pathlib import Path
 
 import pytest
 
 from repro.lint import lint_file, lint_source
+from repro.lint.rules import CALLBACK_SINKS, GEN_METHODS, GEN_METHODS_HINTED
+from repro.mpi.comm import Comm
+from repro.network.simnet import SimNetwork
+from repro.simengine import Simulator
+from repro.simengine.queue import EventQueue
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,17 +26,14 @@ def by_rule(findings):
     return out
 
 
-# -- checker 1: yield-from discipline ---------------------------------------
+# -- yield-from discipline ----------------------------------------------------
 
 def test_yieldfrom_fixture_rules_and_lines():
     rules = by_rule(findings_for("bad_yieldfrom.py"))
     assert [f.line for f in rules["SL101"]] == [7, 11]
-    assert [f.line for f in rules["SL102"]] == [8]
-    assert [f.line for f in rules["SL103"]] == [9]
-    assert [f.line for f in rules["SL104"]] == [10]
-    # the three suppressed recv assignments (13–15) and the clean lines
+    # the three suppressed discarded recvs (13–15) and the clean lines
     # produce nothing else
-    assert sum(len(v) for v in rules.values()) == 5
+    assert sum(len(v) for v in rules.values()) == 2
     assert all(f.family == "yield-from" for v in rules.values() for f in v)
 
 
@@ -44,7 +44,7 @@ def test_yieldfrom_ignores_non_generators_and_stdlib_lookalikes():
     assert not flagged_lines & {26, 27}
 
 
-# -- checker 2: nondeterminism ----------------------------------------------
+# -- nondeterminism ------------------------------------------------------------
 
 def test_nondet_fixture_rules_and_lines():
     rules = by_rule(findings_for("bad_nondet.py"))
@@ -54,7 +54,7 @@ def test_nondet_fixture_rules_and_lines():
     assert sum(len(v) for v in rules.values()) == 6
 
 
-# -- checker 3: resource safety ----------------------------------------------
+# -- resource safety -----------------------------------------------------------
 
 def test_resource_safety_fixture_rules_and_lines():
     rules = by_rule(findings_for("bad_resource.py"))
@@ -68,6 +68,30 @@ def test_resource_safety_guarded_and_two_step_forms_stay_silent():
     # safe_hold (21), safe_nested (31), suppressed (48), two-step (57+)
     assert not flagged & {21, 31, 48}
     assert max(flagged) == 41
+
+
+# -- the helper tables name the APIs they mirror ----------------------------------
+
+def test_generator_helper_table_is_comms_generators_plus_transfer():
+    comm_gens = {
+        name for name, fn in inspect.getmembers(Comm)
+        if not name.startswith("_") and inspect.isgeneratorfunction(fn)
+    }
+    assert inspect.isgeneratorfunction(SimNetwork.transfer)
+    assert set(GEN_METHODS) | set(GEN_METHODS_HINTED) == comm_gens | {"transfer"}
+
+
+def test_callback_sinks_are_the_deferring_engine_methods():
+    # A public Simulator/EventQueue method that takes a callback or a
+    # process generator runs it later: exactly the SL901 sinks.
+    deferring = {
+        name
+        for cls in (Simulator, EventQueue)
+        for name, fn in inspect.getmembers(cls, inspect.isfunction)
+        if not name.startswith("_")
+        and {"callback", "gen"} & set(inspect.signature(fn).parameters)
+    }
+    assert deferring == set(CALLBACK_SINKS)
 
 
 # -- pragmas -------------------------------------------------------------------
@@ -100,24 +124,11 @@ def test_finding_str_is_location_prefixed():
     assert "SL201" in str(f)
 
 
-def _run_cli(*args):
-    root = Path(__file__).parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        capture_output=True,
-        text=True,
-        cwd=root,
-        env=env,
-    )
-
-
-def test_cli_exits_nonzero_on_findings_and_zero_when_clean():
-    bad = _run_cli(str(FIXTURES / "bad_nondet.py"))
+def test_cli_exits_nonzero_on_findings_and_zero_when_clean(run_cli):
+    bad = run_cli(str(FIXTURES / "bad_nondet.py"))
     assert bad.returncode == 1
     assert "SL201" in bad.stdout and "findings" in bad.stderr
-    clean = _run_cli("src/repro/lint")
+    clean = run_cli("src/repro/lint")
     assert clean.returncode == 0, clean.stdout + clean.stderr
 
 

@@ -1,11 +1,6 @@
 """Suppression edge cases and CLI usage errors."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
-
-import pytest
 
 from repro.lint import lint_source
 from repro.lint.core import expand_paths
@@ -109,27 +104,14 @@ def test_expand_paths_excludes_fixture_dirs_by_default():
 
 # -- CLI ----------------------------------------------------------------------
 
-def _run_cli(*args):
-    root = Path(__file__).parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        capture_output=True,
-        text=True,
-        cwd=root,
-        env=env,
-    )
-
-
-def test_cli_explicit_non_python_file_is_usage_error(tmp_path):
+def test_cli_explicit_non_python_file_is_usage_error(tmp_path, run_cli):
     target = tmp_path / "notes.txt"
     target.write_text("not python\n")
-    out = _run_cli(str(target))
+    out = run_cli(str(target))
     assert out.returncode == 2
     assert "notes.txt" in out.stderr
 
 
-def test_cli_missing_path_is_usage_error():
-    out = _run_cli("no/such/dir")
+def test_cli_missing_path_is_usage_error(run_cli):
+    out = run_cli("no/such/dir")
     assert out.returncode == 2
